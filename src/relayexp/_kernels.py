@@ -1,8 +1,9 @@
-"""Hot numerical kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numerical kernels.
 
-The implementation is selected once at import time: set the environment
+`e0_sum` is numpy only.  `batch_cond_mi` has a numba fast path and a
+pure-numpy fallback, selected once at import time: set the environment
 variable ``RELAYEXP_NO_NUMBA=1`` to force the pure-numpy code path (useful
-on platforms without a working numba, and for benchmarking the speedup).
+on platforms without a working numba).
 """
 
 import os
@@ -24,17 +25,31 @@ if USE_NUMBA:
 # pure-numpy implementations
 # ---------------------------------------------------------------------------
 
-def _e0_sum_np(qs, qxs, w, rho):
+def e0_sum(qs, qxs, w, rho):
     """Gallager-style inner sum for a state-conditioned channel.
 
     qs : (S,) state probabilities
     qxs : (S, X) input distribution per state
     w : (S, X, Y) channel per state
+    rho : a scalar, or an array of any shape
     returns sum_{s,y} qs[s] * (sum_x qxs[s,x] * w[s,x,y]^(1/(1+rho)))^(1+rho)
+    as a float for a scalar rho, else as an array of rho's shape.  For rho
+    in [0, 1] an entry of a rho array equals the scalar call bit for bit.
     """
-    ex = 1.0 / (1.0 + rho)
-    inner = np.einsum("sx,sxy->sy", qxs, np.power(w, ex))
-    return float(np.einsum("s,sy->", qs, np.power(inner, 1.0 + rho)))
+    rho = np.asarray(rho, dtype=np.float64)
+    ex = (1.0 / (1.0 + rho))[..., None, None, None]
+    inner = np.einsum("sx,...sxy->...sy", qxs, np.power(w, ex))
+    total = np.einsum("s,...sy->...", qs,
+                      np.power(inner, (1.0 + rho)[..., None, None]))
+    if not total.ndim:
+        return float(total)
+    # numpy raises to the scalar exponents 1/2 and 2 (1 + rho rounds to 2)
+    # by an exact square root and square, but to an array of exponents by
+    # pow, which can differ in the last bit
+    at_one = 1.0 + rho == 2.0
+    if at_one.any():
+        total[at_one] = e0_sum(qs, qxs, w, 1.0)
+    return total
 
 
 def _batch_cond_mi_np(joints):
@@ -64,24 +79,8 @@ def _batch_cond_mi_np(joints):
 
 
 # ---------------------------------------------------------------------------
-# numba implementations (same contracts, scalar loops)
+# numba implementation (same contract, scalar loops)
 # ---------------------------------------------------------------------------
-
-def _e0_sum_loop(qs, qxs, w, rho):
-    ns, nx, ny = w.shape
-    ex = 1.0 / (1.0 + rho)
-    total = 0.0
-    for s in range(ns):
-        for y in range(ny):
-            inner = 0.0
-            for x in range(nx):
-                wv = w[s, x, y]
-                if wv > 0.0:
-                    inner += qxs[s, x] * wv ** ex
-            if inner > 0.0:
-                total += qs[s] * inner ** (1.0 + rho)
-    return total
-
 
 def _batch_cond_mi_loop(joints):
     m, ns, na, nb = joints.shape
@@ -117,8 +116,6 @@ def _batch_cond_mi_loop(joints):
 
 
 if USE_NUMBA:
-    e0_sum = njit(cache=True)(_e0_sum_loop)
     batch_cond_mi = njit(cache=True)(_batch_cond_mi_loop)
 else:
-    e0_sum = _e0_sum_np
     batch_cond_mi = _batch_cond_mi_np

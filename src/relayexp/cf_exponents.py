@@ -15,9 +15,9 @@ from itertools import permutations, product
 
 import numpy as np
 
-from ._kernels import batch_cond_mi, e0_sum
+from ._kernels import batch_cond_mi
 from .pdf_exponents import (ExponentEval, _cond_descent, _primal_objective,
-                            golden_max)
+                            gallager_dual)
 from .prob_core import (CondDist, Dist, OptimizerConfig, cond_mi_from_joint,
                         kl_div_vec)
 from .relay_model import CfAuxChannels, CfInput, RelayChannelSpec, cf_aux_channels
@@ -479,19 +479,12 @@ def cf_G1(w: RelayChannelSpec, c: CfInput, r2: float,
     q_xs = aux.q_x2[None, :]
     chan = aux.wq1_y3[None, :, :]
 
-    def g(rho):
-        return -rho * r2 - np.log2(e0_sum(q_s, q_xs, chan, rho))
-
-    rho, val = golden_max(g, 0.0, 1.0)
-    for cand in (0.0, 1.0):
-        if g(cand) > val:
-            rho, val = cand, g(cand)
-    dual = max(0.0, val)
+    dual, rho = gallager_dual(q_s, q_xs, chan, r2)
 
     objective = _primal_objective(q_s, q_xs, chan, r2)
     v0 = chan.copy()
     vp, primal = _cond_descent(v0, objective, 0.25, 1e-6, chan > 0.0)
-    return ExponentEval(dual, rho if dual > 0.0 else 0.0, "dual", "cf_G1",
+    return ExponentEval(dual, rho, "dual", "cf_G1",
                         {"primal": max(0.0, primal),
                          "primal_witness": vp[0]})
 

@@ -20,6 +20,7 @@ same flags; wall time lives only in the metadata sidecar.
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -29,8 +30,8 @@ import numpy as np
 from . import __version__
 from .cf_exponents import cf_overall
 from .haroutunian_upper import ecs_upper_sweep
-from .pdf_exponents import (BlockMarkovConfig, df_input, golden_max,
-                            optimize_blocks, pdf_dual_exponent, pdf_overall)
+from .pdf_exponents import (BlockMarkovConfig, df_input, optimize_blocks,
+                            pdf_dual_exponent, pdf_overall_batch)
 from .prob_core import CondDist, Dist, OptimizerConfig
 from .relay_model import (CfInput, PdfInput, RelayChannelSpec, cutset_bound,
                           sato_channel)
@@ -67,8 +68,22 @@ class SweepSpec:
             start, stop, step = self.rate_grid
             if step <= 0 or start > stop:
                 raise CliError(3, "rate grid requires step > 0 and start <= stop")
+            if start < 0 or not all(map(math.isfinite, self.rate_grid)):
+                raise CliError(3, "rate grid must be finite and nonnegative")
         if any(b < 2 for b in self.blocks):
             raise CliError(3, "all block counts must be >= 2")
+        for flag, value in (("--rate", self.rate), ("--r2", self.r2)):
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise CliError(3, f"{flag} must be finite and nonnegative, "
+                                  f"got {value!r}")
+        if self.split != "auto" and not 0 <= self.split <= 1:
+            raise CliError(3, f"--split must lie in [0, 1], got {self.split!r}")
+        if self.u_size is not None and self.u_size < 1:
+            raise CliError(3, f"--u-size must be >= 1, got {self.u_size}")
+        if self.restarts is not None and self.restarts < 1:
+            raise CliError(3, f"--restarts must be >= 1, got {self.restarts}")
+        if self.seed < 0:
+            raise CliError(3, f"--seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -102,6 +117,10 @@ def parse_channel(path) -> RelayChannelSpec:
         raise CliError(2, f"channel file is missing or malformed: {exc}")
     if w.shape != sizes:
         raise CliError(3, f"w has shape {w.shape}, expected {sizes}")
+    bad = np.argwhere(~np.isfinite(w))
+    if bad.size:
+        idx = tuple(int(i) for i in bad[0])
+        raise CliError(3, f"non-finite probability {float(w[idx])} at index {idx}")
     neg = np.argwhere(w < 0.0)
     if neg.size:
         idx = tuple(int(i) for i in neg[0])
@@ -203,13 +222,13 @@ def run(spec: SweepSpec) -> SweepResult:
         cfg = _cfg(spec)
         blocks = spec.blocks or (10,)
         points = _rate_points(spec.rate_grid) if spec.rate_grid else [spec.rate or 0.0]
-        for b in sorted(blocks):
-            for r_eff in points:
-                bm = BlockMarkovConfig(b, r_eff, split)
-                val, rep = pdf_overall(chan, q, bm, spec.form, cfg)
-                rows.append((b, r_eff, bm.r_b, f"{spec.command}_overall",
-                             val, f"split={_fmt(rep['split'])}",
-                             f"splits:{'fixed' if split is not None else 41}"))
+        bms = [BlockMarkovConfig(b, r_eff, split)
+               for b in sorted(blocks) for r_eff in points]
+        for bm, (val, rep) in zip(bms, pdf_overall_batch(chan, q, bms,
+                                                         spec.form, cfg)):
+            rows.append((bm.b, bm.r_eff, bm.r_b, f"{spec.command}_overall",
+                         val, f"split={_fmt(rep['split'])}",
+                         f"splits:{'fixed' if split is not None else 41}"))
         grids["split_grid"] = 41 if split is None else "fixed"
 
     elif spec.command == "cf":
@@ -293,16 +312,18 @@ def _sato_figures(spec: SweepSpec, rows, grids):
     blocks = (10, 50, 100)
     points = _rate_points((1.00, 1.20, 0.005))
     grids["r_eff_grid"] = "1.00:1.20:0.005"
+    figure_points = [(b, r_eff, b / (b - 1) * r_eff)
+                     for b in blocks for r_eff in points]
+    r_bs = np.array([r_b for _, _, r_b in figure_points])
+    f = pdf_dual_exponent("relay_F", chan, q, r_bs)
+    g = pdf_dual_exponent("decoder_G", chan, q, r_bs)
     relay_rows, decoder_rows = [], []
-    for b in blocks:
-        for r_eff in points:
-            r_b = b / (b - 1) * r_eff
-            f = pdf_dual_exponent("relay_F", chan, q, r_b)
-            g = pdf_dual_exponent("decoder_G", chan, q, r_b)
-            relay_rows.append((b, r_eff, r_b, "relay_F_over_b", f.value / b,
-                               f"rho={_fmt(f.witness)}", "dual"))
-            decoder_rows.append((b, r_eff, r_b, "decoder_G_over_b", g.value / b,
-                                 f"rho={_fmt(g.witness)}", "dual"))
+    for i, (b, r_eff, r_b) in enumerate(figure_points):
+        relay_rows.append((b, r_eff, r_b, "relay_F_over_b", f.value[i] / b,
+                           f"rho={_fmt(f.witness[i])}", "dual"))
+        decoder_rows.append((b, r_eff, r_b, "decoder_G_over_b",
+                             g.value[i] / b, f"rho={_fmt(g.witness[i])}",
+                             "dual"))
     opt_rows = []
     for r_eff in points:
         best_b, curve = optimize_blocks(chan, q, r_eff, (2, 200), "dual",

@@ -57,22 +57,37 @@ class BlockMarkovConfig:
 
 
 def golden_max(f, lo, hi, tol=1e-8):
-    """Golden-section maximization of a unimodal f on [lo, hi]."""
-    a, b = lo, hi
+    """Golden-section maximization of unimodal problems run in lockstep.
+
+    `lo` and `hi` are scalars or arrays; they broadcast to one independent
+    problem per entry.  `f` maps an array of points, one per problem, to
+    their values.  Each problem follows the scalar golden section exactly
+    (same probe points, ties go left, stop once b - a <= tol), so its
+    result does not depend on the other problems.  Returns (x, f(x)) in the
+    broadcast shape.
+    """
+    a, b = (np.array(v, dtype=np.float64) for v in np.broadcast_arrays(lo, hi))
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
+    active = b - a > tol
+    while active.any():
+        left = fc >= fd
+        right = active & ~left
+        left &= active
+        # left: b, d, fd = d, c, fc and probe a new c; right: a, c, fc =
+        # c, d, fd and probe a new d
+        b = np.where(left, d, b)
+        a = np.where(right, c, a)
+        d, fd = np.where(left, c, d), np.where(left, fc, fd)
+        c, fc = np.where(right, d, c), np.where(right, fd, fc)
+        probe = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        fp = f(probe)
+        c, fc = np.where(left, probe, c), np.where(left, fp, fc)
+        d, fd = np.where(right, probe, d), np.where(right, fp, fd)
+        active = b - a > tol
     x = 0.5 * (a + b)
-    return x, f(x)
+    return x[()], np.asarray(f(x))[()]
 
 
 def _state_channel(kind, w: RelayChannelSpec, q: PdfInput):
@@ -101,26 +116,40 @@ def _state_channel(kind, w: RelayChannelSpec, q: PdfInput):
     return q_s, q_xs, chan
 
 
-def pdf_dual_exponent(kind, w: RelayChannelSpec, q: PdfInput,
-                      rate: float) -> ExponentEval:
-    """Gallager-form exponent max_{rho in [0,1]} -rho*R - log2 S_kind(rho)."""
-    if rate < 0:
-        raise ValueError("rate must be nonnegative")
-    q_s, q_xs, chan = _state_channel(kind, w, q)
+def gallager_dual(q_s, q_xs, chan, rate):
+    """(value, rho) of max_{rho in [0,1]} -rho*R - log2 S(rho) for each rate.
+
+    S is `e0_sum` of the state channel (q_s, q_xs, chan).  `rate` is a
+    scalar or an array; all of its rates share one lockstep golden section.
+    The endpoints rho = 0 and 1 are checked too, and a value of zero comes
+    with rho = 0.
+    """
+    rate = np.asarray(rate, dtype=np.float64)
 
     def g(rho):
         return -rho * rate - np.log2(e0_sum(q_s, q_xs, chan, rho))
 
-    rho, val = golden_max(g, 0.0, 1.0)
+    rho, val = golden_max(g, np.zeros(rate.shape), np.ones(rate.shape))
     for cand in (0.0, 1.0):
         cval = g(cand)
-        if cval > val:
-            rho, val = cand, cval
-    value = max(0.0, val)
-    if value == 0.0:
-        rho = 0.0
-    return ExponentEval(value, rho, "dual", kind,
-                        {"rho_tolerance": 1e-8})
+        better = cval > val
+        rho, val = np.where(better, cand, rho), np.where(better, cval, val)
+    # as max(0.0, val): a nonpositive (or NaN) value becomes +0.0
+    positive = val > 0.0
+    return np.where(positive, val, 0.0)[()], np.where(positive, rho, 0.0)[()]
+
+
+def pdf_dual_exponent(kind, w: RelayChannelSpec, q: PdfInput,
+                      rate) -> ExponentEval:
+    """Gallager-form exponent max_{rho in [0,1]} -rho*R - log2 S_kind(rho).
+
+    `rate` may be an array; value and witness (rho) then have its shape
+    and every entry equals the scalar call at that rate.
+    """
+    if np.any(np.asarray(rate) < 0):
+        raise ValueError("rate must be nonnegative")
+    value, rho = gallager_dual(*_state_channel(kind, w, q), rate)
+    return ExponentEval(value, rho, "dual", kind, {"rho_tolerance": 1e-8})
 
 
 def _primal_objective(q_s, q_xs, chan, rate):
@@ -222,19 +251,107 @@ def pdf_primal_exponent(kind, w: RelayChannelSpec, q: PdfInput, rate: float,
                         {"starts": len(starts), "min_step": min_step})
 
 
-def _constituents(bm_rate, split):
-    """Rates and the active kinds for one split of R_b = R' + R''."""
-    r1 = split * bm_rate
-    r2 = (1.0 - split) * bm_rate
-    active = []
-    if r1 > 0.0:
-        active += [("relay_F", r1), ("decoder_G", r1)]
-    if r2 > 0.0:
-        active.append(("decoder_Gtilde", r2))
-    if not active:  # zero per-block rate: keep every constituent
-        active = [("relay_F", 0.0), ("decoder_G", 0.0),
-                  ("decoder_Gtilde", 0.0)]
-    return active
+def _constituents(r_b, splits):
+    """Per kind, (active, rate) grids for the splits R_b = R' + R''.
+
+    `r_b` has shape (n,) and `splits` shape (n, m).  F and G take
+    R' = split * R_b and Gtilde takes R'' = (1 - split) * R_b; each is
+    active where its rate is positive.  Where neither rate is positive (zero
+    per-block rate) every constituent is kept, at rate 0.
+    """
+    r1 = splits * r_b[:, None]
+    r2 = (1.0 - splits) * r_b[:, None]
+    idle = ~(r1 > 0.0) & ~(r2 > 0.0)
+    on1, on2 = (r1 > 0.0) | idle, (r2 > 0.0) | idle
+    r1, r2 = np.where(idle, 0.0, r1), np.where(idle, 0.0, r2)
+    return {"relay_F": (on1, r1), "decoder_G": (on1, r1),
+            "decoder_Gtilde": (on2, r2)}
+
+
+def _split_values(w, q, r_b, splits, form, cfg):
+    """Min over the active constituents at every (r_b[i], splits[i, j]).
+
+    Each kind is evaluated once, at all of its active rates; the dual form
+    runs them as one batched solve.  Returns the (n, m) minima and, per
+    kind, its (active, rate, value, witness) grids.
+    """
+    mins = np.full(splits.shape, np.inf)
+    parts = {}
+    for kind, (active, rate) in _constituents(r_b, splits).items():
+        value = np.zeros(splits.shape)
+        if form == "dual":
+            witness = np.zeros(splits.shape)
+            if active.any():
+                ev = pdf_dual_exponent(kind, w, q, rate[active])
+                value[active], witness[active] = ev.value, ev.witness
+        else:
+            witness = np.empty(splits.shape, dtype=object)
+            for idx in zip(*np.nonzero(active)):
+                ev = pdf_primal_exponent(kind, w, q, float(rate[idx]), cfg)
+                value[idx], witness[idx] = ev.value, ev.witness
+        mins = np.where(active, np.minimum(mins, value), mins)
+        parts[kind] = (active, rate, value, witness)
+    return mins, parts
+
+
+def _best_splits(w, q, bms, form, cfg):
+    """Best split value of every config in `bms` and where it was found.
+
+    Returns the (n,) best minima over the constituents and, per config, the
+    (grid, parts, column) of its best split.  The configs must share one
+    split_fraction.  Each kind is evaluated once over every config's split
+    grid and once over every refinement grid.
+    """
+    if cfg is None:
+        cfg = OptimizerConfig()
+    fractions = {bm.split_fraction for bm in bms}
+    if len(fractions) > 1:
+        raise ValueError("all configs must share one split_fraction")
+    fraction = fractions.pop()
+    r_b = np.array([bm.r_b for bm in bms])
+    rows = np.arange(len(bms))
+    if fraction is not None:
+        splits = np.full((len(bms), 1), fraction)
+    else:
+        splits = np.tile(np.linspace(0.0, 1.0, 41), (len(bms), 1))
+    # the first maximum over the grid wins, as in a strict > scan
+    mins, parts = _split_values(w, q, r_b, splits, form, cfg)
+    cols = np.argmax(mins, axis=1)
+    best = [(splits, parts, col) for col in cols]
+    best_val = mins[rows, cols]
+    if fraction is None:
+        center = splits[rows, cols]
+        fine = np.linspace(np.maximum(center - 0.025, 0.0),
+                           np.minimum(center + 0.025, 1.0), 11, axis=1)
+        fine_mins, fine_parts = _split_values(w, q, r_b, fine, form, cfg)
+        fine_cols = np.argmax(fine_mins, axis=1)
+        fine_val = fine_mins[rows, fine_cols]
+        for i in np.flatnonzero(fine_val > best_val):
+            best[i] = (fine, fine_parts, fine_cols[i])
+            best_val[i] = fine_val[i]
+    return best_val, best
+
+
+def pdf_overall_batch(w: RelayChannelSpec, q: PdfInput, bms,
+                      form: str = "dual", cfg: OptimizerConfig = None):
+    """`pdf_overall` at every BlockMarkovConfig in `bms`, as a list of
+    (value, report) pairs.  The configs must share one split_fraction."""
+    if not bms:
+        return []
+    best_val, best = _best_splits(w, q, bms, form, cfg)
+    out = []
+    for i, (bm, (grid, grid_parts, j)) in enumerate(zip(bms, best)):
+        on = [(k, rate[i, j], value[i, j], witness[i, j])
+              for k, (active, rate, value, witness) in grid_parts.items()
+              if active[i, j]]
+        report = {
+            "split": grid[i, j],
+            "r_b": bm.r_b,
+            "constituents": [(k, r, v) for k, r, v, _ in on],
+            "witnesses": {k: wit for k, _, _, wit in on},
+        }
+        out.append((max(0.0, best_val[i] / bm.b), report))
+    return out
 
 
 def pdf_overall(w: RelayChannelSpec, q: PdfInput, bm: BlockMarkovConfig,
@@ -243,46 +360,11 @@ def pdf_overall(w: RelayChannelSpec, q: PdfInput, bm: BlockMarkovConfig,
 
     A constituent whose rate argument is zero carries no messages and is
     dropped from the min (with U = X1 and split 1 this is exactly
-    decode-forward, where only F and G remain).
+    decode-forward, where only F and G remain).  The split is scanned over
+    41 points and refined on 11 points around the first maximum, unless
+    `bm` fixes it.
     """
-    if cfg is None:
-        cfg = OptimizerConfig()
-
-    def evaluate(kind, rate):
-        if form == "dual":
-            return pdf_dual_exponent(kind, w, q, rate)
-        return pdf_primal_exponent(kind, w, q, rate, cfg)
-
-    r_b = bm.r_b
-    if bm.split_fraction is not None:
-        splits = [bm.split_fraction]
-    else:
-        splits = list(np.linspace(0.0, 1.0, 41))
-
-    def split_value(s):
-        evals = [(kind, rate, evaluate(kind, rate))
-                 for kind, rate in _constituents(r_b, s)]
-        return min(e.value for _, _, e in evals), evals
-
-    best_s, (best_val, best_evals) = splits[0], split_value(splits[0])
-    for s in splits[1:]:
-        val, evals = split_value(s)
-        if val > best_val:
-            best_s, best_val, best_evals = s, val, evals
-    if bm.split_fraction is None and len(splits) > 1:
-        lo = max(best_s - 0.025, 0.0)
-        hi = min(best_s + 0.025, 1.0)
-        for s in np.linspace(lo, hi, 11):
-            val, evals = split_value(float(s))
-            if val > best_val:
-                best_s, best_val, best_evals = float(s), val, evals
-    report = {
-        "split": best_s,
-        "r_b": r_b,
-        "constituents": [(k, r, e.value) for k, r, e in best_evals],
-        "witnesses": {k: e.witness for k, _, e in best_evals},
-    }
-    return max(0.0, best_val / bm.b), report
+    return pdf_overall_batch(w, q, [bm], form, cfg)[0]
 
 
 def optimize_blocks(w: RelayChannelSpec, q: PdfInput, r_eff: float,
@@ -294,12 +376,12 @@ def optimize_blocks(w: RelayChannelSpec, q: PdfInput, r_eff: float,
         raise ValueError("empty block range")
     if lo < 2 or hi > 10**4:
         raise ValueError("block range must lie within [2, 10^4]")
-    curve = []
+    bms = [BlockMarkovConfig(b, r_eff, split_fraction)
+           for b in range(lo, hi + 1)]
+    best_val, _ = _best_splits(w, q, bms, form, cfg)
+    curve = [(bm.b, max(0.0, val / bm.b)) for bm, val in zip(bms, best_val)]
     best_b, best_val = None, -1.0
-    for b in range(lo, hi + 1):
-        bm = BlockMarkovConfig(b, r_eff, split_fraction)
-        val, _ = pdf_overall(w, q, bm, form, cfg)
-        curve.append((b, val))
+    for b, val in curve:
         if val > best_val + 1e-15:
             best_b, best_val = b, val
     return best_b, curve

@@ -41,6 +41,8 @@ class Dist:
         p = np.asarray(self.probs, dtype=np.float64)
         if p.ndim != 1:
             raise ValueError("Dist.probs must be one-dimensional")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("Dist entries must be finite")
         if np.any(p < 0.0):
             raise ValueError("Dist entries must be nonnegative")
         if abs(p.sum() - 1.0) > SIMPLEX_TOL:
@@ -61,6 +63,8 @@ class CondDist:
         m = np.asarray(self.rows, dtype=np.float64)
         if m.ndim != 2:
             raise ValueError("CondDist.rows must be two-dimensional")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("CondDist entries must be finite")
         if np.any(m < 0.0):
             raise ValueError("CondDist entries must be nonnegative")
         sums = m.sum(axis=1)

@@ -27,6 +27,8 @@ class RelayChannelSpec:
         w = np.asarray(self.w, dtype=np.float64)
         if w.ndim != 4:
             raise ValueError("relay channel table must be 4-dimensional")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("channel probabilities must be finite")
         if np.any(w < 0.0):
             raise ValueError("channel probabilities must be nonnegative")
         sums = w.sum(axis=(2, 3))

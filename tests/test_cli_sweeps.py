@@ -51,6 +51,20 @@ class TestChannelFiles:
         assert exc.value.code == 3
         assert "(0, 0, 1, 0)" in str(exc.value)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_probability_rejected_with_index(self, tmp_path, bad):
+        # json writes these as NaN and Infinity, which json.load accepts
+        w = np.full((1, 2, 2, 2), 0.25)
+        w[0, 1, 1, 0] = bad
+        doc = {"x1_size": 1, "x2_size": 2, "y2_size": 2, "y3_size": 2,
+               "w": w.tolist()}
+        path = _write_doc(tmp_path / "c.json", doc)
+        assert ("NaN" if bad != bad else "Infinity") in open(path).read()
+        with pytest.raises(CliError) as exc:
+            parse_channel(path)
+        assert exc.value.code == 3
+        assert "(0, 1, 1, 0)" in str(exc.value)
+
     def test_garbage_json_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -177,3 +191,33 @@ class TestMain:
         code = main(["df", "--preset", "sato", "--b", "ten",
                      "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["df", "--preset", "sato", "--u-size", "0"],
+        ["pdf", "--preset", "sato", "--u-size", "0"],
+        ["df", "--preset", "sato", "--rate", "-1"],
+        ["df", "--preset", "sato", "--rate", "nan"],
+        ["cutset", "--preset", "sato", "--restarts", "0"],
+        ["upper", "--preset", "sato", "--restarts", "0"],
+        ["df", "--preset", "sato", "--reff=-0.1:0.2:0.1"],
+        ["cf", "--preset", "sato", "--r2", "-1"],
+        ["cf", "--preset", "sato", "--r2", "nan"],
+        ["pdf", "--preset", "sato", "--split", "2"],
+        ["pdf", "--preset", "sato", "--split", "nan"],
+        ["cutset", "--preset", "sato", "--seed", "-1"],
+    ])
+    def test_bad_flag_value_exit_code(self, tmp_path, capsys, flags):
+        code = main(flags + ["--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("error:") == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_non_finite_channel_exit_code(self, tmp_path, capsys):
+        w = np.full((1, 1, 2, 2), 0.25).tolist()
+        w[0][0][1][1] = float("nan")
+        doc = {"x1_size": 1, "x2_size": 1, "y2_size": 2, "y3_size": 2, "w": w}
+        code = main(["cutset", "--channel", _write_doc(tmp_path / "n.json", doc),
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err

@@ -1,4 +1,5 @@
-"""Numerical kernels: numba fast path versus the pure-numpy fallback."""
+"""Numerical kernels: loop references, vector-versus-scalar calls, and the
+numba fast path versus the pure-numpy fallback."""
 
 import json
 import os
@@ -8,8 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from relayexp._kernels import (_batch_cond_mi_np, _e0_sum_np, batch_cond_mi,
-                               e0_sum)
+from relayexp._kernels import _batch_cond_mi_np, batch_cond_mi, e0_sum
 from relayexp.prob_core import cond_mi_from_joint
 
 
@@ -18,6 +18,23 @@ def _random_state_channel(rng, ns=2, nx=3, ny=3):
     qxs = rng.dirichlet(np.ones(nx), size=ns)
     w = rng.dirichlet(np.ones(ny), size=(ns, nx))
     return qs, qxs, w
+
+
+def _e0_sum_loop(qs, qxs, w, rho):
+    """Scalar-loop reference for e0_sum."""
+    ns, nx, ny = w.shape
+    ex = 1.0 / (1.0 + rho)
+    total = 0.0
+    for s in range(ns):
+        for y in range(ny):
+            inner = 0.0
+            for x in range(nx):
+                wv = w[s, x, y]
+                if wv > 0.0:
+                    inner += qxs[s, x] * wv ** ex
+            if inner > 0.0:
+                total += qs[s] * inner ** (1.0 + rho)
+    return total
 
 
 class TestE0Sum:
@@ -34,11 +51,27 @@ class TestE0Sum:
         qs, qxs, w = _random_state_channel(rng)
         assert e0_sum(qs, qxs, w, 0.0) == pytest.approx(1.0, abs=1e-12)
 
-    def test_matches_numpy_fallback(self, rng):
+    def test_matches_loop_reference(self, rng):
         qs, qxs, w = _random_state_channel(rng, ns=3, nx=2, ny=4)
         for rho in (0.0, 0.17, 0.5, 1.0):
             assert e0_sum(qs, qxs, w, rho) == pytest.approx(
-                _e0_sum_np(qs, qxs, w, rho), abs=1e-12)
+                _e0_sum_loop(qs, qxs, w, rho), abs=1e-12)
+
+    def test_vector_rho_matches_scalar(self, rng):
+        # one call over a rho array must equal the scalar calls bit for
+        # bit, endpoints included, whatever the array's shape
+        for ns, nx, ny in ((1, 6, 3), (2, 3, 3), (6, 3, 3), (3, 2, 4)):
+            qs, qxs, w = _random_state_channel(rng, ns, nx, ny)
+            w[0, 0, 0] = 0.0
+            # 1 + rho rounds to 2 both at 1 and just below it
+            rhos = np.concatenate([[0.0, 1.0, np.nextafter(1.0, 0.0), 0.5],
+                                   rng.random(60)])
+            want = np.array([e0_sum(qs, qxs, w, float(r)) for r in rhos])
+            assert all(isinstance(e0_sum(qs, qxs, w, float(r)), float)
+                       for r in rhos[:4])
+            np.testing.assert_array_equal(e0_sum(qs, qxs, w, rhos), want)
+            np.testing.assert_array_equal(
+                e0_sum(qs, qxs, w, rhos.reshape(8, 8)), want.reshape(8, 8))
 
     def test_zero_channel_entries(self):
         # zero probabilities must not produce NaN at fractional exponents

@@ -6,7 +6,8 @@ import pytest
 from relayexp import (BlockMarkovConfig, CondDist, Dist, OptimizerConfig,
                       PdfInput, df_input, optimize_blocks, pdf_dual_exponent,
                       pdf_overall, pdf_primal_exponent)
-from relayexp.pdf_exponents import KINDS, _state_channel, golden_max
+from relayexp.pdf_exponents import (_GOLDEN, KINDS, _state_channel,
+                                    golden_max, pdf_overall_batch)
 from relayexp.prob_core import cond_mi_from_joint
 from conftest import random_relay_channel
 
@@ -35,6 +36,46 @@ class TestGoldenMax:
     def test_monotone_hits_boundary(self):
         x, _ = golden_max(lambda t: t, 0.0, 1.0)
         assert x == pytest.approx(1.0, abs=1e-6)
+
+
+def _golden_max_scalar(f, lo, hi, tol=1e-8):
+    """Scalar golden section, the reference for the lockstep one."""
+    a, b = lo, hi
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+class TestGoldenMaxLockstep:
+    def test_batch_matches_scalar_reference(self):
+        # problems run in lockstep give each problem's scalar result
+        # exactly, ties (a flat objective) included
+        shifts = np.array([0.0, 0.3, 0.3 + 1e-12, 0.7, 1.0, 2.0, 0.5])
+        lo = np.array([0.0, 0.0, 0.0, 0.2, 0.0, -1.0, 0.0])
+        hi = np.array([1.0, 1.0, 1.0, 0.9, 1.0, 3.0, 1.0])
+        flat = np.array([False] * 6 + [True])
+
+        def f(t):
+            return np.where(flat, 0.0, -(t - shifts) ** 2)
+
+        xs, vs = golden_max(f, lo, hi)
+        for i in range(len(shifts)):
+            def fi(t):
+                return 0.0 if flat[i] else -(t - shifts[i]) ** 2
+            want = _golden_max_scalar(fi, float(lo[i]), float(hi[i]))
+            assert (xs[i], vs[i]) == want
+            assert golden_max(fi, lo[i], hi[i]) == want
 
 
 class TestDualForm:
@@ -78,6 +119,30 @@ class TestDualForm:
             vals = [pdf_dual_exponent(kind, chan, q, r).value
                     for r in (0.0, 0.1, 0.3, 0.6, 1.0)]
             assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
+
+    def test_rate_array_matches_scalar_calls(self):
+        # one batched solve over a rate array equals the per-rate solves
+        # bit for bit, including rates above the mutual information, where
+        # rho is 0 and the value is +0.0 up to the rounding of
+        # -log2 S(0), which is not exactly 0
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            chan = random_relay_channel(rng, (3, 2, 2, 3))
+            for q in (_uniform_pdf_input(3, 2, 2),
+                      df_input(chan, Dist(rng.dirichlet(np.ones(6))))):
+                for kind in KINDS:
+                    mi = _kind_mi(kind, chan, q)
+                    rates = np.concatenate([[0.0, mi + 0.05, 3.0],
+                                            rng.uniform(0.0, 1.2 * mi, 20)])
+                    batch = pdf_dual_exponent(kind, chan, q, rates)
+                    for i, rate in enumerate(rates):
+                        one = pdf_dual_exponent(kind, chan, q, float(rate))
+                        assert batch.value[i] == one.value
+                        assert batch.witness[i] == one.witness
+                    assert not np.any(np.signbit(batch.value))
+                    for above in (1, 2):
+                        assert batch.value[above] <= 1e-15
+                        assert batch.witness[above] == 0.0
 
     def test_rejects_negative_rate(self, rng):
         chan = random_relay_channel(rng)
@@ -144,15 +209,37 @@ class TestBlockMarkov:
     def test_optimize_blocks_consistent(self, rng):
         chan = random_relay_channel(rng, (2, 2, 2, 2))
         q = df_input(chan, Dist(np.full(4, 0.25)))
-        best_b, curve = optimize_blocks(chan, q, 0.05, (2, 6), "dual",
-                                        split_fraction=1.0)
-        assert 2 <= best_b <= 6
-        assert len(curve) == 5
-        vals = dict(curve)
-        # the reported best block count attains the maximum of the curve
-        assert vals[best_b] == max(vals.values())
-        direct, _ = pdf_overall(chan, q, BlockMarkovConfig(best_b, 0.05, 1.0))
-        assert vals[best_b] == pytest.approx(direct, abs=1e-12)
+        for split in (1.0, None):
+            best_b, curve = optimize_blocks(chan, q, 0.05, (2, 6), "dual",
+                                            split_fraction=split)
+            assert 2 <= best_b <= 6
+            assert len(curve) == 5
+            vals = dict(curve)
+            # the reported best block count attains the maximum of the curve
+            assert vals[best_b] == max(vals.values())
+            # every point of the batched curve is the direct evaluation
+            for b, val in curve:
+                direct, _ = pdf_overall(chan, q,
+                                        BlockMarkovConfig(b, 0.05, split))
+                assert val == direct
+
+    def test_batch_matches_single_configs(self, rng):
+        chan = random_relay_channel(rng, (3, 2, 2, 3))
+        q = _uniform_pdf_input(3, 2, 2)
+        bms = [BlockMarkovConfig(b, r, None)
+               for b in (2, 10) for r in (0.0, 0.02, 0.1, 0.5)]
+        for bm, (val, rep) in zip(bms, pdf_overall_batch(chan, q, bms)):
+            one_val, one_rep = pdf_overall(chan, q, bm)
+            assert val == one_val
+            assert rep["split"] == one_rep["split"]
+            assert rep["constituents"] == one_rep["constituents"]
+
+    def test_batch_rejects_mixed_splits(self, rng):
+        chan = random_relay_channel(rng)
+        q = _uniform_pdf_input(2, 2, 2)
+        with pytest.raises(ValueError):
+            pdf_overall_batch(chan, q, [BlockMarkovConfig(5, 0.1, None),
+                                        BlockMarkovConfig(5, 0.1, 0.5)])
 
     def test_optimize_blocks_validates_range(self, rng):
         chan = random_relay_channel(rng)

@@ -166,6 +166,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             Dist(np.array([0.5, 0.4]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            Dist(np.array([bad, 0.5, 0.5]))
+        with pytest.raises(ValueError):
+            CondDist(np.array([[0.5, 0.5], [bad, 0.5]]))
+
     def test_cond_dist_rejects_bad_row(self):
         with pytest.raises(ValueError):
             CondDist(np.array([[0.5, 0.5], [0.9, 0.3]]))

@@ -23,6 +23,13 @@ class TestRelayChannelSpec:
         with pytest.raises(ValueError):
             RelayChannelSpec(w)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        w = np.full((2, 2, 2, 2), 0.25)
+        w[1, 0, 0, 1] = bad
+        with pytest.raises(ValueError):
+            RelayChannelSpec(w)
+
     def test_rejects_nonstochastic_row(self):
         w = np.full((2, 2, 2, 2), 0.2)
         with pytest.raises(ValueError):
