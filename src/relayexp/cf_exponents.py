@@ -15,14 +15,17 @@ from itertools import permutations, product
 
 import numpy as np
 
-from ._kernels import batch_cond_mi
 from .pdf_exponents import (ExponentEval, _cond_descent, _primal_objective,
                             gallager_dual)
-from .prob_core import (CondDist, Dist, OptimizerConfig, cond_mi_from_joint,
-                        kl_div_vec)
+from .prob_core import (CondDist, Dist, OptimizerConfig, _neg_plogp,
+                        cond_mi_from_joint, kl_div_vec)
 from .relay_model import CfAuxChannels, CfInput, RelayChannelSpec, cf_aux_channels
+from .types_toolkit import EnumBudgetError
 
 _V_BUDGET = 200_000
+# (Qtilde, V) pair evaluations a cf_G2 grid search may need before pruning;
+# the skewed binary test channel needs about 8e7
+CF_PAIR_BUDGET = 10**9
 _ALPHA_SLACK = 1e-9
 
 
@@ -100,9 +103,16 @@ def mi_terms(aux: CfAuxChannels, qtilde, v, qhat=None):
 
 
 def rate_loss(aux: CfAuxChannels, qtilde):
-    """I(Qtilde_{Y2|X2}, Q_{Yhat2|Y2X2} | Q_{X2}) in bits."""
-    j = np.einsum("a,ay,yah->ayh", aux.q_x2, qtilde, aux.test_channel)
-    return cond_mi_from_joint(j)
+    """I(Qtilde_{Y2|X2}, Q_{Yhat2|Y2X2} | Q_{X2}) in bits.
+
+    `qtilde` may carry leading axes (a stack of laws); the result then is
+    an array of their shape.
+    """
+    test = aux.test_channel                                  # (Y2, X2, Yhat2)
+    h_hat = _neg_plogp(np.einsum("...ay,yah->...ah", qtilde, test)).sum(-1)
+    h_test = np.einsum("...ay,ya->...a", qtilde, _neg_plogp(test).sum(-1))
+    loss = np.maximum(np.einsum("a,...a->...", aux.q_x2, h_hat - h_test), 0.0)
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def cf_psi1(aux: CfAuxChannels, qtilde, v, r: float) -> float:
@@ -182,24 +192,38 @@ def _matrix_grid(n_in, n_out, points):
 
 
 _STACK_CACHE = {}
+_TABLE_CACHE = {}
+_TABLE_CHUNK = 1024
 
 
-def _v_stack(shape_rows, n_y3, extra):
+def _v_lattice(n_rows, n_y3):
+    """(points, size) of the dummy-channel stack with `n_rows` rows over Y3.
+
+    `points` is the per-row lattice resolution, 0 for the seeded Dirichlet
+    sample used when even the vertex lattice exceeds the budget.
+    """
+    for points in (3, 2):
+        size = len(_row_grid(n_y3, points)) ** n_rows
+        if size <= _V_BUDGET:
+            return points, size
+    return 0, _V_BUDGET // 10 + n_y3
+
+
+def _v_stack(shape_rows, n_y3):
     """Stack of dummy channels V on a per-row lattice within budget.
 
-    shape_rows = (X1, X2, Yhat2); returns (stack, points_used).  The
-    lattice itself is cached per shape; only `extra` varies per call.
+    shape_rows = (X1, X2, Yhat2); returns (stack, points_used), cached per
+    shape.  The stack is laid out (X1, X2, Yhat2, Y3, M) with the channel
+    index last, so that a weighted sum over each channel's entries runs
+    over contiguous memory.
     """
     shape_rows = tuple(shape_rows)
-    n_rows = int(np.prod(shape_rows))
     key = (shape_rows, n_y3)
     if key not in _STACK_CACHE:
-        points = 3
-        if len(_row_grid(n_y3, points)) ** n_rows > _V_BUDGET:
-            points = 2
-        per_row_list = _row_grid(n_y3, points)
-        if len(per_row_list) ** n_rows <= _V_BUDGET:
-            combos = list(product(per_row_list, repeat=n_rows))
+        n_rows = int(np.prod(shape_rows))
+        points, _ = _v_lattice(n_rows, n_y3)
+        if points:
+            combos = list(product(_row_grid(n_y3, points), repeat=n_rows))
             stack = np.array(combos).reshape(len(combos), *shape_rows, n_y3)
         else:
             # even the vertex lattice is too large: fall back to a seeded
@@ -213,34 +237,65 @@ def _v_stack(shape_rows, n_y3, extra):
                 masses[z, :, z] = 1.0
             stack = np.concatenate(
                 [stack, masses.reshape(n_y3, *shape_rows, n_y3)], axis=0)
-            points = 0
-        _STACK_CACHE[key] = (stack, points)
-    stack, points = _STACK_CACHE[key]
-    if extra is not None:
-        stack = np.concatenate([stack, extra[None]], axis=0)
-    return stack, points
+        _STACK_CACHE[key] = (np.ascontiguousarray(np.moveaxis(stack, 0, -1)),
+                              points)
+    return _STACK_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
 # the inner minimization of J (independent of the outer joint type)
 # ---------------------------------------------------------------------------
 
-def _batch_mi_terms(aux, qhat_stack, vstack):
-    """Batched (mi_x1, mi_hat) for a stack of Qtilde against a stack of V.
+def _row_tables(v, q_x1):
+    """The tables of a stack of dummy channels that depend on V and Q_X1 only.
 
-    qhat_stack : (T, X2, Yhat2) induced description marginals
-    vstack     : (M, X1, X2, Yhat2, Y3) dummy channels
-    Returns two (T, M) arrays.
+    v : (X1, X2, Yhat2, Y3, M), channel index last.  Returns V_{Q_X1} as
+    (X2, Y3, Yhat2, M) and a (2, X2*Yhat2, M) array holding, per row
+    (a, h), the information I(Q_X1, V(.|., a, h)) and the entropy
+    H(V_{Q_X1}(.|a, h)).  The channel index stays last, and Yhat2 sits
+    just before it in V_{Q_X1}, because the per-Qtilde sums run over them.
     """
-    q1, q2 = aux.q_x1, aux.q_x2
-    j = np.einsum("a,x,tah,mxahz->tmaxhz", q2, q1, qhat_stack, vstack)
-    t, m, na, nx = j.shape[:4]
-    mi_x1 = batch_cond_mi(np.ascontiguousarray(
-        j.reshape(t * m, na, nx, -1))).reshape(t, m)
-    j2 = j.sum(axis=3)  # (T, M, X2, Yhat2, Y3)
-    mi_hat = batch_cond_mi(np.ascontiguousarray(
-        j2.reshape(t * m, *j2.shape[2:]))).reshape(t, m)
-    return mi_x1, mi_hat
+    vq1 = np.einsum("x,xahzm->azhm", q_x1, v)
+    h_row = _neg_plogp(vq1).sum(axis=1)                      # (X2, Yhat2, M)
+    mi_row = h_row - np.einsum("x,xahm->ahm", q_x1,
+                               _neg_plogp(v).sum(axis=3))
+    return vq1, np.stack([mi_row, h_row]).reshape(2, -1, v.shape[-1])
+
+
+def _v_tables(stack, q_x1):
+    """`_row_tables` of a cached stack, built in chunks and kept for the
+    latest Q_X1 per stack shape."""
+    cached = _TABLE_CACHE.get(stack.shape)
+    if cached is None or cached[0] != q_x1.tobytes():
+        n_x2, n_yhat, n_y3, n_v = stack.shape[1:]
+        vq1 = np.empty((n_x2, n_y3, n_yhat, n_v))
+        lin = np.empty((2, n_x2 * n_yhat, n_v))
+        for lo in range(0, n_v, _TABLE_CHUNK):
+            hi = lo + _TABLE_CHUNK
+            vq1[..., lo:hi], lin[..., lo:hi] = _row_tables(stack[..., lo:hi],
+                                                           q_x1)
+        cached = (q_x1.tobytes(), vq1, lin)
+        _TABLE_CACHE[stack.shape] = cached
+    return cached[1:]
+
+
+def _alpha_cols(v_cols, coef, mask):
+    """alpha of each column of `v_cols` (one channel per column) as the dot
+    product with `coef`; +inf for columns with mass where `mask` is 1."""
+    alphas = np.einsum("jm,j->m", v_cols, coef)
+    if mask is not None:
+        alphas[np.einsum("jm,j->m", v_cols, mask) > 0.0] = np.inf
+    return alphas
+
+
+def _member_cols(table, ref, idx):
+    """Columns `idx` (last axis) of `table` extended by the single column
+    `ref` as its column table.shape[-1]."""
+    # np.take keeps the channel axis last in memory; fancy indexing
+    # would move it first and slow every sum over the result
+    if idx[-1] < table.shape[-1]:
+        return np.take(table, idx, axis=-1)
+    return np.concatenate([np.take(table, idx[:-1], axis=-1), ref], axis=-1)
 
 
 def _true_y3_marginal(aux):
@@ -284,6 +339,55 @@ def _pair_costs(aux, qhat, v, rates: CfRates):
     return True, float(cost), mi1, mih
 
 
+def _pair_value(aux, qt, v, rates: CfRates):
+    """(coupling cost + min{psi_1, psi_2}, marginal cost, ell) of one pair.
+
+    Scalar evaluation of the objective of `_inner_min` at (Qtilde, V);
+    the value is +inf, and ell None, for pairs outside the likelihood set.
+    """
+    ok, cost, mi1, mih = _pair_costs(aux, aux.yhat_marginal(qt), v, rates)
+    if not ok:
+        return np.inf, np.inf, None
+    loss = rate_loss(aux, qt)
+    p1 = max(mi1 - rates.r, 0.0)
+    p2 = max(_psi2_from_terms(mi1, mih, loss, rates, "standard"),
+             _psi2_from_terms(mi1, mih, loss, rates, "prime"))
+    return cost + min(p1, p2), cost, 1 if p1 <= p2 else 2
+
+
+def _refine_pair(aux, rates: CfRates, cfg: OptimizerConfig, qt, v, value,
+                 step):
+    """Local refinement of (Qtilde, V) with shrinking exchange steps.
+
+    Moves `step` of mass between two entries of one row of `qt` or `v`
+    (both changed in place) while that lowers the value by more than
+    1e-15, then quarters the step, for `cfg.refinement_rounds` rounds.
+    Returns the value at the final pair.
+    """
+    for _ in range(cfg.refinement_rounds):
+        improved = True
+        while improved:
+            improved = False
+            for arr in (qt, v):
+                flat = arr.reshape(-1, arr.shape[-1])
+                for row in range(flat.shape[0]):
+                    for i in range(flat.shape[1]):
+                        for j in range(flat.shape[1]):
+                            if i == j or flat[row, j] < step:
+                                continue
+                            flat[row, i] += step
+                            flat[row, j] -= step
+                            cand = _pair_value(aux, qt, v, rates)[0]
+                            if cand < value - 1e-15:
+                                value = cand
+                                improved = True
+                            else:
+                                flat[row, i] -= step
+                                flat[row, j] += step
+        step /= 4.0
+    return value
+
+
 def _inner_min(aux: CfAuxChannels, rates: CfRates, cfg: OptimizerConfig,
                qtilde_points=None, refine=True):
     """min over Qtilde and competitor channels V of coupling cost + psi.
@@ -295,6 +399,25 @@ def _inner_min(aux: CfAuxChannels, rates: CfRates, cfg: OptimizerConfig,
     charged as a divergence, and the decoding cost min{psi_1, psi_2} is
     added, psi_2 being the max of its standard and strengthened
     variants.  Returns (value, dict of witnesses).
+
+    The grid stage uses that X1 is independent of Yhat2 given X2.  With
+    the weights w(a, h) = Q_X2(a) Qtilde-hat(h|a), every quantity but one
+    entropy is linear in w:
+
+    * I(Q_X1, Qtilde x V | Q_X2) = sum_{a,h} w(a,h) I(Q_X1, V(.|., a, h))
+      by the chain rule, since I(X1; Yhat2 | X2) = 0;
+    * alpha and the off-support mass are w-weighted sums of per-row terms;
+    * the Q_X2-weighted output marginal is
+      mu(a, z) = sum_h w(a,h) V_{Q_X1}(z|a,h), and
+      I(Qtilde-hat, V_{Q_X1} | Q_X2) = H(mu) - H(Q_X2)
+      - sum_{a,h} w(a,h) H(V_{Q_X1}(.|a,h)), whose H(mu) is the
+      mu log mu sum the marginal cost needs as well.
+
+    The per-row tables depend on V and Q_X1 only and are built once per
+    stack (`_v_tables`); the reference channel V_ref is one extra
+    candidate after the stack.  Each Qtilde then costs one dot product
+    over the stack for alpha (coefficients Q_X1 x w x -log2 W2) and a few
+    over the members.  Ties keep the first Qtilde, then the first V.
     """
     n_x1 = aux.q_x1.shape[0]
     n_x2 = aux.q_x2.shape[0]
@@ -311,48 +434,59 @@ def _inner_min(aux: CfAuxChannels, rates: CfRates, cfg: OptimizerConfig,
         qtildes.append(aux.realized.copy())
 
     vref = aux.w2_cond()
-    vstack, v_points = _v_stack((n_x1, n_x2, n_yhat), n_y3, vref)
+    vstack, v_points = _v_stack((n_x1, n_x2, n_yhat), n_y3)
+    n_v = vstack.shape[-1]
     q1, q2 = aux.q_x1, aux.q_x2
     _, _, logref, zero = _alpha_weights(aux)
     t_ref = alpha_value(aux, vref)
+    has_zero = zero.any()
     mstar = _true_y3_marginal(aux)                          # (X2, Y3)
+    off_support = mstar <= 0.0
+    has_off = off_support.any()
     log_mstar = np.where(mstar > 0.0,
                          np.log2(np.where(mstar > 0.0, mstar, 1.0)), 0.0)
+    # marginal cost = sum mu log2 mu - sum mu (log2 mstar + log2 q2)
+    cost_coef = log_mstar + np.log2(np.where(q2 > 0.0, q2, 1.0))[:, None]
+    h_q2 = float(_neg_plogp(q2).sum())
+
+    vq1, lin = _v_tables(vstack, q1)
+    vq1_ref, lin_ref = _row_tables(vref[..., None], q1)
+    v_cols = vstack.reshape(-1, n_v)
+    ref_col = vref.reshape(-1, 1)
 
     qt_stack = np.stack(qtildes)                            # (T, X2, Y2)
     qhat_stack = np.einsum("tay,yah->tah", qt_stack, aux.test_channel)
-    losses = np.array([rate_loss(aux, qt) for qt in qtildes])
+    losses = rate_loss(aux, qt_stack)
 
     value = np.inf
     it = iv = None
     ell = 1
     best_cost = 0.0
     for t in range(qt_stack.shape[0]):
-        qw = np.einsum("x,a,ah->xah", q1, q2, qhat_stack[t])
-        alphas = -np.einsum("mxahz,xah,xahz->m", vstack, qw, logref)
-        if zero.any():
-            support = np.einsum(
-                "mxahz,xahz->m", vstack,
-                (zero & (qw[..., None] > 0.0)).astype(np.float64))
-            alphas = np.where(support > 0.0, np.inf, alphas)
-        member = alphas <= t_ref + _ALPHA_SLACK
-        midx = np.flatnonzero(member)
+        w = q2[:, None] * qhat_stack[t]                     # (X2, Yhat2)
+        qw = q1[:, None, None] * w
+        coef = (-qw[..., None] * logref).reshape(-1)
+        mask = None
+        if has_zero:
+            mask = (zero & (qw[..., None] > 0.0)).astype(np.float64).reshape(-1)
+        # V_ref is candidate n_v, after the stack
+        alphas = np.append(_alpha_cols(v_cols, coef, mask),
+                           _alpha_cols(ref_col, coef, mask))
+        midx = np.flatnonzero(alphas <= t_ref + _ALPHA_SLACK)
         if midx.size == 0:
             continue
-        vmem = np.ascontiguousarray(vstack[midx])
-        # consistency cost of the induced Y3|X2 marginal, per member pair
-        mu = np.einsum("xah,mxahz->maz", qw, vmem)          # q2-weighted
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = mu * (np.log2(np.where(mu > 0.0, mu, 1.0))
-                          - log_mstar - np.log2(
-                              np.where(q2 > 0.0, q2, 1.0))[None, :, None])
-        terms = np.where(mu > 0.0, terms, 0.0)
-        cost = terms.sum(axis=(1, 2))
-        off = (mu > 1e-15) & (mstar[None] <= 0.0)
-        cost = np.where(off.any(axis=(1, 2)), np.inf, cost)
-
-        mi_x1, mi_hat = _batch_mi_terms(aux, qhat_stack[t:t + 1], vmem)
-        mi_x1, mi_hat = mi_x1[0], mi_hat[0]
+        # q2-weighted Y3|X2 marginal and its consistency cost, per member
+        mu = np.einsum("azhm,ah->azm", _member_cols(vq1, vq1_ref, midx), w)
+        mu_log_mu = np.einsum("azm,azm->m", mu,
+                              np.log2(np.where(mu > 0.0, mu, 1.0)))
+        cost = mu_log_mu - np.einsum("azm,az->m", mu, cost_coef)
+        if has_off:
+            off = ((mu > 1e-15) & off_support[..., None]).any(axis=(0, 1))
+            cost[off] = np.inf
+        mi_x1, h_rows = np.einsum("jkm,k->jm",
+                                  _member_cols(lin, lin_ref, midx),
+                                  w.reshape(-1))
+        mi_hat = -mu_log_mu - h_q2 - h_rows
         loss = losses[t]
         psi1 = np.maximum(mi_x1 - rates.r, 0.0)
         psi2_std = np.maximum(
@@ -376,52 +510,14 @@ def _inner_min(aux: CfAuxChannels, rates: CfRates, cfg: OptimizerConfig,
                         "qtilde_grid_points": qtilde_points}
 
     qt = qtildes[it].copy()
-    v = vstack[iv].copy()
+    v = vstack[..., iv].copy() if iv < n_v else vref
 
-    # local refinement of (Qtilde, V) with shrinking exchange steps
-    if refine and cfg.refinement_rounds > 0 and v is not None:
-        def obj(qt_v):
-            qtc, vc = qt_v
-            qhat_c = aux.yhat_marginal(qtc)
-            ok, cost_c, mi1, mih = _pair_costs(aux, qhat_c, vc, rates)
-            if not ok:
-                return np.inf
-            loss_c = rate_loss(aux, qtc)
-            p1 = max(mi1 - rates.r, 0.0)
-            p2 = max(_psi2_from_terms(mi1, mih, loss_c, rates, "standard"),
-                     _psi2_from_terms(mi1, mih, loss_c, rates, "prime"))
-            return cost_c + min(p1, p2)
-
+    if refine and cfg.refinement_rounds > 0:
         step = 1.0 / (2 * max(qtilde_points - 1, v_points - 1, 1))
-        for _ in range(cfg.refinement_rounds):
-            improved = True
-            while improved:
-                improved = False
-                for arr in (qt, v):
-                    flat = arr.reshape(-1, arr.shape[-1])
-                    for row in range(flat.shape[0]):
-                        for i in range(flat.shape[1]):
-                            for j in range(flat.shape[1]):
-                                if i == j or flat[row, j] < step:
-                                    continue
-                                flat[row, i] += step
-                                flat[row, j] -= step
-                                cand = obj((qt, v))
-                                if cand < value - 1e-15:
-                                    value = cand
-                                    improved = True
-                                else:
-                                    flat[row, i] -= step
-                                    flat[row, j] += step
-            step /= 4.0
-        ok, best_cost, mi1, mih = _pair_costs(aux, aux.yhat_marginal(qt), v,
-                                              rates)
-        if ok:
-            loss_f = rate_loss(aux, qt)
-            p1 = max(mi1 - rates.r, 0.0)
-            p2 = max(_psi2_from_terms(mi1, mih, loss_f, rates, "standard"),
-                     _psi2_from_terms(mi1, mih, loss_f, rates, "prime"))
-            ell = 1 if p1 <= p2 else 2
+        value = _refine_pair(aux, rates, cfg, qt, v, value, step)
+        _, best_cost, ell_refined = _pair_value(aux, qt, v, rates)
+        if ell_refined is not None:
+            ell = ell_refined
 
     witnesses = {"qtilde": qt, "v": v, "ell": ell,
                  "marginal_cost": best_cost,
@@ -560,6 +656,18 @@ def cf_G2(w: RelayChannelSpec, c_template: CfInput, r: float, r2: float,
             seen.add(canon)
             test_cands.append(t)
 
+    # every _inner_min call scores each (Qtilde, V) pair of its grid once;
+    # refuse searches whose count, before pruning, is over the budget
+    n_qtilde = len(_row_grid(n_y2, 3)) ** n_x2 + 2
+    v_points, n_v = _v_lattice(w.sizes[0] * n_x2 * n_yhat, w.sizes[3])
+    pairs = len(qy2_cands) * len(test_cands) * n_qtilde * (n_v + 1)
+    if pairs > CF_PAIR_BUDGET:
+        raise EnumBudgetError(
+            f"compress-forward G2 search needs about {pairs:.2e} (Qtilde, V) "
+            f"pair evaluations ({len(qy2_cands)} realized laws x "
+            f"{len(test_cands)} test channels x {n_qtilde} Qtilde x "
+            f"{n_v + 1} V), over the budget of {CF_PAIR_BUDGET:.0e}")
+
     best = (np.inf, None, None, None)  # value, qy2, test, witnesses
     for qy2 in qy2_cands:
         d = div_term(qy2)
@@ -607,18 +715,24 @@ def cf_G2(w: RelayChannelSpec, c_template: CfInput, r: float, r2: float,
         value = div_term(qy2) + jv
 
     witness = {"q_y2_given_x2": qy2, "test_channel": t,
-               "inner": wit,
+               "inner": wit, "v_grid_points": v_points,
                "grid_note": (f"qy2:{cfg.coarse_grid_points},test:3,"
-                             f"qtilde:3,v:{wit['v_grid_points'] if wit else 0}")}
+                             f"qtilde:3,v:{v_points}")}
     return value if value > 1e-12 else 0.0, witness
+
+
+def cf_overall_witness(w: RelayChannelSpec, c: CfInput, b: int, r_eff: float,
+                       r2: float, cfg: OptimizerConfig = None):
+    """`cf_overall` together with the witness dict of its G2 term."""
+    if b < 2:
+        raise ValueError("b must be >= 2")
+    r_b = b / (b - 1) * r_eff
+    g1 = cf_G1(w, c, r2, cfg).value
+    g2, witness = cf_G2(w, c, r_b, r2, cfg)
+    return max(0.0, min(g1, g2) / b), witness
 
 
 def cf_overall(w: RelayChannelSpec, c: CfInput, b: int, r_eff: float,
                r2: float, cfg: OptimizerConfig = None) -> float:
     """(1/b) min{G1(R2), G2(R_b, R2)} with R_b = b/(b-1) * r_eff."""
-    if b < 2:
-        raise ValueError("b must be >= 2")
-    r_b = b / (b - 1) * r_eff
-    g1 = cf_G1(w, c, r2, cfg).value
-    g2, _ = cf_G2(w, c, r_b, r2, cfg)
-    return max(0.0, min(g1, g2) / b)
+    return cf_overall_witness(w, c, b, r_eff, r2, cfg)[0]

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .cf_exponents import cf_overall
+from .cf_exponents import cf_overall_witness
 from .haroutunian_upper import ecs_upper_sweep
 from .pdf_exponents import (BlockMarkovConfig, df_input, optimize_blocks,
                             pdf_dual_exponent, pdf_overall_batch)
@@ -235,12 +235,18 @@ def run(spec: SweepSpec) -> SweepResult:
         cin = _cf_input(chan, caid)
         blocks = spec.blocks or (10,)
         points = _rate_points(spec.rate_grid) if spec.rate_grid else [spec.rate or 0.0]
+        # the G2 grids go to the sidecar only: v_grid_points 0 marks the
+        # seeded Dirichlet sample that replaces a V lattice over budget
+        grids["cf_g2"] = []
         for b in sorted(blocks):
             for r_eff in points:
-                val = cf_overall(chan, cin, b, r_eff, spec.r2)
+                val, g2 = cf_overall_witness(chan, cin, b, r_eff, spec.r2)
                 r_b = b / (b - 1) * r_eff
                 rows.append((b, r_eff, r_b, "cf_overall", val,
                              f"r2={_fmt(spec.r2)}", "grid:coarse"))
+                grids["cf_g2"].append({"b": b, "r_eff": r_eff,
+                                       "grid_note": g2["grid_note"],
+                                       "v_grid_points": g2["v_grid_points"]})
 
     elif spec.command == "upper":
         cfg = OptimizerConfig(seed=spec.seed,

@@ -128,21 +128,6 @@ def mutual_info(p: Dist, v: CondDist) -> float:
     return max(val, 0.0)
 
 
-def cond_mutual_info(p: Dist, v: CondDist, w: CondDist) -> float:
-    """I(Y;Z|X) in bits under the joint P(x) V(y|x) W(z|x,y).
-
-    ``w`` maps pairs (x, y) to Z; its rows are indexed by x*|Y| + y.
-    """
-    nx = len(p)
-    ny = v.n_outputs
-    if v.n_inputs != nx or w.n_inputs != nx * ny:
-        raise ValueError("dimension mismatch in cond_mutual_info")
-    nz = w.n_outputs
-    joint = (p.probs[:, None, None] * v.rows[:, :, None]
-             * w.rows.reshape(nx, ny, nz))
-    return cond_mi_from_joint(joint)
-
-
 def cond_mi_from_joint(joint) -> float:
     """I(A;B|S) in bits from a raw joint array p(s,a,b)."""
     j = np.asarray(joint, dtype=np.float64)

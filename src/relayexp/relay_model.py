@@ -172,11 +172,6 @@ class CfAuxChannels:
         """V_{Q_{X1}}(y3|x2,yhat2) for V of shape (X1, X2, Yhat2, Y3)."""
         return np.einsum("x,xahz->ahz", self.q_x1, v)
 
-    def q_times_v(self, q_y2_given_x2, v):
-        """(Qtilde_{Yhat2|X2} x V)(yhat2,y3|x1,x2) as (X1, X2, Yhat2, Y3)."""
-        qhat = self.yhat_marginal(q_y2_given_x2)
-        return qhat[None, :, :, None] * v
-
     def w2_cond(self):
         """W2's Y3-conditional V_ref(y3|x1,x2,yhat2); uniform at zero mass."""
         marg = self.w2.sum(axis=3)

@@ -6,10 +6,13 @@ import pytest
 from relayexp import (CfInput, CfJointType, CfRates, CondDist, Dist,
                       OptimizerConfig, cf_G1, cf_G2, cf_J, cf_aux_channels,
                       cf_overall, cf_psi1, cf_psi2)
-from relayexp.cf_exponents import (_check_scale, alpha_value, cf_config,
-                                   mi_terms, rate_loss)
-from relayexp.prob_core import (cond_entropy, kl_div_cond, mi_axes,
-                                mutual_info)
+from relayexp.cf_exponents import (_ALPHA_SLACK, _alpha_weights, _check_scale,
+                                   _inner_min, _matrix_grid, _pair_value,
+                                   _refine_pair, _row_tables,
+                                   _true_y3_marginal, _v_stack, alpha_value,
+                                   cf_config, mi_terms, rate_loss)
+from relayexp.prob_core import (cond_entropy, cond_mi_from_joint, entropy_vec,
+                                kl_div_cond, mi_axes, mutual_info)
 from conftest import random_relay_channel
 
 FAST = OptimizerConfig(coarse_grid_points=5, refinement_rounds=1, restarts=1)
@@ -196,6 +199,153 @@ class TestIdentities:
                    - mi_axes(j, (3,), (2,), (1,)))
             rhs = mi_axes(j, (0, 1), (4,)) - mi_axes(j, (2,), (3,), (0, 1, 4))
             assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+def _batch_cond_mi_ref(joints):
+    """I(A;B|S) in bits for an (m, S, A, B) batch of joints, entropy-based."""
+    def _neg_plogp(x):
+        out = np.zeros_like(x)
+        mask = x > 0.0
+        out[mask] = -x[mask] * np.log2(x[mask])
+        return out
+
+    pa = joints.sum(axis=3)
+    pb = joints.sum(axis=2)
+    ps = pa.sum(axis=2)
+    return (_neg_plogp(pa).sum(axis=(1, 2)) + _neg_plogp(pb).sum(axis=(1, 2))
+            - _neg_plogp(ps).sum(axis=1)
+            - _neg_plogp(joints).sum(axis=(1, 2, 3)))
+
+
+def _inner_min_reference(aux, rates, cfg, qtilde_points, refine):
+    """Direct per-Qtilde evaluation of the grid stage of `_inner_min`.
+
+    Reference for the tabled version: for each Qtilde it builds the
+    (members x X2 x X1 x Yhat2 x Y3) joint of every member V, V_ref
+    appended to the stack, and takes both informations from entropy sums
+    over that joint.  Returns (value, qtilde, v, ell).
+    """
+    n_x1, n_x2 = aux.q_x1.shape[0], aux.q_x2.shape[0]
+    n_y2 = aux.test_channel.shape[0]
+    n_yhat, n_y3 = aux.w2.shape[2], aux.w2.shape[3]
+    qtildes = _matrix_grid(n_x2, n_y2, qtilde_points)
+    qtildes.append(np.array([aux.wq1_y2[a] / aux.wq1_y2[a].sum()
+                             for a in range(n_x2)]))
+    qtildes.append(aux.realized.copy())
+    vref = aux.w2_cond()
+    stack, v_points = _v_stack((n_x1, n_x2, n_yhat), n_y3)
+    vstack = np.concatenate([np.moveaxis(stack, -1, 0), vref[None]])
+    q1, q2 = aux.q_x1, aux.q_x2
+    _, _, logref, zero = _alpha_weights(aux)
+    t_ref = alpha_value(aux, vref)
+    mstar = _true_y3_marginal(aux)
+    log_mstar = np.where(mstar > 0.0,
+                         np.log2(np.where(mstar > 0.0, mstar, 1.0)), 0.0)
+    qt_stack = np.stack(qtildes)
+    qhat_stack = np.einsum("tay,yah->tah", qt_stack, aux.test_channel)
+    losses = [cond_mi_from_joint(np.einsum("a,ay,yah->ayh", q2, qt,
+                                           aux.test_channel))
+              for qt in qtildes]
+    value, it, iv, ell = np.inf, None, None, 1
+    for t in range(qt_stack.shape[0]):
+        qw = np.einsum("x,a,ah->xah", q1, q2, qhat_stack[t])
+        alphas = -np.einsum("mxahz,xah,xahz->m", vstack, qw, logref)
+        if zero.any():
+            support = np.einsum(
+                "mxahz,xahz->m", vstack,
+                (zero & (qw[..., None] > 0.0)).astype(np.float64))
+            alphas = np.where(support > 0.0, np.inf, alphas)
+        midx = np.flatnonzero(alphas <= t_ref + _ALPHA_SLACK)
+        if midx.size == 0:
+            continue
+        vmem = np.ascontiguousarray(vstack[midx])
+        mu = np.einsum("xah,mxahz->maz", qw, vmem)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = mu * (np.log2(np.where(mu > 0.0, mu, 1.0))
+                          - log_mstar - np.log2(
+                              np.where(q2 > 0.0, q2, 1.0))[None, :, None])
+        terms = np.where(mu > 0.0, terms, 0.0)
+        cost = terms.sum(axis=(1, 2))
+        off = (mu > 1e-15) & (mstar[None] <= 0.0)
+        cost = np.where(off.any(axis=(1, 2)), np.inf, cost)
+        j = np.einsum("a,x,ah,mxahz->maxhz", q2, q1, qhat_stack[t], vmem)
+        mi_x1 = _batch_cond_mi_ref(j.reshape(len(midx), n_x2, n_x1, -1))
+        mi_hat = _batch_cond_mi_ref(j.sum(axis=2))
+        loss = losses[t]
+        psi1 = np.maximum(mi_x1 - rates.r, 0.0)
+        psi2_std = np.maximum(
+            psi1 + mi_hat - np.maximum(loss - rates.r2, 0.0), 0.0)
+        psi2_pri = np.maximum(
+            mi_x1 - rates.r + np.maximum(mi_hat - (loss - rates.r2), 0.0), 0.0)
+        psi2 = np.maximum(psi2_std, psi2_pri)
+        vals = cost + np.minimum(psi1, psi2)
+        k = int(np.argmin(vals))
+        if vals[k] < value:
+            value = float(vals[k])
+            it, iv = t, int(midx[k])
+            ell = 1 if psi1[k] <= psi2[k] else 2
+    if it is None:
+        return np.inf, None, None, 0
+    qt, v = qtildes[it].copy(), vstack[iv].copy()
+    if refine and cfg.refinement_rounds > 0:
+        step = 1.0 / (2 * max(qtilde_points - 1, v_points - 1, 1))
+        value = _refine_pair(aux, rates, cfg, qt, v, value, step)
+        ell_refined = _pair_value(aux, qt, v, rates)[2]
+        ell = ell if ell_refined is None else ell_refined
+    return value, qt, v, ell
+
+
+def _inner_min_cases():
+    """(aux, rates) on the skewed channel and on five seeded channels."""
+    chan = _skewed_relay_channel()
+    aux = cf_aux_channels(chan, _identity_test_input(chan))
+    cases = [(aux, CfRates(r, r2)) for r in (0.02, 0.1, 0.3)
+             for r2 in (0.01, 0.3)]
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        chan = random_relay_channel(rng, (2, 2, 2, 2))
+        aux = cf_aux_channels(chan, _random_cf_input(rng, chan))
+        cases += [(aux, CfRates(r, 0.2)) for r in (0.05, 0.3)]
+    return cases
+
+
+class TestInnerMinTables:
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_matches_reference_loop(self, refine):
+        cfg = OptimizerConfig(coarse_grid_points=5, refinement_rounds=1,
+                              restarts=1)
+        for aux, rates in _inner_min_cases():
+            want, qt, v, ell = _inner_min_reference(aux, rates, cfg, 3, refine)
+            got, wit = _inner_min(aux, rates, cfg, qtilde_points=3,
+                                  refine=refine)
+            assert abs(got - want) <= 1e-12
+            np.testing.assert_array_equal(wit["qtilde"], qt)
+            np.testing.assert_array_equal(wit["v"], v)
+            assert wit["ell"] == ell
+            # the witness attains the value under the scalar evaluation
+            value, _, ell_pair = _pair_value(aux, wit["qtilde"], wit["v"],
+                                             rates)
+            assert abs(value - got) <= 1e-12 and ell_pair == wit["ell"]
+
+    def test_tables_give_mi_terms(self):
+        # [DERIVED] chain rule: I(X1; Yhat2 Y3 | X2) = sum_{a,h} w I(Q_X1, V)
+        # and I(Yhat2; Y3 | X2) = H(mu) - H(Q_X2) - sum_{a,h} w H(V_{Q_X1})
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            chan = random_relay_channel(rng, (2, 2, 2, 2))
+            aux = cf_aux_channels(chan, _random_cf_input(rng, chan))
+            qtilde = rng.dirichlet(np.ones(2), size=2)
+            v = rng.dirichlet(np.ones(2), size=(2, 2, 2))
+            v[0, 1, 1] = (1.0, 0.0)
+            vq1, lin = _row_tables(v[..., None], aux.q_x1)
+            w = aux.q_x2[:, None] * aux.yhat_marginal(qtilde)
+            mi_x1, h_rows = lin[..., 0] @ w.reshape(-1)
+            mu = np.einsum("azh,ah->az", vq1[..., 0], w)
+            mi_hat = (entropy_vec(mu.reshape(-1)) - entropy_vec(aux.q_x2)
+                      - h_rows)
+            want_x1, want_hat = mi_terms(aux, qtilde, v)
+            assert mi_x1 == pytest.approx(want_x1, abs=1e-12)
+            assert mi_hat == pytest.approx(want_hat, abs=1e-12)
 
 
 class TestG1:

@@ -1,6 +1,7 @@
 """Command-line driver: channel files, validation, determinism, dispatch."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -212,6 +213,30 @@ class TestMain:
         assert code == 3
         assert err.count("error:") == 1
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_cf_over_budget_exits_4(self, tmp_path, capsys):
+        # the Sato cf search is sized before it starts and refused
+        start = time.perf_counter()
+        code = main(["cf", "--preset", "sato", "--out", str(tmp_path)])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 4
+        assert elapsed < 5.0
+        assert err.startswith("error:") and "budget" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_cf_sidecar_records_g2_grids(self, tmp_path, rng):
+        path, _ = _small_channel_file(tmp_path, rng)
+        spec = SweepSpec("cf", channel_path=path, blocks=(5,), rate=0.3,
+                         r2=0.3, out_dir=str(tmp_path / "out"))
+        result = run(spec)
+        write_outputs(spec, result)
+        assert [row[6] for row in result.rows] == ["grid:coarse"]
+        meta = json.loads((tmp_path / "out" / "cf.meta.json").read_text())
+        assert meta["grids"]["cf_g2"] == [
+            {"b": 5, "r_eff": 0.3, "grid_note": "qy2:5,test:3,qtilde:3,v:3",
+             "v_grid_points": 3}]
 
     def test_non_finite_channel_exit_code(self, tmp_path, capsys):
         w = np.full((1, 1, 2, 2), 0.25).tolist()

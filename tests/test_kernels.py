@@ -1,16 +1,9 @@
-"""Numerical kernels: loop references, vector-versus-scalar calls, and the
-numba fast path versus the pure-numpy fallback."""
-
-import json
-import os
-import subprocess
-import sys
+"""Numerical kernels: loop references and vector-versus-scalar calls."""
 
 import numpy as np
 import pytest
 
-from relayexp._kernels import _batch_cond_mi_np, batch_cond_mi, e0_sum
-from relayexp.prob_core import cond_mi_from_joint
+from relayexp._kernels import e0_sum
 
 
 def _random_state_channel(rng, ns=2, nx=3, ny=3):
@@ -82,53 +75,3 @@ class TestE0Sum:
         assert np.isfinite(val)
         # [DERIVED] both columns give (0.5)^1.5 each
         assert val == pytest.approx(2 * 0.5 ** 1.5, abs=1e-12)
-
-
-class TestBatchCondMi:
-    def test_matches_scalar_reference(self, rng):
-        joints = rng.dirichlet(np.ones(24), size=5).reshape(5, 2, 3, 4)
-        got = batch_cond_mi(np.ascontiguousarray(joints))
-        for k in range(5):
-            assert got[k] == pytest.approx(cond_mi_from_joint(joints[k]),
-                                           abs=1e-12)
-
-    def test_matches_numpy_fallback(self, rng):
-        joints = rng.dirichlet(np.ones(8), size=7).reshape(7, 2, 2, 2)
-        got = batch_cond_mi(np.ascontiguousarray(joints))
-        want = _batch_cond_mi_np(joints)
-        np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_independent_is_zero(self):
-        pa = np.array([0.3, 0.7])
-        pb = np.array([0.6, 0.4])
-        j = (pa[:, None] * pb[None, :])[None, None]
-        assert batch_cond_mi(np.ascontiguousarray(j))[0] == pytest.approx(
-            0.0, abs=1e-12)
-
-
-class TestFallbackFlag:
-    def test_no_numba_env_gives_identical_values(self, tmp_path, rng):
-        """RELAYEXP_NO_NUMBA=1 selects the numpy path with equal results."""
-        qs, qxs, w = _random_state_channel(rng)
-        joints = rng.dirichlet(np.ones(12), size=3).reshape(3, 2, 2, 3)
-        payload = {"qs": qs.tolist(), "qxs": qxs.tolist(), "w": w.tolist(),
-                   "joints": joints.tolist()}
-        data = tmp_path / "in.json"
-        data.write_text(json.dumps(payload))
-        script = (
-            "import json, sys, numpy as np\n"
-            "from relayexp import _kernels as K\n"
-            "assert not K.USE_NUMBA\n"
-            "d = json.load(open(sys.argv[1]))\n"
-            "e0 = K.e0_sum(np.array(d['qs']), np.array(d['qxs']),"
-            " np.array(d['w']), 0.37)\n"
-            "mi = K.batch_cond_mi(np.ascontiguousarray(np.array(d['joints'])))\n"
-            "print(json.dumps({'e0': e0, 'mi': mi.tolist()}))\n")
-        env = dict(os.environ, RELAYEXP_NO_NUMBA="1")
-        out = subprocess.run([sys.executable, "-c", script, str(data)],
-                             capture_output=True, text=True, env=env,
-                             check=True)
-        got = json.loads(out.stdout)
-        assert got["e0"] == pytest.approx(e0_sum(qs, qxs, w, 0.37), abs=1e-12)
-        np.testing.assert_allclose(
-            got["mi"], batch_cond_mi(np.ascontiguousarray(joints)), atol=1e-12)
