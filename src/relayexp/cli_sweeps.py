@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .cf_exponents import cf_overall_witness
-from .haroutunian_upper import ecs_upper_sweep
+from .haroutunian_upper import FEASIBILITY_CUTSET_GRID, ecs_upper_sweep
 from .pdf_exponents import (BlockMarkovConfig, df_input, optimize_blocks,
                             pdf_dual_exponent, pdf_overall_batch)
 from .prob_core import CondDist, Dist, OptimizerConfig
@@ -263,6 +263,8 @@ def run(spec: SweepSpec) -> SweepResult:
                          f"gap={_fmt(res.feasibility_gap)}",
                          f"restarts:{res.restarts_used}"))
         grids["running_min_violations"] = violations
+        grids["cutset_grid"] = cfg.coarse_grid_points
+        grids["feasibility_cutset_grid"] = FEASIBILITY_CUTSET_GRID
 
     elif spec.command == "types-verify":
         failures = _types_sweep(rows)

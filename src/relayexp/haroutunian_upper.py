@@ -17,6 +17,8 @@ from .prob_core import OptimizerConfig, kl_div_vec
 from .relay_model import RelayChannelSpec, cutset_bound
 
 _FEAS_TOL = 1e-4
+#: lattice points per axis of the cheap cutset search in feasibility checks
+FEASIBILITY_CUTSET_GRID = 5
 _PENALTIES = (1.0, 10.0, 100.0, 1000.0)
 
 
@@ -75,8 +77,8 @@ def _support_target(w: RelayChannelSpec, rng):
 
 
 def _cheap_cfg(seed):
-    return OptimizerConfig(coarse_grid_points=5, refinement_rounds=4,
-                           restarts=1, seed=seed)
+    return OptimizerConfig(coarse_grid_points=FEASIBILITY_CUTSET_GRID,
+                           refinement_rounds=4, restarts=1, seed=seed)
 
 
 def _ccs(table, cheap_cfg):

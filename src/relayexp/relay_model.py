@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .prob_core import (CondDist, Dist, OptimizerConfig, cond_mi_from_joint,
+from .prob_core import (CondDist, Dist, OptimizerConfig, _neg_plogp,
                         maximize_over_simplex)
 
 _ROW_TOL = 1e-9
@@ -202,20 +202,28 @@ def cf_aux_channels(w: RelayChannelSpec, c: CfInput) -> CfAuxChannels:
 
 
 def _cutset_objective(w: RelayChannelSpec):
-    """min{I(X1X2;Y3), I(X1;Y2Y3|X2)} as a function of a joint over X1 x X2."""
+    """min{I(X1X2;Y3), I(X1;Y2Y3|X2)} for a batch of joints over X1 x X2.
+
+    The returned function maps an (n, |X1||X2|) array, one flattened joint
+    P(x1,x2) per row, to the n cutset values.  With h3 and h23 the row
+    entropies H(Y3|x1x2) and H(Y2Y3|x1x2),
+    I(X1X2;Y3) = H(P W_Y3) - P.h3 and
+    I(X1;Y2Y3|X2) = sum_x2 [H(m_x2) - H(P_x2)] - P.h23, where
+    m(x2,y2y3) = sum_x1 P(x1,x2) W(y2y3|x1,x2).
+    """
     n_x1, n_x2, n_y2, n_y3 = w.sizes
     wy3 = w.y3_marginal().reshape(n_x1 * n_x2, n_y3)
     w23 = w.w.reshape(n_x1, n_x2, n_y2 * n_y3)
+    h3 = _neg_plogp(wy3).sum(axis=1)
+    h23 = _neg_plogp(w23).sum(axis=2).reshape(-1)
 
     def objective(p):
-        joint = p.reshape(n_x1, n_x2)
-        # I(X1X2;Y3): treat (x1,x2) as one input
-        j1 = joint.reshape(-1, 1)[:, :, None] * wy3[:, None, :]
-        i1 = cond_mi_from_joint(np.transpose(j1, (1, 0, 2)))
-        # I(X1;Y2Y3|X2)
-        j2 = joint.T[:, :, None] * np.transpose(w23, (1, 0, 2))
-        i2 = cond_mi_from_joint(j2)
-        return min(i1, i2)
+        i1 = _neg_plogp(p @ wy3).sum(axis=1) - p @ h3
+        joint = p.reshape(-1, n_x1, n_x2)
+        m = np.einsum("nxa,xaz->naz", joint, w23)
+        i2 = (_neg_plogp(m).sum(axis=(1, 2))
+              - _neg_plogp(joint.sum(axis=1)).sum(axis=1) - p @ h23)
+        return np.maximum(np.minimum(i1, i2), 0.0)
 
     return objective
 
@@ -224,8 +232,11 @@ def cutset_bound(v: RelayChannelSpec, cfg: OptimizerConfig = None,
                  candidate: Dist = None):
     """Cutset value max_P min{I(X1X2;Y3), I(X1;Y2Y3|X2)} and its witness.
 
-    `candidate` optionally supplies a joint over X1 x X2 whose value is
-    guaranteed not to exceed the returned one (it is scanned as a start).
+    `candidate` optionally supplies a joint over X1 x X2; it is not part of
+    the search, but its value is compared with the search's result
+    afterwards and it becomes the witness if its value is larger, so the
+    returned value is never below the candidate's.  Raises EnumBudgetError
+    when the search lattice exceeds prob_core.LATTICE_BUDGET points.
     """
     if cfg is None:
         cfg = OptimizerConfig()
@@ -233,7 +244,7 @@ def cutset_bound(v: RelayChannelSpec, cfg: OptimizerConfig = None,
     objective = _cutset_objective(v)
     witness, value = maximize_over_simplex(objective, n_x1 * n_x2, cfg)
     if candidate is not None:
-        cval = objective(candidate.probs)
+        cval = float(objective(candidate.probs[None])[0])
         if cval > value:
             witness, value = candidate, cval
     return value, witness
@@ -241,7 +252,7 @@ def cutset_bound(v: RelayChannelSpec, cfg: OptimizerConfig = None,
 
 def cutset_at(v: RelayChannelSpec, joint: Dist):
     """Evaluate the cutset objective at a fixed joint over X1 x X2."""
-    return _cutset_objective(v)(joint.probs)
+    return float(_cutset_objective(v)(joint.probs[None])[0])
 
 
 SATO_P = 0.35431

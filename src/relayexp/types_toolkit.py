@@ -12,14 +12,11 @@ from itertools import product
 
 import numpy as np
 
-from .prob_core import CondDist, cond_mi_from_joint, entropy_vec
+from .prob_core import (CondDist, EnumBudgetError, cond_mi_from_joint,
+                        entropy_vec)
 
 ENUM_BUDGET = 10**7
 _LOG_SLACK = 1e-9
-
-
-class EnumBudgetError(RuntimeError):
-    """Raised when an exact enumeration would exceed the object budget."""
 
 
 @dataclass(frozen=True)

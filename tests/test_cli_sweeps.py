@@ -143,6 +143,9 @@ class TestCommands:
         assert len(res.rows) == 1
         assert res.rows[0][3] == "ecs_upper"
         assert res.rows[0][1] == 0.4
+        # the accurate and the cheap feasibility cutset grids are recorded
+        assert res.metadata["grids"]["cutset_grid"] == 9
+        assert res.metadata["grids"]["feasibility_cutset_grid"] == 5
 
     def test_types_verify_all_pass(self):
         res = run(SweepSpec("types-verify"))
@@ -225,6 +228,22 @@ class TestMain:
         assert err.startswith("error:") and "budget" in err
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
+
+    def test_cutset_over_budget_exits_4(self, tmp_path, capsys):
+        # a 5x5 input pair's 9-point lattice is refused before enumeration
+        chan = random_relay_channel(np.random.default_rng(0), (5, 5, 2, 2))
+        path = tmp_path / "big.json"
+        write_channel(chan, str(path))
+        start = time.perf_counter()
+        code = main(["cutset", "--channel", str(path),
+                     "--out", str(tmp_path / "out")])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 4
+        assert elapsed < 5.0
+        assert err.count("error:") == 1
+        assert err.startswith("error:") and "budget" in err
+        assert "Traceback" not in err
 
     def test_cf_sidecar_records_g2_grids(self, tmp_path, rng):
         path, _ = _small_channel_file(tmp_path, rng)

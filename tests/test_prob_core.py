@@ -123,13 +123,15 @@ class TestMutualInfo:
 
 
 class TestSimplexMaximizer:
+    # objectives take an (n, dim) array of points and return n values
     def test_bsc_capacity(self):
         # [DERIVED] capacity of BSC(0.1) is 1 - h2(0.1), achieved uniform
         eps = 0.1
         v = CondDist(np.array([[1 - eps, eps], [eps, 1 - eps]]))
 
-        def obj(p):
-            return mutual_info(Dist(p / p.sum()), v)
+        def obj(points):
+            return np.array([mutual_info(Dist(p / p.sum()), v)
+                             for p in points])
 
         witness, val = maximize_over_simplex(obj, 2, OptimizerConfig())
         assert val == pytest.approx(1.0 - _h2(eps), abs=1e-6)
@@ -138,13 +140,13 @@ class TestSimplexMaximizer:
     def test_linear_objective(self):
         # max of p . c on the simplex is max(c), at a vertex
         c = np.array([0.2, 0.9, 0.4])
-        _, val = maximize_over_simplex(lambda p: float(p @ c), 3,
+        _, val = maximize_over_simplex(lambda points: points @ c, 3,
                                        OptimizerConfig())
         assert val == pytest.approx(0.9, abs=1e-9)
 
     def test_deterministic(self):
-        def obj(p):
-            return -float(((p - np.array([0.2, 0.3, 0.5])) ** 2).sum())
+        def obj(points):
+            return -((points - np.array([0.2, 0.3, 0.5])) ** 2).sum(axis=1)
 
         cfg = OptimizerConfig(restarts=4, seed=3)
         w1, v1 = maximize_over_simplex(obj, 3, cfg)
@@ -153,7 +155,8 @@ class TestSimplexMaximizer:
         assert np.array_equal(w1.probs, w2.probs)
 
     def test_dim_one(self):
-        w, v = maximize_over_simplex(lambda p: 7.0, 1, OptimizerConfig())
+        w, v = maximize_over_simplex(lambda points: np.full(len(points), 7.0),
+                                     1, OptimizerConfig())
         assert v == 7.0 and w.probs[0] == 1.0
 
 

@@ -1,14 +1,106 @@
 """Relay channel data types, derived channels and the cutset function."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from relayexp import (CfInput, CondDist, Dist, OptimizerConfig, PdfInput,
                       RelayChannelSpec, cf_aux_channels, cutset_bound,
                       pdf_virtual_channels, sato_channel)
-from relayexp.prob_core import mi_axes
-from relayexp.relay_model import cutset_at
+from relayexp.haroutunian_upper import _cheap_cfg
+from relayexp.prob_core import EnumBudgetError, cond_mi_from_joint, mi_axes
+from relayexp.relay_model import _cutset_objective, cutset_at
 from conftest import random_relay_channel
+
+
+# ---------------------------------------------------------------------------
+# reference copies of the scalar cutset objective and simplex search that
+# the batched ones replaced; the batched path must reproduce them
+# ---------------------------------------------------------------------------
+
+def _scalar_cutset_objective(w):
+    n_x1, n_x2, n_y2, n_y3 = w.sizes
+    wy3 = w.y3_marginal().reshape(n_x1 * n_x2, n_y3)
+    w23 = w.w.reshape(n_x1, n_x2, n_y2 * n_y3)
+
+    def objective(p):
+        joint = p.reshape(n_x1, n_x2)
+        j1 = joint.reshape(-1, 1)[:, :, None] * wy3[:, None, :]
+        i1 = cond_mi_from_joint(np.transpose(j1, (1, 0, 2)))
+        j2 = joint.T[:, :, None] * np.transpose(w23, (1, 0, 2))
+        i2 = cond_mi_from_joint(j2)
+        return min(i1, i2)
+
+    return objective
+
+
+def _scalar_lattice(dim, points):
+    m = points - 1
+    out = []
+    for cuts in combinations(range(m + dim - 1), dim - 1):
+        prev = -1
+        counts = []
+        for c in cuts:
+            counts.append(c - prev - 1)
+            prev = c
+        counts.append(m + dim - 2 - prev)
+        out.append(np.array(counts, dtype=np.float64) / m)
+    return out
+
+
+def _scalar_descent(x, objective, init_step, rounds):
+    x = x.copy()
+    best = objective(x)
+    step = init_step
+    dim = x.shape[0]
+    for _ in range(max(rounds, 1)):
+        improved = True
+        while improved:
+            improved = False
+            cand_best = None
+            for i in range(dim):
+                for j in range(dim):
+                    if i == j or x[j] < step:
+                        continue
+                    y = x.copy()
+                    y[i] += step
+                    y[j] -= step
+                    val = objective(y)
+                    if val > best + 1e-15 and (cand_best is None
+                                               or val > cand_best[0]):
+                        cand_best = (val, y)
+            if cand_best is not None:
+                best, x = cand_best
+                improved = True
+        step /= 4.0
+    return x, best
+
+
+def _scalar_search(objective, dim, cfg):
+    bary = np.full(dim, 1.0 / dim)
+    best_x, best_val = bary, float(objective(bary))
+    for x in _scalar_lattice(dim, cfg.coarse_grid_points):
+        val = float(objective(x))
+        if val > best_val:
+            best_x, best_val = x, val
+    init_step = 1.0 / (cfg.coarse_grid_points - 1)
+    starts = [best_x]
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.restarts - 1):
+        starts.append(rng.dirichlet(np.ones(dim)))
+    for s in starts:
+        x, val = _scalar_descent(s, objective, init_step,
+                                 cfg.refinement_rounds)
+        if val > best_val:
+            best_x, best_val = x, val
+    return best_x, best_val
+
+
+def _reference_channels():
+    rng = np.random.default_rng(0)
+    return [sato_channel()[0], random_relay_channel(rng, (3, 2, 2, 3)),
+            random_relay_channel(rng, (2, 2, 2, 2))]
 
 
 class TestRelayChannelSpec:
@@ -114,6 +206,36 @@ class TestCutset:
         cand = Dist(rng.dirichlet(np.ones(4)))
         with_cand, _ = cutset_bound(chan, OptimizerConfig(), candidate=cand)
         assert with_cand >= base - 1e-12
+
+
+class TestBatchedCutset:
+    @pytest.mark.parametrize("idx", [0, 1, 2])
+    def test_objective_matches_scalar(self, idx):
+        chan = _reference_channels()[idx]
+        dim = chan.sizes[0] * chan.sizes[1]
+        joints = np.random.default_rng(idx).dirichlet(np.ones(dim), size=200)
+        batched = _cutset_objective(chan)(joints)
+        scalar = _scalar_cutset_objective(chan)
+        assert batched.shape == (200,)
+        np.testing.assert_allclose(batched, [scalar(p) for p in joints],
+                                   rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("cheap", [False, True])
+    @pytest.mark.parametrize("idx", [0, 1, 2])
+    def test_search_matches_scalar(self, idx, cheap):
+        chan = _reference_channels()[idx]
+        cfg = _cheap_cfg(0) if cheap else OptimizerConfig()
+        want_x, want_val = _scalar_search(_scalar_cutset_objective(chan),
+                                          chan.sizes[0] * chan.sizes[1], cfg)
+        value, witness = cutset_bound(chan, cfg)
+        np.testing.assert_array_equal(witness.probs, want_x)
+        assert value == pytest.approx(want_val, abs=1e-12)
+
+    def test_oversized_lattice_refused(self):
+        # a 5x5 input pair has 10.5M points on the 9-point lattice
+        chan = random_relay_channel(np.random.default_rng(0), (5, 5, 2, 2))
+        with pytest.raises(EnumBudgetError, match="budget"):
+            cutset_bound(chan, OptimizerConfig())
 
 
 class TestDerivedChannels:
