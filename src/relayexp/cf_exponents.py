@@ -15,8 +15,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .pdf_exponents import (ExponentEval, _cond_descent, _primal_objective,
-                            gallager_dual)
+from .pdf_exponents import ExponentEval, alternating_primal, gallager_dual
 from .prob_core import (CondDist, Dist, OptimizerConfig, _neg_plogp,
                         cond_mi_from_joint, kl_div_vec)
 from .relay_model import CfAuxChannels, CfInput, RelayChannelSpec, cf_aux_channels
@@ -32,7 +31,7 @@ _ALPHA_SLACK = 1e-9
 def cf_config():
     """Default search configuration for the compress-forward grids."""
     return OptimizerConfig(coarse_grid_points=5, refinement_rounds=2,
-                           restarts=1, value_tolerance=1e-6, seed=0)
+                           restarts=1, seed=0)
 
 
 @dataclass(frozen=True)
@@ -559,30 +558,24 @@ def cf_J(w: RelayChannelSpec, c: CfInput, rates: CfRates,
 # constituent exponents
 # ---------------------------------------------------------------------------
 
-def cf_G1(w: RelayChannelSpec, c: CfInput, r2: float,
-          cfg: OptimizerConfig = None) -> ExponentEval:
+def cf_G1(w: RelayChannelSpec, c: CfInput, r2: float) -> ExponentEval:
     """min_V D(V || W_{Q_X1} | Q_X2) + |I(Q_X2, V) - R2|+.
 
-    Computed in both the 1-D Gallager dual and the primal descent forms;
-    the dual value is returned with the primal attached as a diagnostic.
+    Computed in both the 1-D Gallager dual and the `alternating_primal`
+    form; the dual value is returned with the primal (an upper bound) and
+    its dummy channel attached as diagnostics.
     """
     if r2 < 0:
         raise ValueError("r2 must be nonnegative")
-    if cfg is None:
-        cfg = cf_config()
     aux = cf_aux_channels(w, c)
     q_s = np.array([1.0])
     q_xs = aux.q_x2[None, :]
     chan = aux.wq1_y3[None, :, :]
 
     dual, rho = gallager_dual(q_s, q_xs, chan, r2)
-
-    objective = _primal_objective(q_s, q_xs, chan, r2)
-    v0 = chan.copy()
-    vp, primal = _cond_descent(v0, objective, 0.25, 1e-6, chan > 0.0)
+    primal, vp, _, _ = alternating_primal(q_s, q_xs, chan, r2)
     return ExponentEval(dual, rho, "dual", "cf_G1",
-                        {"primal": max(0.0, primal),
-                         "primal_witness": vp[0]})
+                        {"primal": primal, "primal_witness": vp[0]})
 
 
 def cf_G2(w: RelayChannelSpec, c_template: CfInput, r: float, r2: float,
@@ -727,7 +720,7 @@ def cf_overall_witness(w: RelayChannelSpec, c: CfInput, b: int, r_eff: float,
     if b < 2:
         raise ValueError("b must be >= 2")
     r_b = b / (b - 1) * r_eff
-    g1 = cf_G1(w, c, r2, cfg).value
+    g1 = cf_G1(w, c, r2).value
     g2, witness = cf_G2(w, c, r_b, r2, cfg)
     return max(0.0, min(g1, g2) / b), witness
 

@@ -219,13 +219,12 @@ def run(spec: SweepSpec) -> SweepResult:
         split = 1.0 if spec.command == "df" else spec.split
         split = None if split == "auto" else float(split)
         q = _pdf_q(chan, caid, None if spec.command == "df" else spec.u_size)
-        cfg = _cfg(spec)
         blocks = spec.blocks or (10,)
         points = _rate_points(spec.rate_grid) if spec.rate_grid else [spec.rate or 0.0]
         bms = [BlockMarkovConfig(b, r_eff, split)
                for b in sorted(blocks) for r_eff in points]
         for bm, (val, rep) in zip(bms, pdf_overall_batch(chan, q, bms,
-                                                         spec.form, cfg)):
+                                                         spec.form)):
             rows.append((bm.b, bm.r_eff, bm.r_b, f"{spec.command}_overall",
                          val, f"split={_fmt(rep['split'])}",
                          f"splits:{'fixed' if split is not None else 41}"))

@@ -112,7 +112,6 @@ def ecs_upper(r: float, w: RelayChannelSpec, cfg: OptimizerConfig = None,
 
     n_x1, n_x2 = w.sizes[0], w.sizes[1]
     best_val, best_table = np.inf, None
-    rng_master = np.random.default_rng(cfg.seed)
     restarts = max(cfg.restarts, 1)
     for s in range(restarts):
         rng = np.random.default_rng(cfg.seed + 1000 * s + 1)

@@ -9,7 +9,9 @@ channel chan(y|s,x) with state law q_s and per-state input law q_xs.
 
 The primal form minimizes D(V||chan|Q) + |I(Q,V) - R|+ over dummy channels
 V; the dual (Gallager) form maximizes -rho*R - log2 S(rho) over rho in
-[0,1] and is a lower bound on the primal.
+[0,1] and is a lower bound on the primal.  The primal is solved by
+Lagrange duality and alternating minimisation (Arimoto 1976) and reports
+the objective at its dummy channel, so [dual, primal] brackets the exponent.
 """
 
 from dataclasses import dataclass, field
@@ -17,13 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import e0_sum
-from .prob_core import (CondDist, Dist, OptimizerConfig, entropy_vec,
-                        kl_div_vec)
+from .prob_core import CondDist, Dist, _neg_plogp, cond_mi_from_joint
 from .relay_model import PdfInput, RelayChannelSpec, pdf_virtual_channels
 
 KINDS = ("relay_F", "decoder_G", "decoder_Gtilde")
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# an alternation stops once no entry of q_Y moves by more than this
+_ALTERNATION_TOL = 1e-12
 
 
 @dataclass
@@ -116,27 +119,36 @@ def _state_channel(kind, w: RelayChannelSpec, q: PdfInput):
     return q_s, q_xs, chan
 
 
-def gallager_dual(q_s, q_xs, chan, rate):
-    """(value, rho) of max_{rho in [0,1]} -rho*R - log2 S(rho) for each rate.
+def _lagrange_max(curve, rate):
+    """(value, x) of max_{x in [0,1]} curve(x) - x*R for each rate.
 
-    S is `e0_sum` of the state channel (q_s, q_xs, chan).  `rate` is a
-    scalar or an array; all of its rates share one lockstep golden section.
-    The endpoints rho = 0 and 1 are checked too, and a value of zero comes
-    with rho = 0.
+    `curve` maps a scalar or an array of multipliers to the concave curve
+    at each of them.  `rate` is a scalar or an array; all of its rates
+    share one lockstep golden section.  The endpoints x = 0 and 1 are
+    checked too, and a nonpositive (or NaN) value becomes +0.0 with x = 0.
     """
     rate = np.asarray(rate, dtype=np.float64)
 
-    def g(rho):
-        return -rho * rate - np.log2(e0_sum(q_s, q_xs, chan, rho))
+    def g(x):
+        return curve(x) - x * rate
 
-    rho, val = golden_max(g, np.zeros(rate.shape), np.ones(rate.shape))
+    x, val = golden_max(g, np.zeros(rate.shape), np.ones(rate.shape))
     for cand in (0.0, 1.0):
         cval = g(cand)
         better = cval > val
-        rho, val = np.where(better, cand, rho), np.where(better, cval, val)
-    # as max(0.0, val): a nonpositive (or NaN) value becomes +0.0
+        x, val = np.where(better, cand, x), np.where(better, cval, val)
     positive = val > 0.0
-    return np.where(positive, val, 0.0)[()], np.where(positive, rho, 0.0)[()]
+    return np.where(positive, val, 0.0)[()], np.where(positive, x, 0.0)[()]
+
+
+def gallager_dual(q_s, q_xs, chan, rate):
+    """(value, rho) of max_{rho in [0,1]} -rho*R - log2 S(rho) for each rate.
+
+    S is `e0_sum` of the state channel (q_s, q_xs, chan); `rate` is a
+    scalar or an array, solved as in `_lagrange_max`.
+    """
+    return _lagrange_max(lambda rho: -np.log2(e0_sum(q_s, q_xs, chan, rho)),
+                         rate)
 
 
 def pdf_dual_exponent(kind, w: RelayChannelSpec, q: PdfInput,
@@ -152,103 +164,99 @@ def pdf_dual_exponent(kind, w: RelayChannelSpec, q: PdfInput,
     return ExponentEval(value, rho, "dual", kind, {"rho_tolerance": 1e-8})
 
 
-def _primal_objective(q_s, q_xs, chan, rate):
-    ns, nx, ny = chan.shape
+def _state_mi(q_s, q_xs, v):
+    """I(Q,V) = sum_s q_s I(q_xs, V_s) for a stack of state channels V."""
+    out = np.einsum("sx,...sxy->...sy", q_xs, v)
+    h_out = _neg_plogp(out).sum(axis=-1)
+    h_rows = _neg_plogp(v).sum(axis=-1)
+    return (np.einsum("s,...s->...", q_s, h_out)
+            - np.einsum("sx,...sx->...", q_s[:, None] * q_xs, h_rows))
+
+
+def _alternate(q_s, q_xs, chan, lam):
+    """min over V and per-state output laws q_Y of
+    D(V||chan|Q) + lam * D(V||q_Y|Q), for each multiplier in `lam`.
+
+    Alternates V ∝ chan^(1/(1+lam)) * q_Y^(lam/(1+lam)) and q_Y,s = q_xs V_s
+    from V = chan; each multiplier stops on its own.  Rows of zero weight
+    keep V = chan, as does lam = 0.  Returns V (lam's shape + chan's
+    shape), the minimum over V at the last q_Y and the alternation count.
+    """
+    lam = np.asarray(lam, dtype=np.float64)
+    expo = (1.0 / (1.0 + lam))[..., None, None, None]
     weights = q_s[:, None] * q_xs
+    live = (weights > 0.0)[..., None]
+    chan_pow = np.power(chan, expo)
+    v = np.broadcast_to(chan, lam.shape + chan.shape)
+    q_y = np.einsum("sx,...sxy->...sy", q_xs, v)
+    active = lam > 0.0
+    steps = 0
 
-    def objective(v):
-        div = 0.0
-        mi_sum = 0.0
-        for s in range(ns):
-            if q_s[s] == 0.0:
-                continue
-            out = q_xs[s] @ v[s]
-            h_out = entropy_vec(out)
-            h_cond = 0.0
-            for x in range(nx):
-                wgt = weights[s, x]
-                if wgt == 0.0:
-                    continue
-                d = kl_div_vec(v[s, x], chan[s, x])
-                if not np.isfinite(d):
-                    return np.inf
-                div += wgt * d
-                h_cond += wgt * entropy_vec(v[s, x])
-            mi_sum += q_s[s] * h_out - h_cond
-        return div + max(mi_sum - rate, 0.0)
+    def update(q_y):
+        t = chan_pow * np.power(q_y[..., None, :], 1.0 - expo)
+        return t, np.where(live, t.sum(axis=-1, keepdims=True), 1.0)
 
-    return objective
+    while active.any():
+        t, z = update(q_y)
+        v = np.where(active[..., None, None, None] & live, t / z, v)
+        new_q = np.einsum("sx,...sxy->...sy", q_xs, v)
+        active &= np.abs(new_q - q_y).max(axis=(-2, -1)) > _ALTERNATION_TOL
+        q_y = new_q
+        steps += 1
+    z = update(q_y)[1][..., 0]
+    value = -(1.0 + lam) * np.einsum("sx,...sx->...", weights, np.log2(z))
+    return v, np.where(lam > 0.0, value, 0.0), steps
 
 
-def _cond_descent(v0, objective, init_step, min_step, support):
-    """First-improvement pairwise exchange descent over a stack of simplices."""
-    v = v0.copy()
-    best = objective(v)
-    ns, nx, ny = v.shape
-    step = init_step
-    while step >= min_step:
-        improved = True
-        while improved:
-            improved = False
-            for s in range(ns):
-                for x in range(nx):
-                    sup = support[s, x]
-                    for i in range(ny):
-                        if not sup[i]:
-                            continue
-                        for j in range(ny):
-                            if i == j or not sup[j] or v[s, x, j] < step:
-                                continue
-                            v[s, x, i] += step
-                            v[s, x, j] -= step
-                            val = objective(v)
-                            if val < best - 1e-15:
-                                best = val
-                                improved = True
-                            else:
-                                v[s, x, i] -= step
-                                v[s, x, j] += step
-        step /= 2.0
-    return v, best
+def alternating_primal(q_s, q_xs, chan, rate):
+    """(value, V, lam, alternations) of min_V D(V||chan|Q) + |I(Q,V) - R|+.
+
+    The minimum is max_{lam in [0,1]} E(lam) - lam*R, E the concave
+    `_alternate` minimum.  The value is the objective at the returned V,
+    never below the true minimum; rates at or above I(Q,chan) give exactly
+    0 with V = chan.  Value and lam have the shape of `rate`.
+    """
+    rate = np.asarray(rate, dtype=np.float64)
+    weights = q_s[:, None] * q_xs
+    # the package's I(Q,W), so that a rate equal to it gives exactly 0
+    hard = rate < cond_mi_from_joint(weights[..., None] * chan)
+    steps = 0
+
+    def curve(lam):
+        nonlocal steps
+        _, value, n = _alternate(q_s, q_xs, chan, lam)
+        steps += n
+        return value
+
+    lam = np.zeros(rate.shape)
+    if hard.any():
+        lam[hard] = _lagrange_max(curve, rate[hard])[1]
+    v, _, n = _alternate(q_s, q_xs, chan, lam)
+    # V is zero wherever chan is, so the ratio is taken on V's support only
+    on = v > 0.0
+    ratio = np.divide(v, chan, out=np.ones_like(v), where=on)
+    div = np.einsum("sx,...sxy->...", weights, v * np.log2(ratio))
+    value = div + np.maximum(_state_mi(q_s, q_xs, v) - rate, 0.0)
+    value = np.where(hard & (value > 0.0), value, 0.0)
+    return value[()], v, lam[()], steps + n
 
 
-def pdf_primal_exponent(kind, w: RelayChannelSpec, q: PdfInput, rate: float,
-                        cfg: OptimizerConfig = None) -> ExponentEval:
-    """Primal exponent min_V D(V||chan|Q) + |I(Q,V) - R|+ for the kind."""
-    if rate < 0:
+def pdf_primal_exponent(kind, w: RelayChannelSpec, q: PdfInput,
+                        rate) -> ExponentEval:
+    """Primal exponent min_V D(V||chan|Q) + |I(Q,V) - R|+ for the kind.
+
+    `rate` may be an array; value and lambda then have its shape and the
+    witness stacks one dummy channel per rate.  The diagnostics carry the
+    Gallager value at the same rates (`"dual"`), so [dual, value] brackets
+    the exponent, the Lagrange multiplier and the number of alternations.
+    """
+    if np.any(np.asarray(rate) < 0):
         raise ValueError("rate must be nonnegative")
-    if cfg is None:
-        cfg = OptimizerConfig()
     q_s, q_xs, chan = _state_channel(kind, w, q)
-    objective = _primal_objective(q_s, q_xs, chan, rate)
-    support = chan > 0.0
-    ns, nx, ny = chan.shape
-
-    # blend the true channel toward its support-restricted per-state output
-    # marginal; the objective is convex in V so descent from these starts
-    # reaches the optimum
-    starts = [chan.copy()]
-    for t in (0.5, 0.95):
-        blend = chan.copy()
-        for s in range(ns):
-            out = q_xs[s] @ chan[s]
-            for x in range(nx):
-                sup = support[s, x]
-                tgt = np.where(sup, out, 0.0)
-                tot = tgt.sum()
-                if tot <= 0.0:
-                    continue
-                blend[s, x] = (1 - t) * chan[s, x] + t * tgt / tot
-        starts.append(blend)
-
-    best_v, best_val = None, np.inf
-    min_step = max(cfg.value_tolerance * 1e-2, 1e-6)
-    for v0 in starts:
-        v, val = _cond_descent(v0, objective, 0.25, min_step, support)
-        if val < best_val:
-            best_v, best_val = v, val
-    return ExponentEval(max(0.0, best_val), best_v, "primal", kind,
-                        {"starts": len(starts), "min_step": min_step})
+    value, v, lam, steps = alternating_primal(q_s, q_xs, chan, rate)
+    dual, _ = gallager_dual(q_s, q_xs, chan, rate)
+    return ExponentEval(value, v, "primal", kind,
+                        {"dual": dual, "lambda": lam, "alternations": steps})
 
 
 def _constituents(r_b, splits):
@@ -268,33 +276,27 @@ def _constituents(r_b, splits):
             "decoder_Gtilde": (on2, r2)}
 
 
-def _split_values(w, q, r_b, splits, form, cfg):
+def _split_values(w, q, r_b, splits, form):
     """Min over the active constituents at every (r_b[i], splits[i, j]).
 
-    Each kind is evaluated once, at all of its active rates; the dual form
-    runs them as one batched solve.  Returns the (n, m) minima and, per
-    kind, its (active, rate, value, witness) grids.
+    Each kind is solved once, at all of its active rates.  Returns the
+    (n, m) minima and, per kind, its (active, rate, value, witness) grids.
     """
+    solve = pdf_dual_exponent if form == "dual" else pdf_primal_exponent
     mins = np.full(splits.shape, np.inf)
     parts = {}
     for kind, (active, rate) in _constituents(r_b, splits).items():
-        value = np.zeros(splits.shape)
-        if form == "dual":
-            witness = np.zeros(splits.shape)
-            if active.any():
-                ev = pdf_dual_exponent(kind, w, q, rate[active])
-                value[active], witness[active] = ev.value, ev.witness
-        else:
-            witness = np.empty(splits.shape, dtype=object)
-            for idx in zip(*np.nonzero(active)):
-                ev = pdf_primal_exponent(kind, w, q, float(rate[idx]), cfg)
-                value[idx], witness[idx] = ev.value, ev.witness
+        value, witness = np.zeros(splits.shape), np.zeros(splits.shape)
+        if active.any():
+            ev = solve(kind, w, q, rate[active])
+            witness = np.zeros(splits.shape + np.shape(ev.witness)[1:])
+            value[active], witness[active] = ev.value, ev.witness
         mins = np.where(active, np.minimum(mins, value), mins)
         parts[kind] = (active, rate, value, witness)
     return mins, parts
 
 
-def _best_splits(w, q, bms, form, cfg):
+def _best_splits(w, q, bms, form):
     """Best split value of every config in `bms` and where it was found.
 
     Returns the (n,) best minima over the constituents and, per config, the
@@ -302,8 +304,6 @@ def _best_splits(w, q, bms, form, cfg):
     split_fraction.  Each kind is evaluated once over every config's split
     grid and once over every refinement grid.
     """
-    if cfg is None:
-        cfg = OptimizerConfig()
     fractions = {bm.split_fraction for bm in bms}
     if len(fractions) > 1:
         raise ValueError("all configs must share one split_fraction")
@@ -315,7 +315,7 @@ def _best_splits(w, q, bms, form, cfg):
     else:
         splits = np.tile(np.linspace(0.0, 1.0, 41), (len(bms), 1))
     # the first maximum over the grid wins, as in a strict > scan
-    mins, parts = _split_values(w, q, r_b, splits, form, cfg)
+    mins, parts = _split_values(w, q, r_b, splits, form)
     cols = np.argmax(mins, axis=1)
     best = [(splits, parts, col) for col in cols]
     best_val = mins[rows, cols]
@@ -323,7 +323,7 @@ def _best_splits(w, q, bms, form, cfg):
         center = splits[rows, cols]
         fine = np.linspace(np.maximum(center - 0.025, 0.0),
                            np.minimum(center + 0.025, 1.0), 11, axis=1)
-        fine_mins, fine_parts = _split_values(w, q, r_b, fine, form, cfg)
+        fine_mins, fine_parts = _split_values(w, q, r_b, fine, form)
         fine_cols = np.argmax(fine_mins, axis=1)
         fine_val = fine_mins[rows, fine_cols]
         for i in np.flatnonzero(fine_val > best_val):
@@ -333,12 +333,12 @@ def _best_splits(w, q, bms, form, cfg):
 
 
 def pdf_overall_batch(w: RelayChannelSpec, q: PdfInput, bms,
-                      form: str = "dual", cfg: OptimizerConfig = None):
+                      form: str = "dual"):
     """`pdf_overall` at every BlockMarkovConfig in `bms`, as a list of
     (value, report) pairs.  The configs must share one split_fraction."""
     if not bms:
         return []
-    best_val, best = _best_splits(w, q, bms, form, cfg)
+    best_val, best = _best_splits(w, q, bms, form)
     out = []
     for i, (bm, (grid, grid_parts, j)) in enumerate(zip(bms, best)):
         on = [(k, rate[i, j], value[i, j], witness[i, j])
@@ -355,7 +355,7 @@ def pdf_overall_batch(w: RelayChannelSpec, q: PdfInput, bms,
 
 
 def pdf_overall(w: RelayChannelSpec, q: PdfInput, bm: BlockMarkovConfig,
-                form: str = "dual", cfg: OptimizerConfig = None):
+                form: str = "dual"):
     """(1/b) max over the rate split R'+R''=R_b of min{F(R'), G(R'), Gtilde(R'')}.
 
     A constituent whose rate argument is zero carries no messages and is
@@ -364,12 +364,11 @@ def pdf_overall(w: RelayChannelSpec, q: PdfInput, bm: BlockMarkovConfig,
     41 points and refined on 11 points around the first maximum, unless
     `bm` fixes it.
     """
-    return pdf_overall_batch(w, q, [bm], form, cfg)[0]
+    return pdf_overall_batch(w, q, [bm], form)[0]
 
 
 def optimize_blocks(w: RelayChannelSpec, q: PdfInput, r_eff: float,
-                    b_range, form: str = "dual",
-                    cfg: OptimizerConfig = None, split_fraction=None):
+                    b_range, form: str = "dual", split_fraction=None):
     """Best block count over an inclusive integer interval and the full curve."""
     lo, hi = int(b_range[0]), int(b_range[1])
     if lo > hi:
@@ -378,7 +377,7 @@ def optimize_blocks(w: RelayChannelSpec, q: PdfInput, r_eff: float,
         raise ValueError("block range must lie within [2, 10^4]")
     bms = [BlockMarkovConfig(b, r_eff, split_fraction)
            for b in range(lo, hi + 1)]
-    best_val, _ = _best_splits(w, q, bms, form, cfg)
+    best_val, _ = _best_splits(w, q, bms, form)
     curve = [(bm.b, max(0.0, val / bm.b)) for bm, val in zip(bms, best_val)]
     best_b, best_val = None, -1.0
     for b, val in curve:

@@ -93,14 +93,11 @@ class OptimizerConfig:
     coarse_grid_points: int = 9
     refinement_rounds: int = 6
     restarts: int = 4
-    value_tolerance: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
         if self.coarse_grid_points < 2:
             raise ValueError("coarse_grid_points must be >= 2")
-        if self.value_tolerance <= 0:
-            raise ValueError("value_tolerance must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.refinement_rounds < 0:

@@ -100,7 +100,6 @@ def test_criterion_2_sato_figures():
 
 def test_criterion_3_dual_primal_agreement():
     from relayexp import PdfInput
-    cfg = OptimizerConfig(coarse_grid_points=5, refinement_rounds=4, restarts=2)
     worst = 0.0
     ok = True
     for seed in range(20):
@@ -112,7 +111,7 @@ def test_criterion_3_dual_primal_agreement():
             mi = _kind_mi(kind, chan, q)
             for rate in (0.97 * mi, mi, 1.2 * mi + 0.01):
                 dual = pdf_dual_exponent(kind, chan, q, rate).value
-                primal = pdf_primal_exponent(kind, chan, q, rate, cfg).value
+                primal = pdf_primal_exponent(kind, chan, q, rate).value
                 gap = abs(dual - primal)
                 worst = max(worst, gap)
                 if dual > primal + 1e-6 or gap > 5e-3:

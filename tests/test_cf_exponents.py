@@ -396,6 +396,8 @@ class TestG1:
         res = cf_G1(chan, c, r2)
         assert res.value <= best + 1e-6
         assert abs(res.value - best) <= 5e-3
+        assert res.diagnostics["primal"] <= best + 1e-6
+        assert abs(res.diagnostics["primal"] - best) <= 5e-3
 
 
 class TestJ:
@@ -459,7 +461,7 @@ class TestG2:
         c = _identity_test_input(chan)
         b, r_eff, r2 = 10, 0.3, 0.2
         got = cf_overall(chan, c, b, r_eff, r2, FAST)
-        g1 = cf_G1(chan, c, r2, FAST).value
+        g1 = cf_G1(chan, c, r2).value
         g2, _ = cf_G2(chan, c, b / (b - 1) * r_eff, r2, FAST)
         assert got == pytest.approx(max(0.0, min(g1, g2) / b), abs=1e-12)
 

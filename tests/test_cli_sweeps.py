@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from relayexp import BlockMarkovConfig, OptimizerConfig, pdf_overall, sato_channel
+from relayexp import BlockMarkovConfig, pdf_overall, sato_channel
 from relayexp.cli_sweeps import (CSV_HEADER, CliError, SweepSpec, _rate_points,
                                  main, parse_channel, run, write_channel,
                                  write_outputs)
@@ -133,8 +133,7 @@ class TestCommands:
         res = run(SweepSpec("df", preset="sato", blocks=(50,), rate=1.05))
         chan, caid = sato_channel()
         bm = BlockMarkovConfig(50, 1.05, 1.0)
-        val, _ = pdf_overall(chan, df_input(chan, caid), bm, "dual",
-                             OptimizerConfig(seed=0, restarts=4))
+        val, _ = pdf_overall(chan, df_input(chan, caid), bm, "dual")
         assert res.rows[0][4] == val
 
     def test_upper_single_rate(self, tmp_path, rng):

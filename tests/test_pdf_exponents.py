@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
-from relayexp import (BlockMarkovConfig, CondDist, Dist, OptimizerConfig,
-                      PdfInput, df_input, optimize_blocks, pdf_dual_exponent,
-                      pdf_overall, pdf_primal_exponent)
+from relayexp import (BlockMarkovConfig, CondDist, Dist, PdfInput, df_input,
+                      optimize_blocks, pdf_dual_exponent, pdf_overall,
+                      pdf_primal_exponent, sato_channel)
 from relayexp.pdf_exponents import (_GOLDEN, KINDS, _state_channel,
                                     golden_max, pdf_overall_batch)
-from relayexp.prob_core import cond_mi_from_joint
+from relayexp.prob_core import cond_mi_from_joint, entropy_vec, kl_div_vec
 from conftest import random_relay_channel
-
-CFG = OptimizerConfig(coarse_grid_points=5, refinement_rounds=4, restarts=2)
 
 
 def _uniform_pdf_input(n_x1, n_x2, n_u):
@@ -121,10 +119,11 @@ class TestDualForm:
             assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_rate_array_matches_scalar_calls(self):
-        # one batched solve over a rate array equals the per-rate solves
-        # bit for bit, including rates above the mutual information, where
-        # rho is 0 and the value is +0.0 up to the rounding of
-        # -log2 S(0), which is not exactly 0
+        # one batched solve over a rate array equals the per-rate solves:
+        # the dual bit for bit, including rates above the mutual
+        # information, where rho is 0 and the value is +0.0 up to the
+        # rounding of -log2 S(0), which is not exactly 0; the primal within
+        # 1e-12, and exactly 0 with V = chan above the mutual information
         for seed in range(4):
             rng = np.random.default_rng(seed)
             chan = random_relay_channel(rng, (3, 2, 2, 3))
@@ -135,14 +134,20 @@ class TestDualForm:
                     rates = np.concatenate([[0.0, mi + 0.05, 3.0],
                                             rng.uniform(0.0, 1.2 * mi, 20)])
                     batch = pdf_dual_exponent(kind, chan, q, rates)
+                    primal = pdf_primal_exponent(kind, chan, q, rates)
                     for i, rate in enumerate(rates):
                         one = pdf_dual_exponent(kind, chan, q, float(rate))
                         assert batch.value[i] == one.value
                         assert batch.witness[i] == one.witness
+                        one = pdf_primal_exponent(kind, chan, q, float(rate))
+                        assert abs(primal.value[i] - one.value) <= 1e-12
                     assert not np.any(np.signbit(batch.value))
+                    chan_s = _state_channel(kind, chan, q)[2]
                     for above in (1, 2):
                         assert batch.value[above] <= 1e-15
                         assert batch.witness[above] == 0.0
+                        assert primal.value[above] == 0.0
+                        assert np.array_equal(primal.witness[above], chan_s)
 
     def test_rejects_negative_rate(self, rng):
         chan = random_relay_channel(rng)
@@ -168,7 +173,7 @@ class TestPrimalForm:
                 mi = _kind_mi(kind, chan, q)
                 for rate in (0.5 * mi, mi, 1.2 * mi + 0.01):
                     dual = pdf_dual_exponent(kind, chan, q, rate).value
-                    primal = pdf_primal_exponent(kind, chan, q, rate, CFG).value
+                    primal = pdf_primal_exponent(kind, chan, q, rate).value
                     assert dual <= primal + 1e-6
 
     def test_primal_zero_at_true_channel_rate(self, rng):
@@ -177,8 +182,46 @@ class TestPrimalForm:
         q = _uniform_pdf_input(2, 2, 2)
         for kind in KINDS:
             mi = _kind_mi(kind, chan, q)
-            val = pdf_primal_exponent(kind, chan, q, mi + 0.05, CFG).value
+            val = pdf_primal_exponent(kind, chan, q, mi + 0.05).value
             assert val == pytest.approx(0.0, abs=1e-9)
+
+    def test_minimum_and_witness_on_seeded_channel(self):
+        # an exchange descent stopped 1.06e-3 above the Gallager value at
+        # this point; the value must also be the objective
+        # D(V||W|Q) + |I(Q,V) - R|+ recomputed at the witness
+        chan = random_relay_channel(np.random.default_rng(0), (3, 2, 2, 3))
+        q = _uniform_pdf_input(3, 2, 2)
+        rate = 0.5 * (10 / 9) * 0.1
+        ev = pdf_primal_exponent("decoder_Gtilde", chan, q, rate)
+        dual = pdf_dual_exponent("decoder_Gtilde", chan, q, rate).value
+        assert dual <= ev.value <= dual + 1e-4
+        assert ev.diagnostics["dual"] == dual
+        q_s, q_xs, w = _state_channel("decoder_Gtilde", chan, q)
+        v = ev.witness
+        assert v.shape == w.shape
+        assert np.all(v >= 0.0) and np.all(v[w == 0.0] == 0.0)
+        assert np.allclose(v.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
+        div, mi = 0.0, 0.0
+        for s in range(len(q_s)):
+            mi += q_s[s] * entropy_vec(q_xs[s] @ v[s])
+            for x in range(q_xs.shape[1]):
+                div += q_s[s] * q_xs[s, x] * kl_div_vec(v[s, x], w[s, x])
+                mi -= q_s[s] * q_xs[s, x] * entropy_vec(v[s, x])
+        assert ev.value == pytest.approx(div + max(mi - rate, 0.0), abs=1e-12)
+
+    def test_zero_weight_rows(self):
+        # df_input gives Gtilde inputs of zero weight and the Sato channel
+        # has zero entries; the values are those of the exchange descent
+        chan, caid = sato_channel()
+        q = df_input(chan, caid)
+        rates = np.array([0.3, 0.6, 1.0, 1.2])
+        want = {"relay_F": [0.8618772, 0.5618772, 0.1618772, 0.0],
+                "decoder_G": [0.8180999, 0.5180999, 0.1180999, 0.0],
+                "decoder_Gtilde": [0.0, 0.0, 0.0, 0.0]}
+        with np.errstate(all="raise"):
+            for kind, vals in want.items():
+                ev = pdf_primal_exponent(kind, chan, q, rates)
+                assert np.allclose(ev.value, vals, rtol=0.0, atol=1e-6)
 
 
 class TestBlockMarkov:
