@@ -45,10 +45,6 @@ class CfRates:
         if self.r < 0 or self.r2 < 0:
             raise ValueError("rates must be nonnegative")
 
-    def delta_r2(self, aux: CfAuxChannels, qtilde):
-        """Excess Wyner-Ziv rate I(Qtilde, test | Q_X2) - R2."""
-        return rate_loss(aux, qtilde) - self.r2
-
 
 @dataclass(frozen=True)
 class CfJointType:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .cf_exponents import cf_overall_witness
+from .cf_exponents import _check_scale, cf_overall_witness
 from .haroutunian_upper import FEASIBILITY_CUTSET_GRID, ecs_upper_sweep
 from .pdf_exponents import (BlockMarkovConfig, df_input, optimize_blocks,
                             pdf_dual_exponent, pdf_overall_batch)
@@ -39,6 +39,8 @@ from .types_toolkit import (EnumBudgetError, TypeN, enum_cond_types,
                             enum_types, verify_joint_typicality, verify_lemma1)
 
 CSV_HEADER = "b,r_eff,r_b,kind,value_bits,witness,grid_note"
+#: points a --reff grid may hold; larger grids exit 4 before any work
+RATE_POINT_BUDGET = 10**5
 
 
 class CliError(Exception):
@@ -189,6 +191,9 @@ def _cf_input(chan, caid) -> CfInput:
 def _rate_points(grid):
     start, stop, step = grid
     n = int(round((stop - start) / step)) + 1
+    if n > RATE_POINT_BUDGET:
+        raise CliError(4, f"rate grid has {n} points, over the budget of "
+                          f"{RATE_POINT_BUDGET}")
     return [round(start + i * step, 12) for i in range(n)
             if start + i * step <= stop + 1e-12]
 
@@ -232,6 +237,10 @@ def run(spec: SweepSpec) -> SweepResult:
 
     elif spec.command == "cf":
         cin = _cf_input(chan, caid)
+        try:
+            _check_scale(chan, cin.yhat_size)
+        except ValueError as exc:
+            raise CliError(3, str(exc))
         blocks = spec.blocks or (10,)
         points = _rate_points(spec.rate_grid) if spec.rate_grid else [spec.rate or 0.0]
         # the G2 grids go to the sidecar only: v_grid_points 0 marks the

@@ -3,23 +3,30 @@
 E_cs(R) = min over dummy relay channels V with cutset value at most R of
 max_P D(V||W|P).  By linearity of the conditional divergence in P, the
 inner max is attained at a single input pair, so the objective is the
-worst symbol-pair divergence.  The feasible set is nonconvex; a seeded
-multi-start local search with an increasing penalty on the constraint is
-used, followed by a feasibility-restoration step.  Any feasible V is a
-valid upper bound, so local optimality affects tightness, not validity.
+worst row divergence max_x D(V_x||W_x).  The feasible set is nonconvex.
+Each seeded restart draws a zero-cutset target u inside W's support and
+searches one scalar, the divergence level t: the level channel V(t) moves
+every row from u toward W just until its divergence is at most t, and
+bisection finds the smallest level whose V(t) passes the cutset check
+(the cheap search first, the accurate search to confirm).  Any feasible V
+is a valid upper bound, so the search affects tightness, not validity.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .prob_core import OptimizerConfig, kl_div_vec
+from .prob_core import OptimizerConfig
 from .relay_model import RelayChannelSpec, cutset_bound
 
 _FEAS_TOL = 1e-4
 #: lattice points per axis of the cheap cutset search in feasibility checks
 FEASIBILITY_CUTSET_GRID = 5
-_PENALTIES = (1.0, 10.0, 100.0, 1000.0)
+#: halvings of the row weights in V(t), of the level under the cheap
+#: cutset test and of the level under the accurate test
+_ROW_HALVINGS = 40
+_CHEAP_HALVINGS = 20
+_ACCURATE_HALVINGS = 12
 
 
 @dataclass
@@ -30,19 +37,19 @@ class UpperBoundResult:
     restarts_used: int
 
 
+def _row_divergences(v, w):
+    """D(v_x||w_x) in bits for every row x (the last two axes); +inf on a
+    support violation."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(v > 0.0, v * np.log2(v / w), 0.0)
+    return terms.sum(axis=(-2, -1))
+
+
 def ecs_objective(v: RelayChannelSpec, w: RelayChannelSpec) -> float:
     """max over (x1,x2) of D(V(.,.|x1,x2) || W(.,.|x1,x2)) in bits."""
     if v.sizes != w.sizes:
         raise ValueError("channel alphabets must match")
-    n_x1, n_x2 = v.sizes[0], v.sizes[1]
-    worst = 0.0
-    for x1 in range(n_x1):
-        for x2 in range(n_x2):
-            d = kl_div_vec(v.w[x1, x2].reshape(-1), w.w[x1, x2].reshape(-1))
-            if not np.isfinite(d):
-                return np.inf
-            worst = max(worst, d)
-    return worst
+    return float(_row_divergences(v.w, w.w).max())
 
 
 def _useless_channel(w: RelayChannelSpec, rng):
@@ -76,20 +83,42 @@ def _support_target(w: RelayChannelSpec, rng):
     return table
 
 
+def _level_channel(u, w, t):
+    """V(t): row x is (1-lam_x) u_x + lam_x W_x with the smallest lam_x in
+    [0, 1] such that D(row||W_x) <= t.
+
+    The divergence is convex in lam and 0 at lam = 1, so the rows are
+    bisected together; rows with D(u_x||W_x) <= t keep u_x exactly.
+    """
+    lo = np.zeros(u.shape[:2])
+    hi = np.where(_row_divergences(u, w) <= t, 0.0, 1.0)
+    for _ in range(_ROW_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        lam = mid[:, :, None, None]
+        ok = _row_divergences((1.0 - lam) * u + lam * w, w) <= t
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid)
+    lam = hi[:, :, None, None]
+    return (1.0 - lam) * u + lam * w
+
+
+def _smallest_level(u, w, lo, hi, halvings, feasible):
+    """Bisect the level over (lo, hi]; returns the last V(t) that passed
+    `feasible`, or None when no probed level passed."""
+    passed = None
+    for _ in range(halvings):
+        mid = 0.5 * (lo + hi)
+        table = _level_channel(u, w, mid)
+        if feasible(table):
+            hi, passed = mid, table
+        else:
+            lo = mid
+    return hi, passed
+
+
 def _cheap_cfg(seed):
     return OptimizerConfig(coarse_grid_points=FEASIBILITY_CUTSET_GRID,
                            refinement_rounds=4, restarts=1, seed=seed)
-
-
-def _ccs(table, cheap_cfg):
-    val, _ = cutset_bound(RelayChannelSpec(table), cheap_cfg)
-    return val
-
-
-def _blend(u, w, lam):
-    """Per-row convex combination (1-lam_i) U + lam_i W, lam per (x1,x2)."""
-    lamb = lam[:, :, None, None]
-    return (1.0 - lamb) * u + lamb * w
 
 
 def ecs_upper(r: float, w: RelayChannelSpec, cfg: OptimizerConfig = None,
@@ -110,85 +139,46 @@ def ecs_upper(r: float, w: RelayChannelSpec, cfg: OptimizerConfig = None,
     if ccs_w <= r:
         return UpperBoundResult(0.0, w, 0.0, 0)
 
-    n_x1, n_x2 = w.sizes[0], w.sizes[1]
+    def cheap_ok(table):
+        return cutset_bound(RelayChannelSpec(table), cheap)[0] <= r - 1e-5
+
+    def accurate_ok(table):
+        gap = cutset_bound(RelayChannelSpec(table), cfg)[0] - r
+        return gap <= _FEAS_TOL * 0.5
+
     best_val, best_table = np.inf, None
     restarts = max(cfg.restarts, 1)
     for s in range(restarts):
         rng = np.random.default_rng(cfg.seed + 1000 * s + 1)
         u = _support_target(w, rng)
-        if _ccs(u, cheap) > r - 1e-5:
-            # blending toward W only raises the cutset value, so the whole
-            # restart is infeasible unless u itself (just) qualifies
-            if cutset_bound(RelayChannelSpec(u), cfg)[0] - r > _FEAS_TOL * 0.5:
-                continue
-
-        # bisection along the global blend toward W for a feasible start
-        lo, hi = 0.0, 1.0
-        for _ in range(14):
-            mid = 0.5 * (lo + hi)
-            lam = np.full((n_x1, n_x2), mid)
-            if _ccs(_blend(u, w.w, lam), cheap) <= r - 1e-5:
-                lo = mid
-            else:
-                hi = mid
-        lam = np.full((n_x1, n_x2), lo)
-
-        # penalized per-row coordinate descent on the blend weights
-        def penalized(l, weight):
-            table = _blend(u, w.w, l)
-            obj = ecs_objective(RelayChannelSpec(table), w)
-            gap = max(_ccs(table, cheap) - r, 0.0)
-            return obj + weight * gap
-
-        for weight in _PENALTIES:
-            for step in (0.125, 0.03125):
-                for _ in range(2):  # bounded sweeps keep each restart cheap
-                    improved = False
-                    cur = penalized(lam, weight)
-                    for x1 in range(n_x1):
-                        for x2 in range(n_x2):
-                            for delta in (step, -step):
-                                cand = lam.copy()
-                                cand[x1, x2] = min(max(lam[x1, x2] + delta, 0.0), 1.0)
-                                if cand[x1, x2] == lam[x1, x2]:
-                                    continue
-                                val = penalized(cand, weight)
-                                if val < cur - 1e-12:
-                                    lam, cur = cand, val
-                                    improved = True
-                    if not improved:
-                        break
-
-        # feasibility restoration: cheap walk first, accurate verification after
-        table = _blend(u, w.w, lam)
-        for _ in range(40):
-            if _ccs(table, cheap) - r <= 0.0 or not lam.any():
-                break
-            lam = np.maximum(lam - 0.02, 0.0)
-            table = _blend(u, w.w, lam)
-        feasible = False
-        for _ in range(10):
-            if cutset_bound(RelayChannelSpec(table), cfg)[0] - r <= _FEAS_TOL * 0.5:
-                feasible = True
-                break
-            lam = np.maximum(lam - 0.02, 0.0)
-            table = _blend(u, w.w, lam)
-        if not feasible:
-            continue  # even the fully degraded blend stays above rate r
+        top = float(_row_divergences(u, w.w).max())   # V(top) is u
+        if cheap_ok(u):
+            t, table = _smallest_level(u, w.w, 0.0, top, _CHEAP_HALVINGS,
+                                       cheap_ok)
+            if table is None:
+                table = u
+            if not accurate_ok(table):
+                # the cheap search can pass a level the accurate one rejects
+                _, table = _smallest_level(u, w.w, t, top, _ACCURATE_HALVINGS,
+                                           accurate_ok)
+                if table is None:
+                    continue
+        elif accurate_ok(u):
+            # moving rows toward W only raises the cutset value, so only u
+            # itself (just) qualifies
+            table = u
+        else:
+            continue
         val = ecs_objective(RelayChannelSpec(table), w)
         if val < best_val:
             best_val, best_table = val, table
 
-    if warm_starts:
-        for table in warm_starts:
-            tbl = np.asarray(table, dtype=np.float64)
-            if tbl.shape != w.w.shape:
-                continue
-            gap = cutset_bound(RelayChannelSpec(tbl), cfg)[0] - r
-            if gap <= _FEAS_TOL * 0.5:
-                val = ecs_objective(RelayChannelSpec(tbl), w)
-                if val < best_val:
-                    best_val, best_table = val, tbl
+    for table in warm_starts or ():
+        tbl = np.asarray(table, dtype=np.float64)
+        if tbl.shape == w.w.shape and accurate_ok(tbl):
+            val = ecs_objective(RelayChannelSpec(tbl), w)
+            if val < best_val:
+                best_val, best_table = val, tbl
 
     if best_table is None:
         # no channel inside W's support reaches cutset value r: the bound

@@ -61,16 +61,6 @@ class CondTypeN:
     def n_outputs(self):
         return len(self.counts[0])
 
-    def cond_probs(self):
-        """Row-normalized conditional probabilities; zero rows become uniform."""
-        rows = []
-        for row, total in zip(self.counts, self.base.counts):
-            if total == 0:
-                rows.append([1.0 / len(row)] * len(row))
-            else:
-                rows.append([c / total for c in row])
-        return np.array(rows, dtype=np.float64)
-
 
 def _compositions(total, parts):
     """All compositions of `total` into `parts` parts, lexicographic."""
@@ -244,8 +234,7 @@ def _representative(counts_per_block):
     return seq
 
 
-def verify_joint_typicality(n, p: TypeN, v: CondTypeN, vprime: CondTypeN,
-                            p1_exp=None, p2_exp=None, p3_exp=None):
+def verify_joint_typicality(n, p: TypeN, v: CondTypeN, vprime: CondTypeN):
     """Exact shell-intersection probability against its polynomial envelope.
 
     p is the type of x1^n, v the conditional type of x2^n given x1^n and
@@ -255,9 +244,8 @@ def verify_joint_typicality(n, p: TypeN, v: CondTypeN, vprime: CondTypeN,
     conditional type given x1^n is the (x1 -> y) marginal of vprime.  The
     probability must lie within [2^(-nI)/p1, p2 * 2^(-nI)] and below
     p3 * 2^(-nI), where I = I(X2;Y|X1) and p1, p2, p3 are polynomial
-    factors (n+1)^e with default exponents |X1||X2|(|Y|+1), |X1||X2||Y|
-    and |X1||X2|; the exponents are parameters so alternative readings of
-    the envelope can be checked.
+    factors (n+1)^e with exponents |X1||X2|(|Y|+1), |X1||X2||Y| and
+    |X1||X2|.
     """
     if p.n != n or v.base != p:
         raise ValueError("blocklength mismatch")
@@ -306,12 +294,9 @@ def verify_joint_typicality(n, p: TypeN, v: CondTypeN, vprime: CondTypeN,
     joint = np.array(vprime.counts, dtype=np.float64).reshape(n_x1, n_x2, n_y) / n
     mi = cond_mi_from_joint(joint)  # I(X2;Y|X1)
 
-    if p1_exp is None:
-        p1_exp = n_x1 * n_x2 * (n_y + 1)
-    if p2_exp is None:
-        p2_exp = n_x1 * n_x2 * n_y
-    if p3_exp is None:
-        p3_exp = n_x1 * n_x2
+    p1_exp = n_x1 * n_x2 * (n_y + 1)
+    p2_exp = n_x1 * n_x2 * n_y
+    p3_exp = n_x1 * n_x2
     logn1 = math.log2(n + 1)
     log_prob = -np.inf if num == 0 else math.log2(num) - math.log2(den)
     lower = -n * mi - p1_exp * logn1

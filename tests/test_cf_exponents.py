@@ -125,15 +125,6 @@ class TestPsiForms:
         want = mi_axes(j, (1,), (2,), (0,))
         assert rate_loss(aux, qtilde) == pytest.approx(want, abs=1e-12)
 
-    def test_excess_rate_helper(self, rng):
-        chan = random_relay_channel(rng, (2, 2, 2, 2))
-        c = _random_cf_input(rng, chan)
-        aux = cf_aux_channels(chan, c)
-        qtilde = rng.dirichlet(np.ones(2), size=2)
-        rates = CfRates(0.4, 0.25)
-        assert rates.delta_r2(aux, qtilde) == pytest.approx(
-            rate_loss(aux, qtilde) - 0.25, abs=1e-12)
-
 
 class TestAlpha:
     def test_alpha_is_divergence_plus_entropy(self, rng):

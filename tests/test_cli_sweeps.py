@@ -244,6 +244,31 @@ class TestMain:
         assert err.startswith("error:") and "budget" in err
         assert "Traceback" not in err
 
+    def test_rate_grid_over_budget_exits_4(self, tmp_path, capsys):
+        # 10^18 rate points are counted, not built
+        start = time.perf_counter()
+        code = main(["upper", "--preset", "sato", "--reff", "0:1e9:1e-9",
+                     "--out", str(tmp_path / "out")])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 4
+        assert elapsed < 5.0
+        assert err.count("error:") == 1
+        assert err.startswith("error:") and "budget" in err
+        assert "Traceback" not in err
+
+    def test_cf_alphabet_over_limit_exits_3(self, tmp_path, capsys):
+        chan = random_relay_channel(np.random.default_rng(0), (4, 2, 2, 2))
+        path = tmp_path / "wide.json"
+        write_channel(chan, str(path))
+        code = main(["cf", "--channel", str(path), "--rate", "0.1",
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("error:") == 1
+        assert err.startswith("error:") and "alphabets" in err
+        assert "Traceback" not in err
+
     def test_cf_sidecar_records_g2_grids(self, tmp_path, rng):
         path, _ = _small_channel_file(tmp_path, rng)
         spec = SweepSpec("cf", channel_path=path, blocks=(5,), rate=0.3,

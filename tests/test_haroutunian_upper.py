@@ -5,6 +5,7 @@ import pytest
 
 from relayexp import (OptimizerConfig, RelayChannelSpec, cutset_bound,
                       ecs_objective, ecs_upper, ecs_upper_sweep, sato_channel)
+from relayexp.haroutunian_upper import _level_channel, _support_target
 from relayexp.prob_core import kl_div_vec
 from conftest import random_relay_channel
 
@@ -82,6 +83,16 @@ class TestUpperBound:
             assert ecs_objective(res.witness_v, chan) == pytest.approx(
                 res.value, abs=1e-9)
 
+    def test_seeded_3x2x2x3_half_cutset(self, rng):
+        # one restart of the level bisection reaches 0.0421739 here
+        chan = random_relay_channel(rng, (3, 2, 2, 3))
+        r = 0.5 * cutset_bound(chan, OptimizerConfig())[0]
+        res = ecs_upper(r, chan, OptimizerConfig(seed=0, restarts=1))
+        assert res.value <= 0.04218
+        assert cutset_bound(res.witness_v, OptimizerConfig())[0] <= r + 5e-5
+        assert ecs_objective(res.witness_v, chan) == pytest.approx(
+            res.value, abs=1e-12)
+
     def test_rejects_negative_rate(self, rng):
         chan = random_relay_channel(rng, (2, 2, 2, 2))
         with pytest.raises(ValueError):
@@ -106,3 +117,26 @@ class TestUpperBound:
         assert all(a >= b - 1e-6 for a, b in zip(vals, vals[1:]))
         for res in results:
             assert res.feasibility_gap <= 1e-4
+
+
+class TestLevelChannel:
+    def test_rows_stop_at_the_level(self, rng):
+        chan = random_relay_channel(rng, (3, 2, 2, 3))
+        u = _support_target(chan, np.random.default_rng(1))
+        d_u = np.array([[kl_div_vec(u[x1, x2].reshape(-1),
+                                    chan.w[x1, x2].reshape(-1))
+                         for x2 in range(2)] for x1 in range(3)])
+        for t in (0.0, 0.25 * d_u.max(), 0.5 * d_u.max(), d_u.max()):
+            v = _level_channel(u, chan.w, t)
+            np.testing.assert_allclose(v.sum(axis=(2, 3)), 1.0, atol=1e-12)
+            assert np.all(v >= 0.0)
+            assert not np.any((v > 0.0) & (chan.w <= 0.0))
+            for x1 in range(3):
+                for x2 in range(2):
+                    d = kl_div_vec(v[x1, x2].reshape(-1),
+                                   chan.w[x1, x2].reshape(-1))
+                    assert d <= t + 1e-9
+                    if d_u[x1, x2] <= t:
+                        np.testing.assert_array_equal(v[x1, x2], u[x1, x2])
+                    else:
+                        assert d == pytest.approx(t, abs=1e-6)

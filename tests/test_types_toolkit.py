@@ -60,11 +60,6 @@ class TestTypeValidation:
         with pytest.raises(ValueError):
             CondTypeN(((1, 0), (1, 1)), p)
 
-    def test_zero_row_uniform_fill(self):
-        p = TypeN((4, 0), 4)
-        ct = CondTypeN(((2, 2), (0, 0)), p)
-        np.testing.assert_allclose(ct.cond_probs()[1], [0.5, 0.5])
-
 
 class TestLemma1:
     def test_passes_on_samples(self):
