@@ -711,14 +711,25 @@ def cf_G2(w: RelayChannelSpec, c_template: CfInput, r: float, r2: float,
 
 
 def cf_overall_witness(w: RelayChannelSpec, c: CfInput, b: int, r_eff: float,
-                       r2: float, cfg: OptimizerConfig = None):
-    """`cf_overall` together with the witness dict of its G2 term."""
+                       r2: float, cfg: OptimizerConfig = None,
+                       g1: float = None):
+    """`cf_overall` together with the witness dict of its G2 term.
+
+    `g1` optionally supplies `cf_G1(w, c, r2).value`, which does not depend
+    on the block rate.  G2 >= 0, so G1 = 0 settles the value: the G2 search
+    is then skipped and its witness holds only `g1` and `g2_skipped`, with
+    `grid_note` and `v_grid_points` set to None.
+    """
     if b < 2:
         raise ValueError("b must be >= 2")
-    r_b = b / (b - 1) * r_eff
-    g1 = cf_G1(w, c, r2).value
-    g2, witness = cf_G2(w, c, r_b, r2, cfg)
-    return max(0.0, min(g1, g2) / b), witness
+    if g1 is None:
+        g1 = cf_G1(w, c, r2).value
+    if g1 == 0.0:
+        return 0.0, {"g1": g1, "g2_skipped": True, "grid_note": None,
+                     "v_grid_points": None}
+    g2, witness = cf_G2(w, c, b / (b - 1) * r_eff, r2, cfg)
+    return (max(0.0, min(g1, g2) / b),
+            {**witness, "g1": g1, "g2_skipped": False})
 
 
 def cf_overall(w: RelayChannelSpec, c: CfInput, b: int, r_eff: float,

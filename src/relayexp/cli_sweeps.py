@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .cf_exponents import _check_scale, cf_overall_witness
+from .cf_exponents import _check_scale, cf_G1, cf_overall_witness
 from .haroutunian_upper import FEASIBILITY_CUTSET_GRID, ecs_upper_sweep
 from .pdf_exponents import (BlockMarkovConfig, df_input, optimize_blocks,
                             pdf_dual_exponent, pdf_overall_batch)
@@ -115,7 +115,7 @@ def parse_channel(path) -> RelayChannelSpec:
         sizes = tuple(int(doc[k]) for k in
                       ("x1_size", "x2_size", "y2_size", "y3_size"))
         w = np.asarray(doc["w"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliError(2, f"channel file is missing or malformed: {exc}")
     if w.shape != sizes:
         raise CliError(3, f"w has shape {w.shape}, expected {sizes}")
@@ -243,18 +243,23 @@ def run(spec: SweepSpec) -> SweepResult:
             raise CliError(3, str(exc))
         blocks = spec.blocks or (10,)
         points = _rate_points(spec.rate_grid) if spec.rate_grid else [spec.rate or 0.0]
-        # the G2 grids go to the sidecar only: v_grid_points 0 marks the
-        # seeded Dirichlet sample that replaces a V lattice over budget
+        # G1 depends only on R2 and the input; when it is 0 no G2 search
+        # runs.  The G2 grids go to the sidecar only: v_grid_points 0 marks
+        # the seeded Dirichlet sample that replaces a V lattice over budget
+        g1 = cf_G1(chan, cin, spec.r2).value
         grids["cf_g2"] = []
         for b in sorted(blocks):
             for r_eff in points:
-                val, g2 = cf_overall_witness(chan, cin, b, r_eff, spec.r2)
+                val, g2 = cf_overall_witness(chan, cin, b, r_eff, spec.r2,
+                                             g1=g1)
                 r_b = b / (b - 1) * r_eff
                 rows.append((b, r_eff, r_b, "cf_overall", val,
                              f"r2={_fmt(spec.r2)}", "grid:coarse"))
-                grids["cf_g2"].append({"b": b, "r_eff": r_eff,
-                                       "grid_note": g2["grid_note"],
-                                       "v_grid_points": g2["v_grid_points"]})
+                grids["cf_g2"].append({
+                    "b": b, "r_eff": r_eff, "g1": g1,
+                    "g2_skipped": g2["g2_skipped"],
+                    "grid_note": g2["grid_note"],
+                    "v_grid_points": g2["v_grid_points"]})
 
     elif spec.command == "upper":
         cfg = OptimizerConfig(seed=spec.seed,

@@ -142,11 +142,19 @@ def ecs_upper(r: float, w: RelayChannelSpec, cfg: OptimizerConfig = None,
     def cheap_ok(table):
         return cutset_bound(RelayChannelSpec(table), cheap)[0] <= r - 1e-5
 
-    def accurate_ok(table):
-        gap = cutset_bound(RelayChannelSpec(table), cfg)[0] - r
-        return gap <= _FEAS_TOL * 0.5
+    passed_gap = None   # gap of the table that last passed accurate_ok
 
-    best_val, best_table = np.inf, None
+    def accurate_ok(table):
+        nonlocal passed_gap
+        gap = cutset_bound(RelayChannelSpec(table), cfg)[0] - r
+        if gap > _FEAS_TOL * 0.5:
+            return False
+        passed_gap = gap
+        return True
+
+    # every candidate below is the table that last passed accurate_ok, so
+    # passed_gap is its gap when it is taken
+    best_val, best_table, best_gap = np.inf, None, None
     restarts = max(cfg.restarts, 1)
     for s in range(restarts):
         rng = np.random.default_rng(cfg.seed + 1000 * s + 1)
@@ -171,14 +179,14 @@ def ecs_upper(r: float, w: RelayChannelSpec, cfg: OptimizerConfig = None,
             continue
         val = ecs_objective(RelayChannelSpec(table), w)
         if val < best_val:
-            best_val, best_table = val, table
+            best_val, best_table, best_gap = val, table, passed_gap
 
     for table in warm_starts or ():
         tbl = np.asarray(table, dtype=np.float64)
         if tbl.shape == w.w.shape and accurate_ok(tbl):
             val = ecs_objective(RelayChannelSpec(tbl), w)
             if val < best_val:
-                best_val, best_table = val, tbl
+                best_val, best_table, best_gap = val, tbl, passed_gap
 
     if best_table is None:
         # no channel inside W's support reaches cutset value r: the bound
@@ -188,9 +196,8 @@ def ecs_upper(r: float, w: RelayChannelSpec, cfg: OptimizerConfig = None,
         gap = max(cutset_bound(fallback, cfg)[0] - r, 0.0)
         return UpperBoundResult(np.inf, fallback, gap, restarts)
 
-    witness = RelayChannelSpec(best_table)
-    gap = max(cutset_bound(witness, cfg)[0] - r, 0.0)
-    return UpperBoundResult(best_val, witness, gap, restarts)
+    return UpperBoundResult(best_val, RelayChannelSpec(best_table),
+                            max(best_gap, 0.0), restarts)
 
 
 def ecs_upper_sweep(rates, w: RelayChannelSpec, cfg: OptimizerConfig = None):

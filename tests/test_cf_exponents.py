@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from relayexp import cf_exponents
 from relayexp import (CfInput, CfJointType, CfRates, CondDist, Dist,
                       OptimizerConfig, cf_G1, cf_G2, cf_J, cf_aux_channels,
                       cf_overall, cf_psi1, cf_psi2)
@@ -455,6 +456,41 @@ class TestG2:
         g1 = cf_G1(chan, c, r2).value
         g2, _ = cf_G2(chan, c, b / (b - 1) * r_eff, r2, FAST)
         assert got == pytest.approx(max(0.0, min(g1, g2) / b), abs=1e-12)
+
+    def test_overall_skips_g2_when_g1_is_zero(self, monkeypatch):
+        # X2 does not affect the skewed channel, so G1 = 0 settles the value
+        def refuse(*args, **kwargs):
+            raise AssertionError("cf_G2 called although G1 = 0")
+
+        monkeypatch.setattr(cf_exponents, "cf_G2", refuse)
+        chan = _skewed_relay_channel()
+        c = _identity_test_input(chan)
+        assert cf_overall(chan, c, 5, 0.3, 0.3, FAST) == 0.0
+        val, wit = cf_exponents.cf_overall_witness(chan, c, 5, 0.3, 0.3, FAST)
+        assert val == 0.0
+        assert wit == {"g1": 0.0, "g2_skipped": True, "grid_note": None,
+                       "v_grid_points": None}
+
+    def test_overall_runs_g2_when_g1_is_positive(self, monkeypatch):
+        chan = random_relay_channel(np.random.default_rng(0), (2, 2, 2, 2))
+        c = _identity_test_input(chan)
+        b, r_eff, r2 = 5, 0.05, 0.0
+        g1 = cf_G1(chan, c, r2).value
+        assert g1 == pytest.approx(0.00376, abs=1e-5)
+        g2_values = []
+
+        def recording(*args, **kwargs):
+            g2, wit = cf_G2(*args, **kwargs)
+            g2_values.append(g2)
+            return g2, wit
+
+        monkeypatch.setattr(cf_exponents, "cf_G2", recording)
+        val, wit = cf_exponents.cf_overall_witness(chan, c, b, r_eff, r2, FAST)
+        assert len(g2_values) == 1
+        assert val == pytest.approx(max(0.0, min(g1, g2_values[0]) / b),
+                                    abs=1e-12)
+        assert wit["g1"] == g1 and wit["g2_skipped"] is False
+        assert wit["grid_note"] is not None
 
     def test_overall_rejects_small_b(self, rng):
         chan = random_relay_channel(rng, (2, 2, 2, 2))

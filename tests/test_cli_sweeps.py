@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from relayexp import BlockMarkovConfig, pdf_overall, sato_channel
 from relayexp.cli_sweeps import (CSV_HEADER, CliError, SweepSpec, _rate_points,
@@ -217,9 +219,11 @@ class TestMain:
         assert err.startswith("error:") and "Traceback" not in err
 
     def test_cf_over_budget_exits_4(self, tmp_path, capsys):
-        # the Sato cf search is sized before it starts and refused
+        # at R2 = 0 Sato's G1 is positive, so the G2 search is needed; it is
+        # sized before it starts and refused
         start = time.perf_counter()
-        code = main(["cf", "--preset", "sato", "--out", str(tmp_path)])
+        code = main(["cf", "--preset", "sato", "--r2", "0",
+                     "--out", str(tmp_path)])
         elapsed = time.perf_counter() - start
         err = capsys.readouterr().err
         assert code == 4
@@ -227,6 +231,22 @@ class TestMain:
         assert err.startswith("error:") and "budget" in err
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
+
+    def test_cf_sato_default_r2_skips_g2(self, tmp_path, capsys):
+        # at the default R2 Sato's G1 is 0, which settles the value without
+        # the over-budget G2 search
+        start = time.perf_counter()
+        code = main(["cf", "--preset", "sato", "--out", str(tmp_path)])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert elapsed < 5.0
+        assert "Traceback" not in capsys.readouterr().err
+        lines = (tmp_path / "cf.csv").read_text().splitlines()
+        assert lines[1].split(",")[4] == "0"
+        meta = json.loads((tmp_path / "cf.meta.json").read_text())
+        assert meta["grids"]["cf_g2"] == [
+            {"b": 10, "r_eff": 0.0, "g1": 0.0, "g2_skipped": True,
+             "grid_note": None, "v_grid_points": None}]
 
     def test_cutset_over_budget_exits_4(self, tmp_path, capsys):
         # a 5x5 input pair's 9-point lattice is refused before enumeration
@@ -270,15 +290,17 @@ class TestMain:
         assert "Traceback" not in err
 
     def test_cf_sidecar_records_g2_grids(self, tmp_path, rng):
+        # at R2 = 0 this channel's G1 is positive, so the G2 search runs
         path, _ = _small_channel_file(tmp_path, rng)
         spec = SweepSpec("cf", channel_path=path, blocks=(5,), rate=0.3,
-                         r2=0.3, out_dir=str(tmp_path / "out"))
+                         r2=0.0, out_dir=str(tmp_path / "out"))
         result = run(spec)
         write_outputs(spec, result)
         assert [row[6] for row in result.rows] == ["grid:coarse"]
         meta = json.loads((tmp_path / "out" / "cf.meta.json").read_text())
         assert meta["grids"]["cf_g2"] == [
-            {"b": 5, "r_eff": 0.3, "grid_note": "qy2:5,test:3,qtilde:3,v:3",
+            {"b": 5, "r_eff": 0.3, "g1": pytest.approx(0.0037615, abs=1e-7),
+             "g2_skipped": False, "grid_note": "qy2:5,test:3,qtilde:3,v:3",
              "v_grid_points": 3}]
 
     def test_non_finite_channel_exit_code(self, tmp_path, capsys):
@@ -289,3 +311,79 @@ class TestMain:
                      "--out", str(tmp_path)])
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
+
+
+_SIZE_KEYS = ("x1_size", "x2_size", "y2_size", "y3_size")
+
+
+def _leaf_paths(w, prefix=()):
+    if not isinstance(w, list):
+        return [prefix]
+    return [p for i, sub in enumerate(w)
+            for p in _leaf_paths(sub, prefix + (i,))]
+
+
+def _set_at(w, path, value):
+    for i in path[:-1]:
+        w = w[i]
+    w[path[-1]] = value
+
+
+@st.composite
+def _malformed_channel_doc(draw):
+    """A valid channel document with exactly one defect drawn into it."""
+    sizes = [draw(st.integers(1, 3)) for _ in _SIZE_KEYS]
+    seed = draw(st.integers(0, 2**32 - 1))
+    rows = np.random.default_rng(seed).dirichlet(
+        np.ones(sizes[2] * sizes[3]), size=sizes[:2])
+    doc = dict(zip(_SIZE_KEYS, sizes), w=rows.reshape(sizes).tolist())
+    leaves = _leaf_paths(doc["w"])
+    defect = draw(st.sampled_from(["missing_key", "wrong_size", "ragged",
+                                   "negative", "non_numeric", "row_sum",
+                                   "not_object"]))
+    if defect == "missing_key":
+        del doc[draw(st.sampled_from(_SIZE_KEYS + ("w",)))]
+    elif defect == "wrong_size":
+        key = draw(st.sampled_from(_SIZE_KEYS))
+        doc[key] = draw(st.one_of(
+            st.integers(-3, 10).filter(lambda n: n != doc[key]),
+            st.none(), st.text("abc"), st.lists(st.integers(1, 3)),
+            st.sampled_from([float("inf"), float("-inf"), float("nan")])))
+    elif defect == "ragged":
+        path = draw(st.sampled_from(leaves))[:draw(st.integers(1, 4))]
+        node = doc["w"]
+        for i in path[:-1]:
+            node = node[i]
+        if draw(st.booleans()):
+            node.append(node[path[-1]])
+        else:
+            del node[path[-1]]
+    elif defect == "negative":
+        _set_at(doc["w"], draw(st.sampled_from(leaves)),
+                draw(st.floats(-10.0, -1e-6)))
+    elif defect == "non_numeric":
+        _set_at(doc["w"], draw(st.sampled_from(leaves)),
+                draw(st.one_of(st.none(), st.text("xyz"), st.just({}),
+                               st.just([0.5]))))
+    elif defect == "row_sum":
+        x1 = draw(st.integers(0, sizes[0] - 1))
+        x2 = draw(st.integers(0, sizes[1] - 1))
+        scale = draw(st.one_of(st.floats(0.0, 0.99), st.floats(1.01, 10.0)))
+        doc["w"][x1][x2] = (np.asarray(doc["w"][x1][x2]) * scale).tolist()
+    else:
+        doc = draw(st.one_of(st.just(doc["w"]), st.integers(), st.text("abc"),
+                             st.none()))
+    return doc
+
+
+class TestMalformedChannelFiles:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=_malformed_channel_doc())
+    def test_malformed_document_exits_2_or_3(self, tmp_path, capsys, doc):
+        path = _write_doc(tmp_path / "chan.json", doc)
+        code = main(["cutset", "--channel", path,
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code in (2, 3)
+        assert err.startswith("error:") and "Traceback" not in err
