@@ -19,8 +19,13 @@ def e0_sum(qs, qxs, w, rho):
     in [0, 1] an entry of a rho array equals the scalar call bit for bit.
     """
     rho = np.asarray(rho, dtype=np.float64)
-    ex = (1.0 / (1.0 + rho))[..., None, None, None]
-    inner = np.einsum("sx,...sxy->...sy", qxs, np.power(w, ex))
+    ex = (1.0 / (1.0 + rho))[..., None]
+    # channels repeat few values (zeros, ones, halves), so only the distinct
+    # entries are raised to each exponent and then gathered; np.take keeps
+    # the layout, and so the einsum's rounding, of powering w directly
+    vals, idx = np.unique(w, return_inverse=True)
+    powered = np.take(np.power(vals, ex), idx.reshape(w.shape), axis=-1)
+    inner = np.einsum("sx,...sxy->...sy", qxs, powered)
     total = np.einsum("s,...sy->...", qs,
                       np.power(inner, (1.0 + rho)[..., None, None]))
     if not total.ndim:

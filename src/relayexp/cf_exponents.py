@@ -568,8 +568,8 @@ def cf_G1(w: RelayChannelSpec, c: CfInput, r2: float) -> ExponentEval:
     q_xs = aux.q_x2[None, :]
     chan = aux.wq1_y3[None, :, :]
 
-    dual, rho = gallager_dual(q_s, q_xs, chan, r2)
-    primal, vp, _, _ = alternating_primal(q_s, q_xs, chan, r2)
+    dual, rho, _ = gallager_dual(q_s, q_xs, chan, r2)
+    primal, vp, _, _, _ = alternating_primal(q_s, q_xs, chan, r2)
     return ExponentEval(dual, rho, "dual", "cf_G1",
                         {"primal": primal, "primal_witness": vp[0]})
 

@@ -30,8 +30,9 @@ import numpy as np
 from . import __version__
 from .cf_exponents import _check_scale, cf_G1, cf_overall_witness
 from .haroutunian_upper import FEASIBILITY_CUTSET_GRID, ecs_upper_sweep
-from .pdf_exponents import (BlockMarkovConfig, df_input, optimize_blocks,
-                            pdf_dual_exponent, pdf_overall_batch)
+from .pdf_exponents import (BlockMarkovConfig, _tally, df_input,
+                            optimize_blocks, pdf_dual_exponent,
+                            pdf_overall_batch)
 from .prob_core import CondDist, Dist, OptimizerConfig
 from .relay_model import (CfInput, PdfInput, RelayChannelSpec, cutset_bound,
                           sato_channel)
@@ -101,6 +102,12 @@ def _fmt(x):
     return str(x)
 
 
+def _snippet(value):
+    """`value` as JSON, cut to one short line for an error message."""
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def parse_channel(path) -> RelayChannelSpec:
     """Read and validate a channel file; raises CliError on bad input."""
     try:
@@ -111,11 +118,30 @@ def parse_channel(path) -> RelayChannelSpec:
     except json.JSONDecodeError as exc:
         raise CliError(2, f"channel file parse error at line {exc.lineno} "
                           f"column {exc.colno}: {exc.msg}")
+    except (ValueError, RecursionError) as exc:
+        # an integer literal over Python's digit limit, or nesting too deep
+        raise CliError(2, f"channel file parse error: {exc}")
+    keys = ("x1_size", "x2_size", "y2_size", "y3_size")
     try:
-        sizes = tuple(int(doc[k]) for k in
-                      ("x1_size", "x2_size", "y2_size", "y3_size"))
+        sizes = tuple(doc[k] for k in keys)
+        leaves = [doc["w"]]
+    except (KeyError, TypeError) as exc:
+        raise CliError(2, f"channel file is missing or malformed: {exc}")
+    for key, size in zip(keys, sizes):
+        if not (isinstance(size, int) and not isinstance(size, bool)):
+            raise CliError(2, f"{key} must be a JSON integer, got "
+                              f"{_snippet(size)}")
+    while leaves:
+        node = leaves.pop()
+        if isinstance(node, list):
+            leaves.extend(node)
+        elif not (isinstance(node, (int, float))
+                  and not isinstance(node, bool)):
+            raise CliError(2, f"w entries must be JSON numbers, got "
+                              f"{_snippet(node)}")
+    try:
         w = np.asarray(doc["w"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise CliError(2, f"channel file is missing or malformed: {exc}")
     if w.shape != sizes:
         raise CliError(3, f"w has shape {w.shape}, expected {sizes}")
@@ -228,12 +254,14 @@ def run(spec: SweepSpec) -> SweepResult:
         points = _rate_points(spec.rate_grid) if spec.rate_grid else [spec.rate or 0.0]
         bms = [BlockMarkovConfig(b, r_eff, split)
                for b in sorted(blocks) for r_eff in points]
+        work = {}
         for bm, (val, rep) in zip(bms, pdf_overall_batch(chan, q, bms,
-                                                         spec.form)):
+                                                         spec.form, work)):
             rows.append((bm.b, bm.r_eff, bm.r_b, f"{spec.command}_overall",
                          val, f"split={_fmt(rep['split'])}",
                          f"splits:{'fixed' if split is not None else 41}"))
         grids["split_grid"] = 41 if split is None else "fixed"
+        grids["exponent_work"] = work
 
     elif spec.command == "cf":
         cin = _cf_input(chan, caid)
@@ -336,8 +364,11 @@ def _sato_figures(spec: SweepSpec, rows, grids):
     figure_points = [(b, r_eff, b / (b - 1) * r_eff)
                      for b in blocks for r_eff in points]
     r_bs = np.array([r_b for _, _, r_b in figure_points])
+    work = {}
     f = pdf_dual_exponent("relay_F", chan, q, r_bs)
     g = pdf_dual_exponent("decoder_G", chan, q, r_bs)
+    for ev in (f, g):
+        _tally(work, ev.kind, r_bs.size, ev.diagnostics["curve_points"])
     relay_rows, decoder_rows = [], []
     for i, (b, r_eff, r_b) in enumerate(figure_points):
         relay_rows.append((b, r_eff, r_b, "relay_F_over_b", f.value[i] / b,
@@ -346,13 +377,14 @@ def _sato_figures(spec: SweepSpec, rows, grids):
                              g.value[i] / b, f"rho={_fmt(g.witness[i])}",
                              "dual"))
     opt_rows = []
-    for r_eff in points:
-        best_b, curve = optimize_blocks(chan, q, r_eff, (2, 200), "dual",
-                                        split_fraction=1.0)
+    best = optimize_blocks(chan, q, points, (2, 200), "dual",
+                           split_fraction=1.0, stats=work)
+    for r_eff, (best_b, curve) in zip(points, best):
         val = dict(curve)[best_b]
         r_b = best_b / (best_b - 1) * r_eff
         opt_rows.append((best_b, r_eff, r_b, "df_opt_b", val,
                          f"best_b={best_b}", "b:2..200"))
+    grids["exponent_work"] = work
     rows.extend(relay_rows + decoder_rows + opt_rows)
     # stash the per-figure row groups for the writer
     grids["_figure_groups"] = {"fig_relay": relay_rows,

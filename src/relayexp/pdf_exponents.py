@@ -27,6 +27,9 @@ KINDS = ("relay_F", "decoder_G", "decoder_Gtilde")
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # an alternation stops once no entry of q_Y moves by more than this
 _ALTERNATION_TOL = 1e-12
+# distinct probes per curve evaluation of a lockstep golden section, which
+# bounds the (probes x channel) arrays a large batch allocates at once
+_CURVE_BLOCK = 256
 
 
 @dataclass
@@ -120,17 +123,30 @@ def _state_channel(kind, w: RelayChannelSpec, q: PdfInput):
 
 
 def _lagrange_max(curve, rate):
-    """(value, x) of max_{x in [0,1]} curve(x) - x*R for each rate.
+    """(value, x, points) of max_{x in [0,1]} curve(x) - x*R for each rate.
 
     `curve` maps a scalar or an array of multipliers to the concave curve
     at each of them.  `rate` is a scalar or an array; all of its rates
-    share one lockstep golden section.  The endpoints x = 0 and 1 are
-    checked too, and a nonpositive (or NaN) value becomes +0.0 with x = 0.
+    share one lockstep golden section.  The curve does not depend on the
+    rate, and problems that have made the same left/right choices probe
+    bit-identical x, so an array of probes is evaluated once per distinct
+    value, `_CURVE_BLOCK` values at a time; `points` counts the
+    evaluations.  The endpoints x = 0 and 1 are checked too, and a
+    nonpositive (or NaN) value becomes +0.0 with x = 0.
     """
     rate = np.asarray(rate, dtype=np.float64)
+    points = 0
 
     def g(x):
-        return curve(x) - x * rate
+        nonlocal points
+        if not np.ndim(x):
+            points += 1
+            return curve(x) - x * rate
+        u, inv = np.unique(x, return_inverse=True)
+        points += u.size
+        vals = np.concatenate([curve(u[i:i + _CURVE_BLOCK])
+                               for i in range(0, u.size, _CURVE_BLOCK)])
+        return vals[inv.reshape(x.shape)] - x * rate
 
     x, val = golden_max(g, np.zeros(rate.shape), np.ones(rate.shape))
     for cand in (0.0, 1.0):
@@ -138,14 +154,17 @@ def _lagrange_max(curve, rate):
         better = cval > val
         x, val = np.where(better, cand, x), np.where(better, cval, val)
     positive = val > 0.0
-    return np.where(positive, val, 0.0)[()], np.where(positive, x, 0.0)[()]
+    return (np.where(positive, val, 0.0)[()], np.where(positive, x, 0.0)[()],
+            points)
 
 
 def gallager_dual(q_s, q_xs, chan, rate):
-    """(value, rho) of max_{rho in [0,1]} -rho*R - log2 S(rho) for each rate.
+    """(value, rho, points) of max_{rho in [0,1]} -rho*R - log2 S(rho) for
+    each rate.
 
     S is `e0_sum` of the state channel (q_s, q_xs, chan); `rate` is a
-    scalar or an array, solved as in `_lagrange_max`.
+    scalar or an array, solved as in `_lagrange_max`, and `points` is the
+    number of rho at which S was evaluated.
     """
     return _lagrange_max(lambda rho: -np.log2(e0_sum(q_s, q_xs, chan, rho)),
                          rate)
@@ -156,12 +175,14 @@ def pdf_dual_exponent(kind, w: RelayChannelSpec, q: PdfInput,
     """Gallager-form exponent max_{rho in [0,1]} -rho*R - log2 S_kind(rho).
 
     `rate` may be an array; value and witness (rho) then have its shape
-    and every entry equals the scalar call at that rate.
+    and every entry equals the scalar call at that rate.  The diagnostics
+    carry `curve_points`, the number of rho at which S was evaluated.
     """
     if np.any(np.asarray(rate) < 0):
         raise ValueError("rate must be nonnegative")
-    value, rho = gallager_dual(*_state_channel(kind, w, q), rate)
-    return ExponentEval(value, rho, "dual", kind, {"rho_tolerance": 1e-8})
+    value, rho, points = gallager_dual(*_state_channel(kind, w, q), rate)
+    return ExponentEval(value, rho, "dual", kind,
+                        {"rho_tolerance": 1e-8, "curve_points": points})
 
 
 def _state_mi(q_s, q_xs, v):
@@ -209,12 +230,14 @@ def _alternate(q_s, q_xs, chan, lam):
 
 
 def alternating_primal(q_s, q_xs, chan, rate):
-    """(value, V, lam, alternations) of min_V D(V||chan|Q) + |I(Q,V) - R|+.
+    """(value, V, lam, alternations, points) of
+    min_V D(V||chan|Q) + |I(Q,V) - R|+.
 
     The minimum is max_{lam in [0,1]} E(lam) - lam*R, E the concave
     `_alternate` minimum.  The value is the objective at the returned V,
     never below the true minimum; rates at or above I(Q,chan) give exactly
-    0 with V = chan.  Value and lam have the shape of `rate`.
+    0 with V = chan.  Value and lam have the shape of `rate`; `points` is
+    the number of multipliers at which E was evaluated.
     """
     rate = np.asarray(rate, dtype=np.float64)
     weights = q_s[:, None] * q_xs
@@ -229,8 +252,9 @@ def alternating_primal(q_s, q_xs, chan, rate):
         return value
 
     lam = np.zeros(rate.shape)
+    points = 0
     if hard.any():
-        lam[hard] = _lagrange_max(curve, rate[hard])[1]
+        _, lam[hard], points = _lagrange_max(curve, rate[hard])
     v, _, n = _alternate(q_s, q_xs, chan, lam)
     # V is zero wherever chan is, so the ratio is taken on V's support only
     on = v > 0.0
@@ -238,7 +262,7 @@ def alternating_primal(q_s, q_xs, chan, rate):
     div = np.einsum("sx,...sxy->...", weights, v * np.log2(ratio))
     value = div + np.maximum(_state_mi(q_s, q_xs, v) - rate, 0.0)
     value = np.where(hard & (value > 0.0), value, 0.0)
-    return value[()], v, lam[()], steps + n
+    return value[()], v, lam[()], steps + n, points
 
 
 def pdf_primal_exponent(kind, w: RelayChannelSpec, q: PdfInput,
@@ -248,15 +272,18 @@ def pdf_primal_exponent(kind, w: RelayChannelSpec, q: PdfInput,
     `rate` may be an array; value and lambda then have its shape and the
     witness stacks one dummy channel per rate.  The diagnostics carry the
     Gallager value at the same rates (`"dual"`), so [dual, value] brackets
-    the exponent, the Lagrange multiplier and the number of alternations.
+    the exponent, the Lagrange multiplier, the number of alternations and
+    `curve_points`, the number of multipliers at which the alternating
+    minimum was evaluated.
     """
     if np.any(np.asarray(rate) < 0):
         raise ValueError("rate must be nonnegative")
     q_s, q_xs, chan = _state_channel(kind, w, q)
-    value, v, lam, steps = alternating_primal(q_s, q_xs, chan, rate)
-    dual, _ = gallager_dual(q_s, q_xs, chan, rate)
+    value, v, lam, steps, points = alternating_primal(q_s, q_xs, chan, rate)
+    dual, _, _ = gallager_dual(q_s, q_xs, chan, rate)
     return ExponentEval(value, v, "primal", kind,
-                        {"dual": dual, "lambda": lam, "alternations": steps})
+                        {"dual": dual, "lambda": lam, "alternations": steps,
+                         "curve_points": points})
 
 
 def _constituents(r_b, splits):
@@ -276,11 +303,21 @@ def _constituents(r_b, splits):
             "decoder_Gtilde": (on2, r2)}
 
 
-def _split_values(w, q, r_b, splits, form):
+def _tally(stats, kind, problems, points):
+    """Add one solve of `kind` to `stats`, a dict of
+    {kind: {"problems": n, "curve_points": n}}, unless `stats` is None."""
+    if stats is not None:
+        work = stats.setdefault(kind, {"problems": 0, "curve_points": 0})
+        work["problems"] += int(problems)
+        work["curve_points"] += int(points)
+
+
+def _split_values(w, q, r_b, splits, form, stats=None):
     """Min over the active constituents at every (r_b[i], splits[i, j]).
 
-    Each kind is solved once, at all of its active rates.  Returns the
-    (n, m) minima and, per kind, its (active, rate, value, witness) grids.
+    Each kind is solved once, at all of its active rates, and tallied in
+    `stats`.  Returns the (n, m) minima and, per kind, its (active, rate,
+    value, witness) grids.
     """
     solve = pdf_dual_exponent if form == "dual" else pdf_primal_exponent
     mins = np.full(splits.shape, np.inf)
@@ -289,6 +326,7 @@ def _split_values(w, q, r_b, splits, form):
         value, witness = np.zeros(splits.shape), np.zeros(splits.shape)
         if active.any():
             ev = solve(kind, w, q, rate[active])
+            _tally(stats, kind, active.sum(), ev.diagnostics["curve_points"])
             witness = np.zeros(splits.shape + np.shape(ev.witness)[1:])
             value[active], witness[active] = ev.value, ev.witness
         mins = np.where(active, np.minimum(mins, value), mins)
@@ -296,51 +334,57 @@ def _split_values(w, q, r_b, splits, form):
     return mins, parts
 
 
-def _best_splits(w, q, bms, form):
-    """Best split value of every config in `bms` and where it was found.
+def _best_splits(w, q, r_b, fraction, form, stats=None):
+    """Best split value at every per-block rate in `r_b`, and where it is.
 
-    Returns the (n,) best minima over the constituents and, per config, the
-    (grid, parts, column) of its best split.  The configs must share one
-    split_fraction.  Each kind is evaluated once over every config's split
-    grid and once over every refinement grid.
+    `fraction` fixes the split, or None scans a 41-point grid and refines
+    11 points around its first maximum.  Each kind is evaluated once over
+    every rate's split grid and once over every refinement grid.  Returns
+    the (n,) best minima over the constituents, the stages as (grid, parts,
+    columns) and, per rate, the index of the stage holding its best split.
     """
-    fractions = {bm.split_fraction for bm in bms}
-    if len(fractions) > 1:
-        raise ValueError("all configs must share one split_fraction")
-    fraction = fractions.pop()
-    r_b = np.array([bm.r_b for bm in bms])
-    rows = np.arange(len(bms))
+    rows = np.arange(r_b.size)
     if fraction is not None:
-        splits = np.full((len(bms), 1), fraction)
+        splits = np.full((r_b.size, 1), fraction)
     else:
-        splits = np.tile(np.linspace(0.0, 1.0, 41), (len(bms), 1))
+        splits = np.tile(np.linspace(0.0, 1.0, 41), (r_b.size, 1))
     # the first maximum over the grid wins, as in a strict > scan
-    mins, parts = _split_values(w, q, r_b, splits, form)
+    mins, parts = _split_values(w, q, r_b, splits, form, stats)
     cols = np.argmax(mins, axis=1)
-    best = [(splits, parts, col) for col in cols]
     best_val = mins[rows, cols]
+    stages = [(splits, parts, cols)]
+    stage = np.zeros(r_b.size, dtype=int)
     if fraction is None:
         center = splits[rows, cols]
         fine = np.linspace(np.maximum(center - 0.025, 0.0),
                            np.minimum(center + 0.025, 1.0), 11, axis=1)
-        fine_mins, fine_parts = _split_values(w, q, r_b, fine, form)
+        fine_mins, fine_parts = _split_values(w, q, r_b, fine, form, stats)
         fine_cols = np.argmax(fine_mins, axis=1)
         fine_val = fine_mins[rows, fine_cols]
-        for i in np.flatnonzero(fine_val > best_val):
-            best[i] = (fine, fine_parts, fine_cols[i])
-            best_val[i] = fine_val[i]
-    return best_val, best
+        stage = (fine_val > best_val).astype(int)
+        best_val = np.where(stage, fine_val, best_val)
+        stages.append((fine, fine_parts, fine_cols))
+    return best_val, stages, stage
 
 
 def pdf_overall_batch(w: RelayChannelSpec, q: PdfInput, bms,
-                      form: str = "dual"):
+                      form: str = "dual", stats=None):
     """`pdf_overall` at every BlockMarkovConfig in `bms`, as a list of
-    (value, report) pairs.  The configs must share one split_fraction."""
+    (value, report) pairs.  The configs must share one split_fraction.
+    If `stats` is a dict, each kind's problems and curve points are added
+    to it, as in `_tally`."""
     if not bms:
         return []
-    best_val, best = _best_splits(w, q, bms, form)
+    fractions = {bm.split_fraction for bm in bms}
+    if len(fractions) > 1:
+        raise ValueError("all configs must share one split_fraction")
+    r_b = np.array([bm.r_b for bm in bms])
+    best_val, stages, stage = _best_splits(w, q, r_b, fractions.pop(), form,
+                                           stats)
     out = []
-    for i, (bm, (grid, grid_parts, j)) in enumerate(zip(bms, best)):
+    for i, bm in enumerate(bms):
+        grid, grid_parts, cols = stages[stage[i]]
+        j = cols[i]
         on = [(k, rate[i, j], value[i, j], witness[i, j])
               for k, (active, rate, value, witness) in grid_parts.items()
               if active[i, j]]
@@ -367,23 +411,41 @@ def pdf_overall(w: RelayChannelSpec, q: PdfInput, bm: BlockMarkovConfig,
     return pdf_overall_batch(w, q, [bm], form)[0]
 
 
-def optimize_blocks(w: RelayChannelSpec, q: PdfInput, r_eff: float,
-                    b_range, form: str = "dual", split_fraction=None):
-    """Best block count over an inclusive integer interval and the full curve."""
+def optimize_blocks(w: RelayChannelSpec, q: PdfInput, r_eff, b_range,
+                    form: str = "dual", split_fraction=None, stats=None):
+    """Best block count over an inclusive integer interval and the full curve.
+
+    `r_eff` is one rate, which gives one (best_b, curve) pair, or a sequence
+    of rates, which gives a list of them.  The curve lists (b, value) for
+    every b in the interval, each value equal to `pdf_overall` there; the
+    first b whose value beats the best so far by more than 1e-15 is best.
+    Every (b, r_eff) pair is solved in one batch, and `stats` tallies the
+    work as in `pdf_overall_batch`.
+    """
     lo, hi = int(b_range[0]), int(b_range[1])
     if lo > hi:
         raise ValueError("empty block range")
     if lo < 2 or hi > 10**4:
         raise ValueError("block range must lie within [2, 10^4]")
-    bms = [BlockMarkovConfig(b, r_eff, split_fraction)
-           for b in range(lo, hi + 1)]
-    best_val, _ = _best_splits(w, q, bms, form)
-    curve = [(bm.b, max(0.0, val / bm.b)) for bm, val in zip(bms, best_val)]
-    best_b, best_val = None, -1.0
-    for b, val in curve:
-        if val > best_val + 1e-15:
-            best_b, best_val = b, val
-    return best_b, curve
+    rates = np.asarray(r_eff, dtype=np.float64)
+    if np.any(rates < 0):
+        raise ValueError("r_eff must be nonnegative")
+    if split_fraction is not None and not 0 <= split_fraction <= 1:
+        raise ValueError("split_fraction must lie in [0, 1]")
+    bs = np.arange(lo, hi + 1)
+    r_b = bs / (bs - 1) * rates.reshape(-1, 1)          # BlockMarkovConfig.r_b
+    best_val, _, _ = _best_splits(w, q, r_b.ravel(), split_fraction, form,
+                                  stats)
+    vals = best_val.reshape(r_b.shape) / bs
+    out = []
+    for row in np.where(vals > 0.0, vals, 0.0):
+        curve = list(zip(bs.tolist(), row.tolist()))
+        best_b, best = None, -1.0
+        for b, val in curve:
+            if val > best + 1e-15:
+                best_b, best = b, val
+        out.append((best_b, curve))
+    return out if rates.ndim else out[0]
 
 
 def df_input(w: RelayChannelSpec, q_joint: Dist) -> PdfInput:

@@ -1,5 +1,6 @@
 """Command-line driver: channel files, validation, determinism, dispatch."""
 
+import hashlib
 import json
 import time
 
@@ -95,6 +96,57 @@ class TestChannelFiles:
             parse_channel(str(tmp_path / "nope.json"))
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("key,value", [
+        ("x1_size", 1.9), ("x1_size", 1.0), ("y3_size", "2"),
+        ("x2_size", True), ("y2_size", None)])
+    def test_non_integer_size_is_parse_error(self, tmp_path, capsys, key,
+                                             value):
+        doc = {"x1_size": 1, "x2_size": 1, "y2_size": 2, "y3_size": 2,
+               "w": np.full((1, 1, 2, 2), 0.25).tolist()}
+        doc[key] = value
+        path = _write_doc(tmp_path / "c.json", doc)
+        with pytest.raises(CliError) as exc:
+            parse_channel(path)
+        assert exc.value.code == 2
+        assert key in str(exc.value)
+        assert main(["cutset", "--channel", path,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("leaf", ["0.25", True, None, {}])
+    def test_non_number_probability_is_parse_error(self, tmp_path, capsys,
+                                                   leaf):
+        w = np.full((1, 1, 2, 2), 0.25).tolist()
+        w[0][0][1][0] = leaf
+        doc = {"x1_size": 1, "x2_size": 1, "y2_size": 2, "y3_size": 2,
+               "w": w}
+        path = _write_doc(tmp_path / "c.json", doc)
+        with pytest.raises(CliError) as exc:
+            parse_channel(path)
+        assert exc.value.code == 2
+        assert main(["cutset", "--channel", path,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_integer_probabilities_accepted(self, tmp_path):
+        doc = {"x1_size": 1, "x2_size": 1, "y2_size": 2, "y3_size": 2,
+               "w": [[[[0, 1], [0, 0]]]]}
+        spec = parse_channel(_write_doc(tmp_path / "c.json", doc))
+        assert spec.w.dtype == np.float64 and spec.w[0, 0, 0, 1] == 1.0
+
+    @pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000,
+                                      '{"x1_size": 1' + "0" * 5000 + "}"])
+    def test_unreadable_json_is_parse_error(self, tmp_path, text):
+        # nesting beyond the decoder's depth and integer literals over
+        # Python's digit limit raise plain errors from json.load
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(CliError) as exc:
+            parse_channel(str(path))
+        assert exc.value.code == 2
+
 
 class TestSpecValidation:
     def test_bad_step(self):
@@ -174,6 +226,36 @@ class TestDeterminism:
         first, second = (p.read_bytes() for p in paths)
         assert first == second
         assert first.decode().splitlines()[0] == CSV_HEADER
+
+
+    def test_sato_figures_bytes_match_recorded_hashes(self, tmp_path):
+        # SHA-256 of the three figure CSVs as written before the rates of
+        # the block sweep were batched (numpy 2.4, x86-64 Linux); batching
+        # and the shared curve evaluations must leave every byte in place
+        want = {
+            "fig_relay.csv": "1ebce9266840628def08e2cec0171f82"
+                             "fefdd28cb6db7920c8f6eac6b53e19ca",
+            "fig_decoder.csv": "9b415e99ff8fc2691c454c170c44d9f7"
+                               "a885d30c87688a58ddf483c2c642407a",
+            "fig_blocks.csv": "520668ef4dd2c6d887d4e861edb1da9d"
+                              "6a6cca6a5747282689db1d505c183061",
+        }
+        spec = SweepSpec("sato-figures", preset="sato", out_dir=str(tmp_path))
+        write_outputs(spec, run(spec))
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes())
+               .hexdigest() for name in want}
+        assert got == want
+
+    def test_sidecar_records_exponent_work(self, tmp_path):
+        spec = SweepSpec("df", preset="sato", blocks=(10, 50),
+                         rate_grid=(1.0, 1.1, 0.05), out_dir=str(tmp_path))
+        write_outputs(spec, run(spec))
+        meta = json.loads((tmp_path / "df.meta.json").read_text())
+        work = meta["grids"]["exponent_work"]
+        assert set(work) == {"relay_F", "decoder_G"}
+        for kind in work.values():
+            assert kind["problems"] == 6
+            assert 0 < kind["curve_points"] < 6 * 44
 
 
 class TestMain:

@@ -75,3 +75,24 @@ class TestE0Sum:
         assert np.isfinite(val)
         # [DERIVED] both columns give (0.5)^1.5 each
         assert val == pytest.approx(2 * 0.5 ** 1.5, abs=1e-12)
+
+    def test_repeated_entries_match_plain_power(self, rng):
+        # powering only the distinct entries and gathering them must give
+        # the same floats as raising every entry of w
+        def plain(qs, qxs, w, rho):
+            rho = np.asarray(rho, dtype=np.float64)
+            ex = (1.0 / (1.0 + rho))[..., None, None, None]
+            inner = np.einsum("sx,...sxy->...sy", qxs, np.power(w, ex))
+            return np.einsum("s,...sy->...", qs,
+                             np.power(inner, (1.0 + rho)[..., None, None]))
+
+        qs, qxs, _ = _random_state_channel(rng, ns=3, nx=2, ny=4)
+        w = rng.choice([0.0, 0.25, 0.5, 1.0, 0.125], size=(3, 2, 4))
+        w[..., 0] += 0.5
+        w /= w.sum(axis=-1, keepdims=True)
+        rhos = np.concatenate([[0.0, 0.5], rng.random(30)])
+        np.testing.assert_array_equal(e0_sum(qs, qxs, w, rhos),
+                                      plain(qs, qxs, w, rhos))
+        for rho in rhos[:6]:
+            assert e0_sum(qs, qxs, w, float(rho)) == float(
+                plain(qs, qxs, w, float(rho)))

@@ -6,8 +6,10 @@ import pytest
 from relayexp import (BlockMarkovConfig, CondDist, Dist, PdfInput, df_input,
                       optimize_blocks, pdf_dual_exponent, pdf_overall,
                       pdf_primal_exponent, sato_channel)
-from relayexp.pdf_exponents import (_GOLDEN, KINDS, _state_channel,
-                                    golden_max, pdf_overall_batch)
+from relayexp._kernels import e0_sum
+from relayexp.pdf_exponents import (_GOLDEN, KINDS, _lagrange_max,
+                                    _state_channel, golden_max,
+                                    pdf_overall_batch)
 from relayexp.prob_core import cond_mi_from_joint, entropy_vec, kl_div_vec
 from conftest import random_relay_channel
 
@@ -149,6 +151,46 @@ class TestDualForm:
                         assert primal.value[above] == 0.0
                         assert np.array_equal(primal.witness[above], chan_s)
 
+    def test_duplicate_rates_match_scalar_calls(self):
+        # repeated rates and rates above I(Q,W) share probes in the
+        # lockstep section; each entry must still equal its scalar call
+        chan, caid = sato_channel()
+        q = df_input(chan, caid)
+        for kind in ("relay_F", "decoder_G"):
+            mi = _kind_mi(kind, chan, q)
+            rates = np.array([0.2, mi + 0.1, 0.2, 0.9 * mi, mi + 0.1, 3.0,
+                              0.0, 0.9 * mi, 0.0, 3.0])
+            batch = pdf_dual_exponent(kind, chan, q, rates)
+            for i, rate in enumerate(rates):
+                one = pdf_dual_exponent(kind, chan, q, float(rate))
+                assert batch.value[i] == one.value
+                assert batch.witness[i] == one.witness
+            # the curve was evaluated once per distinct probe, so no more
+            # often than at six distinct rates
+            singles = sum(pdf_dual_exponent(kind, chan, q, float(r))
+                          .diagnostics["curve_points"]
+                          for r in np.unique(rates))
+            assert batch.diagnostics["curve_points"] <= singles
+
+    def test_lockstep_curve_evaluates_distinct_probes_once(self):
+        chan, caid = sato_channel()
+        q_s, q_xs, c = _state_channel("relay_F", chan, df_input(chan, caid))
+        seen = []
+
+        def curve(rho):
+            seen.append(np.size(rho))
+            return -np.log2(e0_sum(q_s, q_xs, c, rho))
+
+        rates = np.linspace(0.0, 2.0, 400)
+        value, rho, points = _lagrange_max(curve, rates)
+        # 400 problems probe about 44 times each, but only about 3,400
+        # distinct multipliers are evaluated
+        assert points == sum(seen)
+        assert points < rates.size * len(seen) / 4
+        for i in range(0, rates.size, 37):
+            one = _lagrange_max(curve, rates[i])
+            assert (one[0], one[1]) == (value[i], rho[i])
+
     def test_rejects_negative_rate(self, rng):
         chan = random_relay_channel(rng)
         q = _uniform_pdf_input(2, 2, 2)
@@ -265,6 +307,45 @@ class TestBlockMarkov:
                 direct, _ = pdf_overall(chan, q,
                                         BlockMarkovConfig(b, 0.05, split))
                 assert val == direct
+
+    def test_optimize_blocks_rate_sequence_matches_single_rates(self, rng):
+        chan = random_relay_channel(rng, (2, 2, 2, 2))
+        q = df_input(chan, Dist(np.full(4, 0.25)))
+        rates = [0.0, 0.05, 0.02, 0.05, 0.3, 5.0]
+        for split in (1.0, None):
+            many = optimize_blocks(chan, q, rates, (2, 9), "dual",
+                                   split_fraction=split)
+            assert len(many) == len(rates)
+            for rate, (best_b, curve) in zip(rates, many):
+                assert (best_b, curve) == optimize_blocks(
+                    chan, q, rate, (2, 9), "dual", split_fraction=split)
+                assert [b for b, _ in curve] == list(range(2, 10))
+                assert all(isinstance(v, float) for _, v in curve)
+
+    def test_optimize_blocks_sato_matches_configs(self):
+        chan, caid = sato_channel()
+        q = df_input(chan, caid)
+        rates = [1.0, 1.1, 1.2]
+        stats = {}
+        many = optimize_blocks(chan, q, rates, (2, 40), "dual",
+                               split_fraction=1.0, stats=stats)
+        assert set(stats) == {"relay_F", "decoder_G"}
+        assert stats["relay_F"]["problems"] == 3 * 39
+        for rate, (best_b, curve) in zip(rates, many):
+            for b, val in curve[::7]:
+                direct, _ = pdf_overall(chan, q,
+                                        BlockMarkovConfig(b, rate, 1.0))
+                assert val == direct
+            vals = [v for _, v in curve]
+            assert dict(curve)[best_b] == max(vals)
+
+    def test_optimize_blocks_validates_rates(self, rng):
+        chan = random_relay_channel(rng)
+        q = _uniform_pdf_input(2, 2, 2)
+        with pytest.raises(ValueError):
+            optimize_blocks(chan, q, [0.1, -0.1], (2, 5))
+        with pytest.raises(ValueError):
+            optimize_blocks(chan, q, 0.1, (2, 5), split_fraction=1.5)
 
     def test_batch_matches_single_configs(self, rng):
         chan = random_relay_channel(rng, (3, 2, 2, 3))
