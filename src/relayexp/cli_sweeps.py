@@ -5,7 +5,7 @@ Commands
 pdf           partial-decode-forward exponent over a (b, r_eff) grid
 df            decode-forward specialization (U = X1, full split)
 cf            compress-forward exponent over a (b, r_eff) grid
-cutset        cutset value of the channel
+cutset        certified bracket on the cutset value of the channel
 upper         dummy-channel upper bound over a rate grid
 types-verify  small-blocklength method-of-types verification sweep
 sato-figures  the Sato-channel exponent curves and best-block-count data
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .cf_exponents import _check_scale, cf_G1, cf_overall_witness
-from .haroutunian_upper import FEASIBILITY_CUTSET_GRID, ecs_upper_sweep
+from .haroutunian_upper import ecs_upper_sweep
 from .pdf_exponents import (BlockMarkovConfig, _tally, df_input,
                             optimize_blocks, pdf_dual_exponent,
                             pdf_overall_batch)
@@ -224,11 +224,6 @@ def _rate_points(grid):
             if start + i * step <= stop + 1e-12]
 
 
-def _cfg(spec: SweepSpec):
-    restarts = spec.restarts if spec.restarts is not None else 4
-    return OptimizerConfig(seed=spec.seed, restarts=restarts)
-
-
 def run(spec: SweepSpec) -> SweepResult:
     """Execute one sweep command and return rows plus metadata."""
     t0 = time.perf_counter()
@@ -239,12 +234,12 @@ def run(spec: SweepSpec) -> SweepResult:
         chan, caid = _load_channel(spec)
 
     if spec.command == "cutset":
-        cfg = _cfg(spec)
-        value, witness = cutset_bound(chan, cfg, candidate=caid)
+        stats = {}
+        lo, hi, witness = cutset_bound(chan, candidate=caid, stats=stats)
         wit = ";".join(_fmt(p) for p in witness.probs)
-        rows.append((0, 0.0, 0.0, "cutset", value, wit,
-                     f"grid:{cfg.coarse_grid_points}"))
-        grids["cutset_grid"] = cfg.coarse_grid_points
+        rows.append((0, 0.0, 0.0, "cutset", lo, wit, f"gap:{_fmt(hi - lo)}"))
+        grids["cutset_bracket"] = {"lo": lo, "hi": hi,
+                                   "iterations": stats["cutset_iterations"]}
 
     elif spec.command in ("pdf", "df"):
         split = 1.0 if spec.command == "df" else spec.split
@@ -298,14 +293,14 @@ def run(spec: SweepSpec) -> SweepResult:
             points = [spec.rate]
         else:
             points = _rate_points((0.2, 1.2, 0.2))
-        results, violations = ecs_upper_sweep(points, chan, cfg)
+        stats = {}
+        results, violations = ecs_upper_sweep(points, chan, cfg, stats)
         for r, res in zip(points, results):
             rows.append((0, r, r, "ecs_upper", res.value,
                          f"gap={_fmt(res.feasibility_gap)}",
                          f"restarts:{res.restarts_used}"))
         grids["running_min_violations"] = violations
-        grids["cutset_grid"] = cfg.coarse_grid_points
-        grids["feasibility_cutset_grid"] = FEASIBILITY_CUTSET_GRID
+        grids.update(stats)
 
     elif spec.command == "types-verify":
         failures = _types_sweep(rows)

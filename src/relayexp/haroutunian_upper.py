@@ -7,9 +7,10 @@ worst row divergence max_x D(V_x||W_x).  The feasible set is nonconvex.
 Each seeded restart draws a zero-cutset target u inside W's support and
 searches one scalar, the divergence level t: the level channel V(t) moves
 every row from u toward W just until its divergence is at most t, and
-bisection finds the smallest level whose V(t) passes the cutset check
-(the cheap search first, the accurate search to confirm).  Any feasible V
-is a valid upper bound, so the search affects tightness, not validity.
+bisection finds the smallest level whose V(t) is certified feasible: the
+upper end of its cutset bracket is at most R.  A probe the bracket leaves
+undecided counts as infeasible, so every accepted V is feasible and every
+finite value is a valid upper bound; the search affects tightness only.
 """
 
 from dataclasses import dataclass
@@ -19,21 +20,16 @@ import numpy as np
 from .prob_core import OptimizerConfig
 from .relay_model import RelayChannelSpec, cutset_bound
 
-_FEAS_TOL = 1e-4
-#: lattice points per axis of the cheap cutset search in feasibility checks
-FEASIBILITY_CUTSET_GRID = 5
-#: halvings of the row weights in V(t), of the level under the cheap
-#: cutset test and of the level under the accurate test
+#: halvings of the row weights in V(t) and of the level
 _ROW_HALVINGS = 40
-_CHEAP_HALVINGS = 20
-_ACCURATE_HALVINGS = 12
+_LEVEL_HALVINGS = 20
 
 
 @dataclass
 class UpperBoundResult:
     value: float                 # bits; +inf when the bound is vacuous
     witness_v: RelayChannelSpec
-    feasibility_gap: float       # C_cs(witness) - R, clamped at 0
+    feasibility_gap: float       # hi of the witness's cutset bracket - R, >= 0
     restarts_used: int
 
 
@@ -102,113 +98,96 @@ def _level_channel(u, w, t):
     return (1.0 - lam) * u + lam * w
 
 
-def _smallest_level(u, w, lo, hi, halvings, feasible):
-    """Bisect the level over (lo, hi]; returns the last V(t) that passed
+def _smallest_level(u, w, top, feasible):
+    """Bisect the level over (0, top]; returns the last V(t) that passed
     `feasible`, or None when no probed level passed."""
-    passed = None
-    for _ in range(halvings):
+    lo, hi, passed = 0.0, top, None
+    for _ in range(_LEVEL_HALVINGS):
         mid = 0.5 * (lo + hi)
         table = _level_channel(u, w, mid)
         if feasible(table):
             hi, passed = mid, table
         else:
             lo = mid
-    return hi, passed
-
-
-def _cheap_cfg(seed):
-    return OptimizerConfig(coarse_grid_points=FEASIBILITY_CUTSET_GRID,
-                           refinement_rounds=4, restarts=1, seed=seed)
+    return passed
 
 
 def ecs_upper(r: float, w: RelayChannelSpec, cfg: OptimizerConfig = None,
-              warm_starts=None) -> UpperBoundResult:
-    """Upper-bound value at rate r with a feasible dummy-channel witness.
+              warm_starts=None, stats: dict = None) -> UpperBoundResult:
+    """Upper-bound value at rate r with a certified feasible dummy-channel
+    witness.
 
     `warm_starts` optionally supplies candidate channel tables (used by
     rate sweeps to keep values monotone: any witness feasible at a lower
-    rate stays feasible here).
+    rate stays feasible here).  Every cutset bracket is a decision against
+    r, warm-started from the previous bracket's witness; `stats` is passed
+    on to cutset_bound.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
     if cfg is None:
         cfg = OptimizerConfig(restarts=16)
-    cheap = _cheap_cfg(cfg.seed)
 
-    ccs_w, _ = cutset_bound(w, cfg)
-    if ccs_w <= r:
+    start = None   # witness joint of the last bracket
+
+    def cutset_hi(table):
+        nonlocal start
+        _, hi, start = cutset_bound(RelayChannelSpec(table), candidate=start,
+                                    decide_at=r, stats=stats)
+        return hi
+
+    def feasible(table):
+        return cutset_hi(table) <= r
+
+    if feasible(w.w):
         return UpperBoundResult(0.0, w, 0.0, 0)
 
-    def cheap_ok(table):
-        return cutset_bound(RelayChannelSpec(table), cheap)[0] <= r - 1e-5
-
-    passed_gap = None   # gap of the table that last passed accurate_ok
-
-    def accurate_ok(table):
-        nonlocal passed_gap
-        gap = cutset_bound(RelayChannelSpec(table), cfg)[0] - r
-        if gap > _FEAS_TOL * 0.5:
-            return False
-        passed_gap = gap
-        return True
-
-    # every candidate below is the table that last passed accurate_ok, so
-    # passed_gap is its gap when it is taken
-    best_val, best_table, best_gap = np.inf, None, None
+    best_val, best_table = np.inf, None
     restarts = max(cfg.restarts, 1)
     for s in range(restarts):
         rng = np.random.default_rng(cfg.seed + 1000 * s + 1)
         u = _support_target(w, rng)
         top = float(_row_divergences(u, w.w).max())   # V(top) is u
-        if cheap_ok(u):
-            t, table = _smallest_level(u, w.w, 0.0, top, _CHEAP_HALVINGS,
-                                       cheap_ok)
-            if table is None:
-                table = u
-            if not accurate_ok(table):
-                # the cheap search can pass a level the accurate one rejects
-                _, table = _smallest_level(u, w.w, t, top, _ACCURATE_HALVINGS,
-                                           accurate_ok)
-                if table is None:
-                    continue
-        elif accurate_ok(u):
-            # moving rows toward W only raises the cutset value, so only u
-            # itself (just) qualifies
-            table = u
-        else:
+        if not feasible(u):
             continue
+        table = _smallest_level(u, w.w, top, feasible)
+        if table is None:
+            table = u
         val = ecs_objective(RelayChannelSpec(table), w)
         if val < best_val:
-            best_val, best_table, best_gap = val, table, passed_gap
+            best_val, best_table = val, table
 
     for table in warm_starts or ():
         tbl = np.asarray(table, dtype=np.float64)
-        if tbl.shape == w.w.shape and accurate_ok(tbl):
+        if tbl.shape == w.w.shape and feasible(tbl):
             val = ecs_objective(RelayChannelSpec(tbl), w)
             if val < best_val:
-                best_val, best_table, best_gap = val, tbl, passed_gap
+                best_val, best_table = val, tbl
 
     if best_table is None:
         # no channel inside W's support reaches cutset value r: the bound
         # is vacuous (+inf).  A product channel with zero cutset value is
         # still a feasible witness, certifying one-sided validity.
         fallback = _useless_channel(w, np.random.default_rng(cfg.seed))
-        gap = max(cutset_bound(fallback, cfg)[0] - r, 0.0)
+        gap = max(cutset_hi(fallback.w) - r, 0.0)
         return UpperBoundResult(np.inf, fallback, gap, restarts)
 
-    return UpperBoundResult(best_val, RelayChannelSpec(best_table),
-                            max(best_gap, 0.0), restarts)
+    # every accepted table has a certified cutset value of at most r
+    return UpperBoundResult(best_val, RelayChannelSpec(best_table), 0.0,
+                            restarts)
 
 
-def ecs_upper_sweep(rates, w: RelayChannelSpec, cfg: OptimizerConfig = None):
+def ecs_upper_sweep(rates, w: RelayChannelSpec, cfg: OptimizerConfig = None,
+                    stats: dict = None):
     """Upper bounds over an increasing rate grid, warm-started and
-    running-minimum enforced; returns (results, violation_count)."""
+    running-minimum enforced; returns (results, violation_count).  `stats`
+    is passed on to ecs_upper."""
     results = []
     violations = 0
     prev_tables = []
     prev_val = np.inf
     for r in rates:
-        res = ecs_upper(r, w, cfg, warm_starts=prev_tables)
+        res = ecs_upper(r, w, cfg, warm_starts=prev_tables, stats=stats)
         if res.value > prev_val + 1e-6:
             violations += 1
             res = UpperBoundResult(prev_val, results[-1].witness_v,

@@ -3,16 +3,9 @@
 All logarithms are base 2 and 0*log(0) is taken to be 0.  Conditional KL
 divergence returns +inf when absolute continuity fails, so that exponent
 minimizations can treat infeasible channels as infinitely costly.
-
-Also provides a deterministic maximizer of a batched objective over the
-probability simplex, used by the cutset bound: a lattice scan followed by
-local refinement and seeded multi-start, with ties broken toward the lowest
-lexicographic grid index.
 """
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -88,7 +81,9 @@ class CondDist:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the deterministic simplex search."""
+    """Seeded search knobs: `restarts` and `seed` drive the dummy-channel
+    restarts of the upper bound, `coarse_grid_points` and
+    `refinement_rounds` the compress-forward grids."""
 
     coarse_grid_points: int = 9
     refinement_rounds: int = 6
@@ -187,113 +182,3 @@ def kl_div_cond(v: CondDist, w: CondDist, p: Dist) -> float:
             return np.inf
         total += px * d
     return total
-
-
-# ---------------------------------------------------------------------------
-# simplex search
-# ---------------------------------------------------------------------------
-
-#: most lattice points a simplex search may enumerate
-LATTICE_BUDGET = 10**6
-#: rows of the lattice handed to the objective in one call
-_LATTICE_CHUNK = 8192
-
-
-@lru_cache(maxsize=8)
-def _lattice(dim, points):
-    """The simplex lattice with spacing 1/(points-1), one point per row in
-    lexicographic order; read-only and cached per (dim, points).
-
-    Raises EnumBudgetError before enumerating more than LATTICE_BUDGET
-    points.
-    """
-    count = math.comb(points - 2 + dim, dim - 1)
-    if count > LATTICE_BUDGET:
-        raise EnumBudgetError(
-            f"{count} simplex lattice points ({points} per axis over {dim} "
-            f"coordinates) exceed the budget of {LATTICE_BUDGET}")
-    m = points - 1
-    # comps[k]: the compositions of k into the trailing parts built so far,
-    # lexicographic because the leading part runs upward over sorted blocks
-    comps = [np.array([[k]]) for k in range(m + 1)]
-    for _ in range(dim - 1):
-        comps = [np.vstack([np.column_stack([np.full(len(comps[k - f]), f),
-                                             comps[k - f]])
-                            for f in range(k + 1)])
-                 for k in range(m + 1)]
-    out = comps[m].astype(np.float64) / m
-    out.flags.writeable = False
-    return out
-
-
-def _exchange_descent(x, objective, init_step, rounds):
-    """Pairwise mass-exchange ascent on the simplex (maximization).
-
-    Every feasible move of one step (mass `step` from coordinate j to i) is
-    scored in one objective call; the first best move is taken if it gains
-    more than 1e-15.
-    """
-    x = x.copy()
-    best = float(objective(x[None])[0])
-    step = init_step
-    dim = x.shape[0]
-    ii, jj = np.nonzero(~np.eye(dim, dtype=bool))  # i-major, as nested loops
-    for _ in range(max(rounds, 1)):
-        improved = True
-        while improved:
-            improved = False
-            ok = x[jj] >= step
-            if not ok.any():
-                break
-            i, j = ii[ok], jj[ok]
-            rows = np.arange(i.size)
-            moves = np.repeat(x[None], i.size, axis=0)
-            moves[rows, i] += step
-            moves[rows, j] -= step
-            vals = objective(moves)
-            k = int(np.argmax(vals))
-            if vals[k] > best + 1e-15:
-                best, x = float(vals[k]), moves[k]
-                improved = True
-        step /= 4.0
-    return x, best
-
-
-def maximize_over_simplex(objective, dim, cfg: OptimizerConfig):
-    """Deterministic maximization of a batched objective over the simplex.
-
-    `objective` takes an (n, dim) array whose rows are points of the
-    simplex and returns their n values.  The search scores the barycentre,
-    then the coarse lattice (in chunks of at most 8192 rows), then runs a
-    pairwise-exchange refinement with shrinking step from the best lattice
-    point and from seeded Dirichlet restarts, scoring all moves of one step
-    in one call; returns (Dist, value).  Identical inputs yield
-    bit-identical output; ties go to the lowest lexicographic lattice index
-    and to the first move in (i, j) order.  Raises EnumBudgetError when the
-    lattice exceeds LATTICE_BUDGET points.
-    """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if dim == 1:
-        p = np.array([1.0])
-        return Dist(p), float(objective(p[None])[0])
-
-    lattice = _lattice(dim, cfg.coarse_grid_points)
-    bary = np.full(dim, 1.0 / dim)
-    best_x, best_val = bary, float(objective(bary[None])[0])
-    for lo in range(0, lattice.shape[0], _LATTICE_CHUNK):
-        vals = objective(lattice[lo:lo + _LATTICE_CHUNK])
-        k = int(np.argmax(vals))
-        if vals[k] > best_val:
-            best_x, best_val = lattice[lo + k].copy(), float(vals[k])
-
-    init_step = 1.0 / (cfg.coarse_grid_points - 1)
-    starts = [best_x]
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.restarts - 1):
-        starts.append(rng.dirichlet(np.ones(dim)))
-    for s in starts:
-        x, val = _exchange_descent(s, objective, init_step, cfg.refinement_rounds)
-        if val > best_val:
-            best_x, best_val = x, val
-    return Dist(best_x), best_val

@@ -4,15 +4,15 @@ A relay channel is W(y2, y3 | x1, x2): the source sends x1, the relay sends
 x2, the relay observes y2 and the destination observes y3.  This module
 holds the channel data type, the virtual channels used by the
 partial-decode-forward exponents, the auxiliary channels used by the
-compress-forward exponents, the cutset function and the Sato channel preset.
+compress-forward exponents, the certified cutset bracket and the Sato
+channel preset.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .prob_core import (CondDist, Dist, OptimizerConfig, _neg_plogp,
-                        maximize_over_simplex)
+from .prob_core import CondDist, Dist, _neg_plogp
 
 _ROW_TOL = 1e-9
 
@@ -201,58 +201,132 @@ def cf_aux_channels(w: RelayChannelSpec, c: CfInput) -> CfAuxChannels:
                          c.realized.rows.copy(), tuple(flagged))
 
 
-def _cutset_objective(w: RelayChannelSpec):
-    """min{I(X1X2;Y3), I(X1;Y2Y3|X2)} for a batch of joints over X1 x X2.
+#: exponent scale s of the multiplicative update P <- P 2^(s g)
+_STEP = 2.0
+#: most bits one update may take from a coordinate: far from the optimum
+#: (near a vertex, say) g spreads over tens of bits and full steps
+#: oscillate between faces instead of converging
+_MAX_FALL = 8.0
+#: bracket width at which cutset_bound stops
+_GAP = 1e-9
+#: iteration caps of cutset_bound without and with a decision threshold
+_ITERATIONS = 10_000
+_DECIDE_ITERATIONS = 30
+#: iterations between two evaluations of the exact bound over lam
+_ENVELOPE_EVERY = 8
 
-    The returned function maps an (n, |X1||X2|) array, one flattened joint
-    P(x1,x2) per row, to the n cutset values.  With h3 and h23 the row
-    entropies H(Y3|x1x2) and H(Y2Y3|x1x2),
-    I(X1X2;Y3) = H(P W_Y3) - P.h3 and
-    I(X1;Y2Y3|X2) = sum_x2 [H(m_x2) - H(P_x2)] - P.h23, where
-    m(x2,y2y3) = sum_x1 P(x1,x2) W(y2y3|x1,x2).
+
+def _cross_entropy(rows, law):
+    """-sum_y rows[..., y] log2 law[..., y] over the last axis; +inf where a
+    row puts mass on a zero of its law (0 log 0 is 0)."""
+    return -np.where(rows > 0.0, rows * np.log2(law), 0.0).sum(axis=-1)
+
+
+def _envelope(a, b):
+    """(min over lam in [0, 1] of max_x lam a_x + (1 - lam) b_x, a
+    minimising lam).
+
+    By LP duality the min is the max over mixtures mu of min(mu.a, mu.b),
+    and an optimal mu has at most two points: a single x (lam at an end of
+    [0, 1]) or a pair whose lines cross inside (0, 1) (lam at the
+    crossing).  A line with an infinite coefficient is infinite wherever
+    that coefficient has positive weight.
     """
-    n_x1, n_x2, n_y2, n_y3 = w.sizes
-    wy3 = w.y3_marginal().reshape(n_x1 * n_x2, n_y3)
-    w23 = w.w.reshape(n_x1, n_x2, n_y2 * n_y3)
-    h3 = _neg_plogp(wy3).sum(axis=1)
-    h23 = _neg_plogp(w23).sum(axis=2).reshape(-1)
+    if not np.isfinite(a).all():
+        return float(b.max()), 0.0
+    if not np.isfinite(b).all():
+        return float(a.max()), 1.0
+    d = a - b
+    k = int(np.argmax(np.minimum(a, b)))
+    best, lam = float(min(a[k], b[k])), float(d[k] < 0.0)
+    up, down = np.flatnonzero(d > 0.0), np.flatnonzero(d < 0.0)
+    if up.size and down.size:
+        d_up, d_down = d[up][:, None], d[down]
+        cross = (a[down] * d_up - a[up][:, None] * d_down) / (d_up - d_down)
+        i, j = np.unravel_index(int(np.argmax(cross)), cross.shape)
+        if cross[i, j] > best:
+            best = float(cross[i, j])
+            lam = float((b[down[j]] - b[up[i]]) / (d[up[i]] - d[down[j]]))
+    return best, lam
 
-    def objective(p):
-        i1 = _neg_plogp(p @ wy3).sum(axis=1) - p @ h3
-        joint = p.reshape(-1, n_x1, n_x2)
-        m = np.einsum("nxa,xaz->naz", joint, w23)
-        i2 = (_neg_plogp(m).sum(axis=(1, 2))
-              - _neg_plogp(joint.sum(axis=1)).sum(axis=1) - p @ h23)
-        return np.maximum(np.minimum(i1, i2), 0.0)
 
-    return objective
+def cutset_bound(v: RelayChannelSpec, *, candidate: Dist = None,
+                 decide_at: float = None, stats: dict = None):
+    """Certified bracket (lo, hi, witness) on the cutset value
+    C = max_P min{I(X1X2;Y3), I(X1;Y2Y3|X2)} over joints P on X1 x X2.
 
+    C = min over lam in [0, 1] of max_P f_lam(P) with
+    f_lam = lam I(X1X2;Y3) + (1 - lam) I(X1;Y2Y3|X2), concave in P and
+    linear in lam.  At every iterate P, with q3 = P W_{Y3} and m_{x2} P's
+    output law of (Y2, Y3) in block x2,
+    g_lam(x) = lam D(W_{Y3|x} || q3) + (1 - lam) D(W_{Y2Y3|x} || m_{x2})
+    is the gradient of f_lam, and since any output laws bound the mutual
+    informations from above, max_P f_lam <= max_x g_lam(x) (Blahut 1972,
+    Arimoto 1972).  So at every iterate lo = min{I1(P), I2(P)}, attained
+    at the witness P, and hi = max_x g_lam(x) for any lam bracket C; the
+    best of each is kept.  hi is taken at the iterate's lam and, every
+    _ENVELOPE_EVERY iterates, at the best lam.  The iteration is
+    P <- P 2^(s g_lam), normalised, with lam first the best one and then
+    dual steps lam <- lam - (I1 - I2) clipped to [0, 1].
 
-def cutset_bound(v: RelayChannelSpec, cfg: OptimizerConfig = None,
-                 candidate: Dist = None):
-    """Cutset value max_P min{I(X1X2;Y3), I(X1;Y2Y3|X2)} and its witness.
-
-    `candidate` optionally supplies a joint over X1 x X2; it is not part of
-    the search, but its value is compared with the search's result
-    afterwards and it becomes the witness if its value is larger, so the
-    returned value is never below the candidate's.  Raises EnumBudgetError
-    when the search lattice exceeds prob_core.LATTICE_BUDGET points.
+    It starts from `candidate` (uniform when None; a zero coordinate of the
+    candidate stays zero, which keeps the bracket valid but may keep it
+    open) and stops when hi - lo <= 1e-9, after _ITERATIONS iterations,
+    or, when `decide_at` is given, as soon as hi <= decide_at or
+    lo > decide_at, and after _DECIDE_ITERATIONS iterations.  `stats`,
+    when given, gains the call in "cutset_calls" and its iterations in
+    "cutset_iterations".
     """
-    if cfg is None:
-        cfg = OptimizerConfig()
-    n_x1, n_x2 = v.sizes[0], v.sizes[1]
-    objective = _cutset_objective(v)
-    witness, value = maximize_over_simplex(objective, n_x1 * n_x2, cfg)
-    if candidate is not None:
-        cval = float(objective(candidate.probs[None])[0])
-        if cval > value:
-            witness, value = candidate, cval
-    return value, witness
-
-
-def cutset_at(v: RelayChannelSpec, joint: Dist):
-    """Evaluate the cutset objective at a fixed joint over X1 x X2."""
-    return float(_cutset_objective(v)(joint.probs[None])[0])
+    n_x1, n_x2, n_y2, n_y3 = v.sizes
+    w3 = v.y3_marginal().reshape(-1, n_y3)
+    w23 = v.w.reshape(n_x1, n_x2, n_y2 * n_y3)
+    h3 = _neg_plogp(w3).sum(axis=1)
+    h23 = _neg_plogp(w23).sum(axis=2)
+    # the law of an empty block: any distribution keeps hi valid
+    fill = w23.mean(axis=0)
+    n = n_x1 * n_x2
+    p = np.full(n, 1.0 / n) if candidate is None else candidate.probs.copy()
+    lo, hi, witness = -np.inf, np.inf, p
+    cap = _ITERATIONS if decide_at is None else _DECIDE_ITERATIONS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(1, cap + 1):
+            a = _cross_entropy(w3, p @ w3) - h3
+            mass = np.einsum("xa,xaz->az", p.reshape(n_x1, n_x2), w23)
+            total = mass.sum(axis=1, keepdims=True)
+            # normalised by its own total, m stays a distribution when a
+            # block's mass underflows
+            m = np.where(total > 0.0, mass / total, fill)
+            b = (_cross_entropy(w23, m) - h23).reshape(n)
+            live = p > 0.0
+            i1 = float(p @ np.where(live, a, 0.0))
+            i2 = float(p @ np.where(live, b, 0.0))
+            if min(i1, i2) > lo:
+                lo, witness = min(i1, i2), p
+            if it % _ENVELOPE_EVERY == 1:
+                bound, best_lam = _envelope(a, b)
+                hi = min(hi, bound)
+            if it == 1:
+                lam = best_lam
+            else:
+                lam = min(max(lam - (i1 - i2), 0.0), 1.0)
+            g = lam * a + (1.0 - lam) * b
+            # the bound at this lam; a nan or inf maximum leaves hi as is
+            hi = min(hi, float(g.max()))
+            if hi - lo <= _GAP or (decide_at is not None
+                                   and (hi <= decide_at or lo > decide_at)):
+                break
+            # g is nan (0 times inf) or inf only where P has no or underflowed
+            # mass; any P keeps the bracket valid, so such a coordinate just
+            # takes the largest finite step
+            ok = np.isfinite(g)
+            top = g[ok].max()
+            fall = _STEP * (top - np.where(ok, g, top))
+            p = p * np.exp2(-np.minimum(fall, _MAX_FALL))
+            p = p / p.sum()
+    if stats is not None:
+        stats["cutset_calls"] = stats.get("cutset_calls", 0) + 1
+        stats["cutset_iterations"] = stats.get("cutset_iterations", 0) + it
+    return max(lo, 0.0), hi, Dist(witness)
 
 
 SATO_P = 0.35431

@@ -39,7 +39,7 @@ def _kind_mi(kind, chan, q):
 def test_criterion_1_cutset_anchor():
     t0 = time.perf_counter()
     chan, caid = sato_channel()
-    value, _ = cutset_bound(chan, OptimizerConfig(), candidate=caid)
+    value, _, _ = cutset_bound(chan, candidate=caid)
     full = np.einsum("xa,xayz->xayz", caid.probs.reshape(3, 2), chan.w)
     i_multi = mi_axes(full, (0, 1), (3,))
     i_relay = mi_axes(full, (0,), (2,), (1,))

@@ -196,9 +196,10 @@ class TestCommands:
         assert len(res.rows) == 1
         assert res.rows[0][3] == "ecs_upper"
         assert res.rows[0][1] == 0.4
-        # the accurate and the cheap feasibility cutset grids are recorded
-        assert res.metadata["grids"]["cutset_grid"] == 9
-        assert res.metadata["grids"]["feasibility_cutset_grid"] == 5
+        # the cutset brackets behind the feasibility decisions are counted
+        grids = res.metadata["grids"]
+        assert grids["cutset_calls"] >= 1
+        assert grids["cutset_iterations"] >= grids["cutset_calls"]
 
     def test_types_verify_all_pass(self):
         res = run(SweepSpec("types-verify"))
@@ -330,21 +331,28 @@ class TestMain:
             {"b": 10, "r_eff": 0.0, "g1": 0.0, "g2_skipped": True,
              "grid_note": None, "v_grid_points": None}]
 
-    def test_cutset_over_budget_exits_4(self, tmp_path, capsys):
-        # a 5x5 input pair's 9-point lattice is refused before enumeration
-        chan = random_relay_channel(np.random.default_rng(0), (5, 5, 2, 2))
+    def test_cutset_5x5_input_pair_certified(self, tmp_path, capsys):
+        # a 5x5 input pair is certified within the time limit
+        chan = random_relay_channel(np.random.default_rng(5), (5, 5, 3, 3))
         path = tmp_path / "big.json"
         write_channel(chan, str(path))
         start = time.perf_counter()
         code = main(["cutset", "--channel", str(path),
                      "--out", str(tmp_path / "out")])
         elapsed = time.perf_counter() - start
-        err = capsys.readouterr().err
-        assert code == 4
+        assert code == 0
         assert elapsed < 5.0
-        assert err.count("error:") == 1
-        assert err.startswith("error:") and "budget" in err
-        assert "Traceback" not in err
+        assert "Traceback" not in capsys.readouterr().err
+        meta = json.loads((tmp_path / "out" / "cutset.meta.json").read_text())
+        bracket = meta["grids"]["cutset_bracket"]
+        assert bracket["lo"] <= bracket["hi"] <= bracket["lo"] + 1e-6
+        assert bracket["lo"] == pytest.approx(0.270405, abs=1e-6)
+        row = (tmp_path / "out" / "cutset.csv").read_text().splitlines()[1]
+        value, note = row.split(",")[4], row.split(",")[6]
+        assert float(value) == pytest.approx(bracket["lo"], abs=1e-9)
+        assert note.startswith("gap:")
+        assert float(note[4:]) == pytest.approx(
+            bracket["hi"] - bracket["lo"], rel=1e-6)
 
     def test_rate_grid_over_budget_exits_4(self, tmp_path, capsys):
         # 10^18 rate points are counted, not built

@@ -67,14 +67,14 @@ class TestObjective:
 class TestUpperBound:
     def test_zero_at_and_above_capacity(self, rng):
         chan = random_relay_channel(rng, (2, 2, 2, 2))
-        ccs, _ = cutset_bound(chan, CFG)
+        ccs, _, _ = cutset_bound(chan)
         res = ecs_upper(ccs + 1e-3, chan, CFG)
         assert res.value <= 1e-6
         assert res.feasibility_gap <= 1e-4
 
     def test_witness_feasible_and_positive_below(self, rng):
         chan = random_relay_channel(rng, (2, 2, 2, 2))
-        ccs, _ = cutset_bound(chan, CFG)
+        ccs, _, _ = cutset_bound(chan)
         res = ecs_upper(0.5 * ccs, chan, CFG)
         assert res.feasibility_gap <= 1e-4
         if np.isfinite(res.value):
@@ -84,12 +84,12 @@ class TestUpperBound:
                 res.value, abs=1e-9)
 
     def test_seeded_3x2x2x3_half_cutset(self, rng):
-        # one restart of the level bisection reaches 0.0421739 here
+        # one restart of the level bisection certifies 0.0422076 here
         chan = random_relay_channel(rng, (3, 2, 2, 3))
-        r = 0.5 * cutset_bound(chan, OptimizerConfig())[0]
+        r = 0.5 * cutset_bound(chan)[0]
         res = ecs_upper(r, chan, OptimizerConfig(seed=0, restarts=1))
-        assert res.value <= 0.04218
-        assert cutset_bound(res.witness_v, OptimizerConfig())[0] <= r + 5e-5
+        assert res.value <= 0.04221
+        assert cutset_bound(res.witness_v)[1] <= r
         assert ecs_objective(res.witness_v, chan) == pytest.approx(
             res.value, abs=1e-12)
 
@@ -107,6 +107,20 @@ class TestUpperBound:
         assert res.value == np.inf
         # the fallback witness still has zero cutset value (feasible)
         assert res.feasibility_gap <= 1e-4
+
+    def test_sweep_witnesses_certified(self):
+        # every finite value rests on a witness whose full cutset bracket
+        # lies at or below the rate
+        chan = random_relay_channel(np.random.default_rng(100), (2, 2, 2, 2))
+        rates = (0.0196, 0.0393, 0.0589, 0.0785)
+        stats = {}
+        results, _ = ecs_upper_sweep(rates, chan, CFG, stats)
+        for r, res in zip(rates, results):
+            if np.isfinite(res.value):
+                assert cutset_bound(res.witness_v)[1] <= r
+                assert res.feasibility_gap == 0.0
+        assert stats["cutset_calls"] > 0
+        assert stats["cutset_iterations"] >= stats["cutset_calls"]
 
     def test_sweep_monotone_with_warm_starts(self, rng):
         chan = random_relay_channel(rng, (2, 2, 2, 2))

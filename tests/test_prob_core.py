@@ -1,4 +1,4 @@
-"""Information measures and the deterministic simplex maximizer."""
+"""Information measures and probability types."""
 
 import math
 
@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relayexp import (CondDist, Dist, OptimizerConfig, cond_entropy, entropy,
-                      kl_div_cond, maximize_over_simplex, mutual_info)
+from relayexp import (CondDist, Dist, cond_entropy, entropy, kl_div_cond,
+                      mutual_info)
 from relayexp.prob_core import (cond_mi_from_joint, entropy_vec, kl_div_vec,
                                 mi_axes)
 
@@ -120,44 +120,6 @@ class TestMutualInfo:
         v = CondDist(np.array([[0.8, 0.2], [0.1, 0.9], [0.5, 0.5]]))
         mi = mutual_info(Dist(p), v)
         assert -1e-12 <= mi <= min(entropy_vec(p), 1.0) + 1e-9
-
-
-class TestSimplexMaximizer:
-    # objectives take an (n, dim) array of points and return n values
-    def test_bsc_capacity(self):
-        # [DERIVED] capacity of BSC(0.1) is 1 - h2(0.1), achieved uniform
-        eps = 0.1
-        v = CondDist(np.array([[1 - eps, eps], [eps, 1 - eps]]))
-
-        def obj(points):
-            return np.array([mutual_info(Dist(p / p.sum()), v)
-                             for p in points])
-
-        witness, val = maximize_over_simplex(obj, 2, OptimizerConfig())
-        assert val == pytest.approx(1.0 - _h2(eps), abs=1e-6)
-        assert witness.probs[0] == pytest.approx(0.5, abs=1e-3)
-
-    def test_linear_objective(self):
-        # max of p . c on the simplex is max(c), at a vertex
-        c = np.array([0.2, 0.9, 0.4])
-        _, val = maximize_over_simplex(lambda points: points @ c, 3,
-                                       OptimizerConfig())
-        assert val == pytest.approx(0.9, abs=1e-9)
-
-    def test_deterministic(self):
-        def obj(points):
-            return -((points - np.array([0.2, 0.3, 0.5])) ** 2).sum(axis=1)
-
-        cfg = OptimizerConfig(restarts=4, seed=3)
-        w1, v1 = maximize_over_simplex(obj, 3, cfg)
-        w2, v2 = maximize_over_simplex(obj, 3, cfg)
-        assert v1 == v2
-        assert np.array_equal(w1.probs, w2.probs)
-
-    def test_dim_one(self):
-        w, v = maximize_over_simplex(lambda points: np.full(len(points), 7.0),
-                                     1, OptimizerConfig())
-        assert v == 7.0 and w.probs[0] == 1.0
 
 
 class TestValidation:

@@ -1,4 +1,4 @@
-"""Relay channel data types, derived channels and the cutset function."""
+"""Relay channel data types, derived channels and the cutset bracket."""
 
 from itertools import combinations
 
@@ -8,32 +8,23 @@ import pytest
 from relayexp import (CfInput, CondDist, Dist, OptimizerConfig, PdfInput,
                       RelayChannelSpec, cf_aux_channels, cutset_bound,
                       pdf_virtual_channels, sato_channel)
-from relayexp.haroutunian_upper import _cheap_cfg
-from relayexp.prob_core import EnumBudgetError, cond_mi_from_joint, mi_axes
-from relayexp.relay_model import _cutset_objective, cutset_at
+from relayexp.prob_core import mi_axes
+from relayexp.relay_model import _envelope
 from conftest import random_relay_channel
 
 
+def _cutset_at(w, joint):
+    """min{I(X1X2;Y3), I(X1;Y2Y3|X2)} at a flattened joint over X1 x X2,
+    written with mi_axes on the full joint array."""
+    n_x1, n_x2 = w.sizes[0], w.sizes[1]
+    full = joint.reshape(n_x1, n_x2)[:, :, None, None] * w.w
+    return min(mi_axes(full, (0, 1), (3,)), mi_axes(full, (0,), (2, 3), (1,)))
+
+
 # ---------------------------------------------------------------------------
-# reference copies of the scalar cutset objective and simplex search that
-# the batched ones replaced; the batched path must reproduce them
+# the lattice search with exchange descent that the bracket replaced; its
+# values are achieved, so they are lower estimates of the cutset value
 # ---------------------------------------------------------------------------
-
-def _scalar_cutset_objective(w):
-    n_x1, n_x2, n_y2, n_y3 = w.sizes
-    wy3 = w.y3_marginal().reshape(n_x1 * n_x2, n_y3)
-    w23 = w.w.reshape(n_x1, n_x2, n_y2 * n_y3)
-
-    def objective(p):
-        joint = p.reshape(n_x1, n_x2)
-        j1 = joint.reshape(-1, 1)[:, :, None] * wy3[:, None, :]
-        i1 = cond_mi_from_joint(np.transpose(j1, (1, 0, 2)))
-        j2 = joint.T[:, :, None] * np.transpose(w23, (1, 0, 2))
-        i2 = cond_mi_from_joint(j2)
-        return min(i1, i2)
-
-    return objective
-
 
 def _scalar_lattice(dim, points):
     m = points - 1
@@ -153,7 +144,7 @@ class TestSatoAnchors:
     def test_capacity_value(self):
         # [PAPER] cutset/capacity of the preset channel is 1.161878 bits
         chan, caid = sato_channel()
-        value, _ = cutset_bound(chan, OptimizerConfig(), candidate=caid)
+        value, _, _ = cutset_bound(chan, candidate=caid)
         assert value == pytest.approx(1.161878, abs=1e-3)
 
     def test_mutual_informations_at_optimal_joint(self):
@@ -168,12 +159,12 @@ class TestSatoAnchors:
 
     def test_caid_is_cutset_witness(self):
         # with the optimal joint supplied as a candidate, the returned value
-        # is at least its cutset value and close to the search-only optimum
+        # is at least its cutset value and close to the value without it
         chan, caid = sato_channel()
-        val_at_caid = cutset_at(chan, caid)
-        value, _ = cutset_bound(chan, OptimizerConfig(), candidate=caid)
+        val_at_caid = _cutset_at(chan, caid.probs)
+        value, _, _ = cutset_bound(chan, candidate=caid)
         assert val_at_caid <= value + 1e-12
-        searched, _ = cutset_bound(chan, OptimizerConfig())
+        searched, _, _ = cutset_bound(chan)
         assert searched == pytest.approx(value, abs=1e-3)
 
     def test_relay_observation_noiseless(self):
@@ -188,54 +179,151 @@ class TestCutset:
     def test_uniform_candidate_never_above_optimum(self, rng):
         chan = random_relay_channel(rng, (2, 2, 2, 2))
         n = 4
-        value, witness = cutset_bound(chan, OptimizerConfig())
-        cand = Dist(np.full(n, 1.0 / n))
-        assert cutset_at(chan, cand) <= value + 1e-9
-        assert cutset_at(chan, witness) == pytest.approx(value, abs=1e-12)
+        value, _, witness = cutset_bound(chan)
+        cand = np.full(n, 1.0 / n)
+        assert _cutset_at(chan, cand) <= value + 1e-9
+        assert _cutset_at(chan, witness.probs) == pytest.approx(value,
+                                                                abs=1e-12)
 
     def test_useless_channel_has_zero_cutset(self):
         # (y2,y3) independent of the inputs: both cut values are zero
         w = np.zeros((2, 2, 2, 2))
         w[:, :] = np.array([[0.2, 0.3], [0.1, 0.4]])
-        value, _ = cutset_bound(RelayChannelSpec(w), OptimizerConfig())
+        value, _, _ = cutset_bound(RelayChannelSpec(w))
         assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_candidate_can_only_improve(self, rng):
         chan = random_relay_channel(rng, (2, 2, 2, 2))
-        base, _ = cutset_bound(chan, OptimizerConfig())
+        base, _, _ = cutset_bound(chan)
         cand = Dist(rng.dirichlet(np.ones(4)))
-        with_cand, _ = cutset_bound(chan, OptimizerConfig(), candidate=cand)
+        with_cand, _, _ = cutset_bound(chan, candidate=cand)
         assert with_cand >= base - 1e-12
 
 
 class TestBatchedCutset:
     @pytest.mark.parametrize("idx", [0, 1, 2])
     def test_objective_matches_scalar(self, idx):
+        # a decision every bracket takes at once stops after the first
+        # iterate, the candidate: its lower side is min{I1, I2} there
         chan = _reference_channels()[idx]
         dim = chan.sizes[0] * chan.sizes[1]
-        joints = np.random.default_rng(idx).dirichlet(np.ones(dim), size=200)
-        batched = _cutset_objective(chan)(joints)
-        scalar = _scalar_cutset_objective(chan)
-        assert batched.shape == (200,)
-        np.testing.assert_allclose(batched, [scalar(p) for p in joints],
-                                   rtol=0.0, atol=1e-12)
+        joints = np.random.default_rng(idx).dirichlet(np.ones(dim), size=50)
+        for p in joints:
+            lo, hi, witness = cutset_bound(chan, candidate=Dist(p),
+                                           decide_at=-1.0)
+            np.testing.assert_array_equal(witness.probs, p)
+            assert lo == pytest.approx(_cutset_at(chan, p), abs=1e-12)
+            assert lo <= hi
 
     @pytest.mark.parametrize("cheap", [False, True])
     @pytest.mark.parametrize("idx", [0, 1, 2])
     def test_search_matches_scalar(self, idx, cheap):
+        # the bracket holds every value the old search achieved, and its
+        # lower side is no worse
         chan = _reference_channels()[idx]
-        cfg = _cheap_cfg(0) if cheap else OptimizerConfig()
-        want_x, want_val = _scalar_search(_scalar_cutset_objective(chan),
-                                          chan.sizes[0] * chan.sizes[1], cfg)
-        value, witness = cutset_bound(chan, cfg)
-        np.testing.assert_array_equal(witness.probs, want_x)
-        assert value == pytest.approx(want_val, abs=1e-12)
+        cfg = (OptimizerConfig(coarse_grid_points=5, refinement_rounds=4,
+                               restarts=1, seed=0)
+               if cheap else OptimizerConfig())
+        _, want_val = _scalar_search(lambda p: _cutset_at(chan, p),
+                                     chan.sizes[0] * chan.sizes[1], cfg)
+        lo, hi, _ = cutset_bound(chan)
+        assert want_val <= hi
+        assert lo >= want_val - 1e-9
 
-    def test_oversized_lattice_refused(self):
-        # a 5x5 input pair has 10.5M points on the 9-point lattice
-        chan = random_relay_channel(np.random.default_rng(0), (5, 5, 2, 2))
-        with pytest.raises(EnumBudgetError, match="budget"):
-            cutset_bound(chan, OptimizerConfig())
+
+class TestBracket:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sizes", [(2, 2, 2, 2), (3, 2, 2, 3)])
+    def test_lo_below_hi_on_sparse_channels(self, seed, sizes):
+        # zeros in W put zeros in the output laws; the bracket must keep
+        # them as infinite divergences, never as zero terms
+        chan = random_relay_channel(np.random.default_rng(seed), sizes,
+                                    full_support=False)
+        lo, hi, witness = cutset_bound(chan)
+        assert lo <= hi
+        assert hi - lo <= 1e-6
+        assert _cutset_at(chan, witness.probs) == pytest.approx(lo, abs=1e-12)
+
+    def test_point_to_point_oracle(self):
+        # [DERIVED] one relay input, a constant relay observation and a
+        # BSC(0.1) to the destination: both cuts are I(X1;Y3), so the
+        # cutset value is the BSC capacity 1 - h2(0.1), at the uniform input
+        eps = 0.1
+        w = np.zeros((2, 1, 1, 2))
+        w[:, 0, 0] = [[1 - eps, eps], [eps, 1 - eps]]
+        lo, hi, witness = cutset_bound(RelayChannelSpec(w))
+        cap = 1.0 + eps * np.log2(eps) + (1 - eps) * np.log2(1 - eps)
+        assert lo <= cap <= hi <= lo + 1e-9
+        np.testing.assert_allclose(witness.probs, 0.5, atol=1e-3)
+
+    def test_single_input_pair(self):
+        w = np.full((1, 1, 2, 2), 0.25)
+        lo, hi, witness = cutset_bound(RelayChannelSpec(w))
+        assert lo == 0.0 and hi <= 1e-12
+        assert witness.probs.tolist() == [1.0]
+
+    def test_deterministic(self):
+        chan = random_relay_channel(np.random.default_rng(3), (3, 2, 2, 3))
+        first, second = cutset_bound(chan), cutset_bound(chan)
+        assert first[:2] == second[:2]
+        np.testing.assert_array_equal(first[2].probs, second[2].probs)
+
+    @pytest.mark.parametrize("vertex", range(6))
+    def test_sato_from_near_vertex_candidates(self, vertex):
+        # divergences spread over tens of bits near a vertex; full update
+        # steps there oscillated between faces and left the bracket open
+        chan, _ = sato_channel()
+        start = np.full(6, 1e-9)
+        start[vertex] = 1.0
+        lo, hi, _ = cutset_bound(chan, candidate=Dist(start / start.sum()))
+        assert 1.161878 <= lo <= hi <= lo + 1e-6
+
+    def test_sato_without_candidate(self):
+        chan, _ = sato_channel()
+        lo, hi, _ = cutset_bound(chan)
+        assert 1.161878 <= lo <= hi <= lo + 1e-6
+
+    @pytest.mark.parametrize("seed,sizes", [
+        (0, (3, 2, 2, 3)), (100, (2, 2, 2, 2)), (101, (2, 2, 2, 2)),
+        (102, (2, 2, 2, 2)), (5, (5, 5, 3, 3))])
+    def test_certified_on_seeded_channels(self, seed, sizes):
+        chan = random_relay_channel(np.random.default_rng(seed), sizes)
+        lo, hi, witness = cutset_bound(chan)
+        assert lo <= hi <= lo + 1e-6
+        assert _cutset_at(chan, witness.probs) == pytest.approx(lo, abs=1e-12)
+
+    def test_decision_stops_early(self):
+        chan, caid = sato_channel()
+        stats = {}
+        lo, hi, _ = cutset_bound(chan, candidate=caid, decide_at=1.2,
+                                 stats=stats)
+        assert hi <= 1.2
+        lo, hi, _ = cutset_bound(chan, candidate=caid, decide_at=1.0,
+                                 stats=stats)
+        assert lo > 1.0
+        assert stats == {"cutset_calls": 2, "cutset_iterations": 2}
+
+    def test_envelope_matches_lambda_grid(self):
+        # min over lam of the max of lines lam a + (1 - lam) b, against a
+        # dense grid over lam; the grid can only miss the minimum
+        rng = np.random.default_rng(7)
+        lams = np.linspace(0.0, 1.0, 100_001)
+        for n in (1, 2, 6, 25):
+            a, b = rng.random(n), rng.random(n)
+            value, lam = _envelope(a, b)
+            grid = (np.outer(lams, a) + np.outer(1.0 - lams, b)).max(axis=1)
+            assert value <= grid.min() + 1e-12
+            assert value >= grid.min() - 1e-4
+            assert (lam * a + (1.0 - lam) * b).max() == pytest.approx(
+                value, abs=1e-12)
+
+    def test_envelope_with_infinite_lines(self):
+        a = np.array([0.3, np.inf])
+        b = np.array([0.5, 0.2])
+        assert _envelope(a, b) == (0.5, 0.0)
+        assert _envelope(b, a) == (0.5, 1.0)
+        assert _envelope(np.array([np.inf, 0.1]),
+                         np.array([0.1, np.inf]))[0] == np.inf
 
 
 class TestDerivedChannels:
