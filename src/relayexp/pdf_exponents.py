@@ -27,9 +27,9 @@ KINDS = ("relay_F", "decoder_G", "decoder_Gtilde")
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # an alternation stops once no entry of q_Y moves by more than this
 _ALTERNATION_TOL = 1e-12
-# distinct probes per curve evaluation of a lockstep golden section, which
-# bounds the (probes x channel) arrays a large batch allocates at once
-_CURVE_BLOCK = 256
+# probes x channel entries per curve call of a lockstep golden section, so
+# that each float64 (probes x channel) temporary stays within 0.5 MiB
+_CURVE_ELEMENTS = 1 << 16
 
 
 @dataclass
@@ -39,6 +39,12 @@ class ExponentEval:
     form: str                # "primal" | "dual"
     kind: str
     diagnostics: dict = field(default_factory=dict)
+
+
+def _check_rates(rate, name="rate"):
+    """Raise ValueError unless every entry of `rate` is finite and >= 0."""
+    if not np.all(np.isfinite(rate) & (np.asarray(rate) >= 0)):
+        raise ValueError(f"{name} must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -52,8 +58,7 @@ class BlockMarkovConfig:
     def __post_init__(self):
         if self.b < 2:
             raise ValueError("b must be >= 2")
-        if self.r_eff < 0:
-            raise ValueError("r_eff must be nonnegative")
+        _check_rates(self.r_eff, "r_eff")
         if self.split_fraction is not None and not 0 <= self.split_fraction <= 1:
             raise ValueError("split_fraction must lie in [0, 1]")
 
@@ -122,31 +127,48 @@ def _state_channel(kind, w: RelayChannelSpec, q: PdfInput):
     return q_s, q_xs, chan
 
 
-def _lagrange_max(curve, rate):
+def _lagrange_max(curve, rate, size=1):
     """(value, x, points) of max_{x in [0,1]} curve(x) - x*R for each rate.
 
     `curve` maps a scalar or an array of multipliers to the concave curve
     at each of them.  `rate` is a scalar or an array; all of its rates
     share one lockstep golden section.  The curve does not depend on the
     rate, and problems that have made the same left/right choices probe
-    bit-identical x, so an array of probes is evaluated once per distinct
-    value, `_CURVE_BLOCK` values at a time; `points` counts the
-    evaluations.  The endpoints x = 0 and 1 are checked too, and a
-    nonpositive (or NaN) value becomes +0.0 with x = 0.
+    bit-identical x.  Since the curve is concave, those choices are
+    monotone in R, so problems that share a probe are neighbours in rate
+    order: the problems are put in that order once (a stable sort), and at
+    each step a probe is new when it differs from the one before it.  The
+    curve is evaluated at the new probes only, at most
+    `_CURVE_ELEMENTS // size` at a time (`size` is the number of channel
+    entries one probe costs), and `points` counts the evaluations.  A run
+    of equal probes that rounding splits is evaluated once per piece, with
+    the same value.  The endpoints x = 0 and 1 are checked too, and a
+    nonpositive (or NaN) value becomes +0.0 with x = 0.  An empty `rate`
+    gives empty results and no evaluations.
     """
     rate = np.asarray(rate, dtype=np.float64)
+    if not rate.size:
+        return np.zeros(rate.shape), np.zeros(rate.shape), 0
+    order = np.argsort(rate, axis=None, kind="stable")
+    # the sorted problems keep rate's shape, so a scalar rate stays scalar
+    sorted_rate = rate.ravel()[order].reshape(rate.shape)
+    block = max(1, _CURVE_ELEMENTS // size)
     points = 0
 
     def g(x):
         nonlocal points
         if not np.ndim(x):
             points += 1
-            return curve(x) - x * rate
-        u, inv = np.unique(x, return_inverse=True)
+            return curve(x) - x * sorted_rate
+        xs = x.ravel()
+        new = np.ones(xs.size, dtype=bool)
+        np.not_equal(xs[1:], xs[:-1], out=new[1:])
+        u = xs[new]
         points += u.size
-        vals = np.concatenate([curve(u[i:i + _CURVE_BLOCK])
-                               for i in range(0, u.size, _CURVE_BLOCK)])
-        return vals[inv.reshape(x.shape)] - x * rate
+        vals = np.empty(u.size)
+        for i in range(0, u.size, block):
+            vals[i:i + block] = curve(u[i:i + block])
+        return vals[np.cumsum(new) - 1].reshape(x.shape) - x * sorted_rate
 
     x, val = golden_max(g, np.zeros(rate.shape), np.ones(rate.shape))
     for cand in (0.0, 1.0):
@@ -154,7 +176,10 @@ def _lagrange_max(curve, rate):
         better = cval > val
         x, val = np.where(better, cand, x), np.where(better, cval, val)
     positive = val > 0.0
-    return (np.where(positive, val, 0.0)[()], np.where(positive, x, 0.0)[()],
+    value, witness = np.empty(rate.size), np.empty(rate.size)
+    value[order] = np.where(positive, val, 0.0).ravel()
+    witness[order] = np.where(positive, x, 0.0).ravel()
+    return (value.reshape(rate.shape)[()], witness.reshape(rate.shape)[()],
             points)
 
 
@@ -167,7 +192,7 @@ def gallager_dual(q_s, q_xs, chan, rate):
     number of rho at which S was evaluated.
     """
     return _lagrange_max(lambda rho: -np.log2(e0_sum(q_s, q_xs, chan, rho)),
-                         rate)
+                         rate, chan.size)
 
 
 def pdf_dual_exponent(kind, w: RelayChannelSpec, q: PdfInput,
@@ -178,8 +203,7 @@ def pdf_dual_exponent(kind, w: RelayChannelSpec, q: PdfInput,
     and every entry equals the scalar call at that rate.  The diagnostics
     carry `curve_points`, the number of rho at which S was evaluated.
     """
-    if np.any(np.asarray(rate) < 0):
-        raise ValueError("rate must be nonnegative")
+    _check_rates(rate)
     value, rho, points = gallager_dual(*_state_channel(kind, w, q), rate)
     return ExponentEval(value, rho, "dual", kind,
                         {"rho_tolerance": 1e-8, "curve_points": points})
@@ -254,7 +278,7 @@ def alternating_primal(q_s, q_xs, chan, rate):
     lam = np.zeros(rate.shape)
     points = 0
     if hard.any():
-        _, lam[hard], points = _lagrange_max(curve, rate[hard])
+        _, lam[hard], points = _lagrange_max(curve, rate[hard], chan.size)
     v, _, n = _alternate(q_s, q_xs, chan, lam)
     # V is zero wherever chan is, so the ratio is taken on V's support only
     on = v > 0.0
@@ -276,8 +300,7 @@ def pdf_primal_exponent(kind, w: RelayChannelSpec, q: PdfInput,
     `curve_points`, the number of multipliers at which the alternating
     minimum was evaluated.
     """
-    if np.any(np.asarray(rate) < 0):
-        raise ValueError("rate must be nonnegative")
+    _check_rates(rate)
     q_s, q_xs, chan = _state_channel(kind, w, q)
     value, v, lam, steps, points = alternating_primal(q_s, q_xs, chan, rate)
     dual, _, _ = gallager_dual(q_s, q_xs, chan, rate)
@@ -428,8 +451,7 @@ def optimize_blocks(w: RelayChannelSpec, q: PdfInput, r_eff, b_range,
     if lo < 2 or hi > 10**4:
         raise ValueError("block range must lie within [2, 10^4]")
     rates = np.asarray(r_eff, dtype=np.float64)
-    if np.any(rates < 0):
-        raise ValueError("r_eff must be nonnegative")
+    _check_rates(rates, "r_eff")
     if split_fraction is not None and not 0 <= split_fraction <= 1:
         raise ValueError("split_fraction must lie in [0, 1]")
     bs = np.arange(lo, hi + 1)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from relayexp import BlockMarkovConfig, pdf_overall, sato_channel
+from relayexp import (BlockMarkovConfig, pdf_exponents, pdf_overall,
+                      sato_channel)
 from relayexp.cli_sweeps import (CSV_HEADER, CliError, SweepSpec, _rate_points,
                                  main, parse_channel, run, write_channel,
                                  write_outputs)
@@ -246,6 +247,27 @@ class TestDeterminism:
         got = {name: hashlib.sha256((tmp_path / name).read_bytes())
                .hexdigest() for name in want}
         assert got == want
+
+    def test_sato_figures_work_is_pinned(self, tmp_path, monkeypatch):
+        # a timing-free guard on the figure sweep: the curve points per kind
+        # and the e0_sum calls that evaluate them (198 under the element
+        # budget per curve call, 895 with 256-probe blocks)
+        real, calls = pdf_exponents.e0_sum, []
+
+        def counted(*args):
+            calls.append(np.size(args[-1]))
+            return real(*args)
+
+        monkeypatch.setattr(pdf_exponents, "e0_sum", counted)
+        spec = SweepSpec("sato-figures", preset="sato", out_dir=str(tmp_path))
+        write_outputs(spec, run(spec))
+        meta = json.loads((tmp_path / "sato_figures.meta.json").read_text())
+        assert meta["grids"]["exponent_work"] == {
+            "relay_F": {"problems": 8282, "curve_points": 122648},
+            "decoder_G": {"problems": 8282, "curve_points": 73721},
+        }
+        assert sum(calls) == 122648 + 73721
+        assert len(calls) <= 250
 
     def test_sidecar_records_exponent_work(self, tmp_path):
         spec = SweepSpec("df", preset="sato", blocks=(10, 50),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relayexp import (BlockMarkovConfig, CondDist, Dist, PdfInput, df_input,
                       optimize_blocks, pdf_dual_exponent, pdf_overall,
@@ -203,6 +205,82 @@ class TestDualForm:
         with pytest.raises(ValueError):
             pdf_dual_exponent("nope", chan, q, 0.1)
 
+    def test_rejects_non_finite_rates(self):
+        chan, caid = sato_channel()
+        q = df_input(chan, caid)
+        for solve in (pdf_dual_exponent, pdf_primal_exponent):
+            for rate in (np.nan, np.inf, [0.1, np.nan], [[0.2], [np.inf]]):
+                with pytest.raises(ValueError):
+                    solve("relay_F", chan, q, rate)
+
+    def test_empty_rate_array(self):
+        chan, caid = sato_channel()
+        q = df_input(chan, caid)
+        for shape in ((0,), (0, 3)):
+            dual = pdf_dual_exponent("relay_F", chan, q, np.zeros(shape))
+            primal = pdf_primal_exponent("decoder_G", chan, q,
+                                         np.zeros(shape))
+            assert dual.value.shape == dual.witness.shape == shape
+            assert primal.value.shape == shape
+            assert primal.witness.shape[:len(shape)] == shape
+            assert dual.diagnostics["curve_points"] == 0
+            assert primal.diagnostics["curve_points"] == 0
+
+
+def _sato_curve(kind):
+    """(curve, channel size, I(Q,W)) of one Sato exponent kind."""
+    chan, caid = sato_channel()
+    q = df_input(chan, caid)
+    q_s, q_xs, c = _state_channel(kind, chan, q)
+    return (lambda rho: -np.log2(e0_sum(q_s, q_xs, c, rho)), c.size,
+            _kind_mi(kind, chan, q))
+
+
+_SATO_CURVES = {kind: _sato_curve(kind) for kind in ("relay_F", "decoder_G")}
+
+
+def _unique_reference(curve, rates):
+    """(points, evaluations) of the lockstep section of `_lagrange_max` when
+    each step evaluates the curve at np.unique of its probes, which no exact
+    dedupe can undercut, and when it evaluates every probe."""
+    points, evals = 2, 2            # the endpoints x = 0 and 1
+
+    def g(x):
+        nonlocal points, evals
+        if not np.ndim(x):
+            points, evals = points + 1, evals + 1
+            return curve(x) - x * rates
+        u, inv = np.unique(x, return_inverse=True)
+        points, evals = points + u.size, evals + x.size
+        return curve(u)[inv.reshape(x.shape)] - x * rates
+
+    golden_max(g, np.zeros(rates.shape), np.ones(rates.shape))
+    return points, evals
+
+
+class TestLagrangeMaxProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(_SATO_CURVES)),
+           st.lists(st.one_of(st.sampled_from([0.0, 0.5, 0.9, 1.0, 1.5]),
+                              st.floats(0.0, 2.0)),
+                    min_size=1, max_size=24),
+           st.booleans())
+    @example("relay_F", [0.7], False)
+    @example("decoder_G", [1.2, 0.3, 0.3, 1.2, 0.0, 2.0], True)
+    def test_matches_single_rates(self, kind, scales, two_d):
+        # rates in units of I(Q,W): unsorted, repeated and above it
+        curve, size, mi = _SATO_CURVES[kind]
+        rates = np.array(scales) * mi
+        if two_d and rates.size % 2 == 0:
+            rates = rates.reshape(2, -1)
+        value, x, points = _lagrange_max(curve, rates, size)
+        assert value.shape == x.shape == rates.shape
+        for idx in np.ndindex(rates.shape):
+            one = _lagrange_max(curve, float(rates[idx]), size)
+            assert (value[idx], x[idx]) == (one[0], one[1])
+        least, most = _unique_reference(curve, rates)
+        assert least <= points <= most
+
 
 class TestPrimalForm:
     def test_dual_lower_bounds_primal(self):
@@ -271,6 +349,11 @@ class TestBlockMarkov:
         # [TRIVIAL] R_b = b/(b-1) * r_eff
         bm = BlockMarkovConfig(10, 0.9)
         assert bm.r_b == pytest.approx(10.0 / 9.0 * 0.9, abs=1e-15)
+
+    def test_rejects_non_finite_rate(self):
+        for r_eff in (np.nan, np.inf, -0.1):
+            with pytest.raises(ValueError):
+                BlockMarkovConfig(5, r_eff)
 
     def test_rejects_small_b(self):
         with pytest.raises(ValueError):
@@ -342,8 +425,9 @@ class TestBlockMarkov:
     def test_optimize_blocks_validates_rates(self, rng):
         chan = random_relay_channel(rng)
         q = _uniform_pdf_input(2, 2, 2)
-        with pytest.raises(ValueError):
-            optimize_blocks(chan, q, [0.1, -0.1], (2, 5))
+        for rates in ([0.1, -0.1], np.nan, [0.1, np.inf]):
+            with pytest.raises(ValueError):
+                optimize_blocks(chan, q, rates, (2, 5))
         with pytest.raises(ValueError):
             optimize_blocks(chan, q, 0.1, (2, 5), split_fraction=1.5)
 
