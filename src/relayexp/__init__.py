@@ -9,8 +9,7 @@ from .relay_model import (CfInput, PdfInput, RelayChannelSpec, cf_aux_channels,
 from .pdf_exponents import (BlockMarkovConfig, ExponentEval, df_input,
                             optimize_blocks, pdf_dual_exponent, pdf_overall,
                             pdf_primal_exponent)
-from .cf_exponents import (CfJointType, CfRates, cf_G1, cf_G2, cf_J,
-                           cf_overall, cf_psi1, cf_psi2)
+from .cf_exponents import CfRates, cf_G1, cf_G2, cf_overall, cf_psi1, cf_psi2
 from .haroutunian_upper import (UpperBoundResult, ecs_objective, ecs_upper,
                                 ecs_upper_sweep)
 from .types_toolkit import (CondTypeN, TypeN, enum_types, type_class_size,

@@ -320,10 +320,9 @@ def run(spec: SweepSpec) -> SweepResult:
 
 
 def _types_sweep(rows, n_max=4):
-    from .prob_core import CondDist as CD
-    channels = {"bsc10": CD(np.array([[0.9, 0.1], [0.1, 0.9]])),
-                "bsc30": CD(np.array([[0.7, 0.3], [0.3, 0.7]])),
-                "identity": CD(np.eye(2))}
+    channels = {"bsc10": CondDist(np.array([[0.9, 0.1], [0.1, 0.9]])),
+                "bsc30": CondDist(np.array([[0.7, 0.3], [0.3, 0.7]])),
+                "identity": CondDist(np.eye(2))}
     failures = 0
     for n in range(1, n_max + 1):
         ok = True

@@ -12,8 +12,8 @@ from itertools import product
 
 import numpy as np
 
-from .prob_core import (CondDist, EnumBudgetError, cond_mi_from_joint,
-                        entropy_vec)
+from .prob_core import (CondDist, Dist, EnumBudgetError, cond_entropy,
+                        cond_mi_from_joint, kl_div_cond)
 
 ENUM_BUDGET = 10**7
 _LOG_SLACK = 1e-9
@@ -113,34 +113,6 @@ def vshell_size(ct: CondTypeN):
     return size
 
 
-def _cond_entropy_bits(ct: CondTypeN):
-    """H(V|P) in bits with P = base/n and V the row-normalized counts."""
-    n = ct.base.n
-    h = 0.0
-    for row, total in zip(ct.counts, ct.base.counts):
-        if total == 0:
-            continue
-        h += (total / n) * entropy_vec([c / total for c in row])
-    return h
-
-
-def _cond_kl_bits(ct: CondTypeN, w: CondDist):
-    """D(V||W|P) in bits; +inf on support violation (0*log(0/q)=0)."""
-    n = ct.base.n
-    d = 0.0
-    for x, (row, total) in enumerate(zip(ct.counts, ct.base.counts)):
-        if total == 0:
-            continue
-        for y, c in enumerate(row):
-            if c == 0:
-                continue
-            wxy = w.rows[x, y]
-            if wxy <= 0.0:
-                return np.inf
-            d += (total / n) * (c / total) * math.log2((c / total) / wxy)
-    return d
-
-
 @dataclass
 class Lemma1Report:
     count_bound: bool
@@ -178,14 +150,19 @@ def verify_lemma1(n, p: TypeN, v: CondTypeN, w: CondDist) -> Lemma1Report:
     count_bound = n_cond <= (n + 1) ** exp_poly
     details["n_cond_types"] = n_cond
 
-    h = _cond_entropy_bits(v)
+    counts = np.array(v.counts, dtype=np.float64)
+    # a zero-count row has weight 0 under P, so any fill row will do
+    counts[counts.sum(axis=1) == 0.0] = 1.0
+    v_dist = CondDist(counts / counts.sum(axis=1, keepdims=True))
+    p_dist = Dist(p.probs)
+    h = cond_entropy(v_dist, p_dist)
     log_shell = float(math.log2(vshell_size(v)))
     shell_sandwich = (n * h - log_poly - _LOG_SLACK <= log_shell
                       <= n * h + _LOG_SLACK)
     details["log2_shell"] = log_shell
     details["n_times_H"] = n * h
 
-    d = _cond_kl_bits(v, w)
+    d = kl_div_cond(v_dist, w, p_dist)
     # log2 of the per-sequence probability W^n(y^n | x^n) for a shell member
     log_seq = 0.0
     for x, row in enumerate(v.counts):

@@ -1,19 +1,20 @@
 """Compress-forward constituents: psi forms, identities, G1, G2, J."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 from relayexp import cf_exponents
-from relayexp import (CfInput, CfJointType, CfRates, CondDist, Dist,
-                      OptimizerConfig, cf_G1, cf_G2, cf_J, cf_aux_channels,
-                      cf_overall, cf_psi1, cf_psi2)
+from relayexp import (CfInput, CfRates, CondDist, Dist, OptimizerConfig,
+                      cf_G1, cf_G2, cf_aux_channels, cf_overall, cf_psi1,
+                      cf_psi2)
 from relayexp.cf_exponents import (_ALPHA_SLACK, _alpha_weights, _check_scale,
-                                   _inner_min, _matrix_grid, _pair_value,
-                                   _refine_pair, _row_tables,
-                                   _true_y3_marginal, _v_stack, alpha_value,
-                                   cf_config, mi_terms, rate_loss)
+                                   _exchange_walk, _inner_min, _matrix_grid,
+                                   _row_tables, _true_y3_marginal, _v_stack,
+                                   alpha_value, mi_terms, rate_loss)
 from relayexp.prob_core import (cond_entropy, cond_mi_from_joint, entropy_vec,
-                                kl_div_cond, mi_axes, mutual_info)
+                                kl_div_cond, kl_div_vec, mi_axes, mutual_info)
 from conftest import random_relay_channel
 
 FAST = OptimizerConfig(coarse_grid_points=5, refinement_rounds=1, restarts=1)
@@ -209,13 +210,40 @@ def _batch_cond_mi_ref(joints):
             - _neg_plogp(joints).sum(axis=(1, 2, 3)))
 
 
+def _pair_value(aux, qt, v, rates):
+    """(coupling cost + min{psi_1, psi_2}, marginal cost, ell) of one pair.
+
+    Scalar evaluation of the objective of `_inner_min` at (Qtilde, V) from
+    `alpha_value`'s weights, `kl_div_vec` and `cf_psi1` / `cf_psi2`; the
+    value is +inf, and ell None, for pairs outside the likelihood set.
+    """
+    qw = np.einsum("x,a,ah->xah", aux.q_x1, aux.q_x2, aux.yhat_marginal(qt))
+    _, _, logref, zero = _alpha_weights(aux)
+    if np.any((v > 0.0) & zero & (qw[..., None] > 0.0)):
+        return np.inf, np.inf, None
+    alpha = float(-np.einsum("xah,xahz,xahz->", qw, v, logref))
+    if alpha > alpha_value(aux, aux.w2_cond()) + _ALPHA_SLACK:
+        return np.inf, np.inf, None
+    mstar = _true_y3_marginal(aux)
+    mu = np.einsum("xah,xahz->az", qw, v)
+    cost = 0.0
+    for a in range(mu.shape[0]):
+        if aux.q_x2[a] > 0.0:
+            cost += aux.q_x2[a] * kl_div_vec(mu[a] / aux.q_x2[a], mstar[a])
+    p1 = cf_psi1(aux, qt, v, rates.r)
+    p2 = max(cf_psi2(aux, qt, v, rates, "standard"),
+             cf_psi2(aux, qt, v, rates, "prime"))
+    return cost + min(p1, p2), float(cost), 1 if p1 <= p2 else 2
+
+
 def _inner_min_reference(aux, rates, cfg, qtilde_points, refine):
     """Direct per-Qtilde evaluation of the grid stage of `_inner_min`.
 
     Reference for the tabled version: for each Qtilde it builds the
     (members x X2 x X1 x Yhat2 x Y3) joint of every member V, V_ref
     appended to the stack, and takes both informations from entropy sums
-    over that joint.  Returns (value, qtilde, v, ell).
+    over that joint.  The refinement walks with the scalar `_pair_value`.
+    Returns (value, qtilde, v, ell).
     """
     n_x1, n_x2 = aux.q_x1.shape[0], aux.q_x2.shape[0]
     n_y2 = aux.test_channel.shape[0]
@@ -281,7 +309,9 @@ def _inner_min_reference(aux, rates, cfg, qtilde_points, refine):
     qt, v = qtildes[it].copy(), vstack[iv].copy()
     if refine and cfg.refinement_rounds > 0:
         step = 1.0 / (2 * max(qtilde_points - 1, v_points - 1, 1))
-        value = _refine_pair(aux, rates, cfg, qt, v, value, step)
+        value, _, (qt, v) = _exchange_walk(
+            lambda arrays, _: (_pair_value(aux, *arrays, rates)[0], None),
+            (qt, v), value, None, step, cfg.refinement_rounds, 1e-15)
         ell_refined = _pair_value(aux, qt, v, rates)[2]
         ell = ell if ell_refined is None else ell_refined
     return value, qt, v, ell
@@ -308,8 +338,7 @@ class TestInnerMinTables:
                               restarts=1)
         for aux, rates in _inner_min_cases():
             want, qt, v, ell = _inner_min_reference(aux, rates, cfg, 3, refine)
-            got, wit = _inner_min(aux, rates, cfg, qtilde_points=3,
-                                  refine=refine)
+            got, wit = _inner_min(aux, rates, cfg, refine=refine)
             assert abs(got - want) <= 1e-12
             np.testing.assert_array_equal(wit["qtilde"], qt)
             np.testing.assert_array_equal(wit["v"], v)
@@ -338,6 +367,64 @@ class TestInnerMinTables:
             want_x1, want_hat = mi_terms(aux, qtilde, v)
             assert mi_x1 == pytest.approx(want_x1, abs=1e-12)
             assert mi_hat == pytest.approx(want_hat, abs=1e-12)
+
+
+class TestExchangeWalk:
+    def test_rejected_moves_leave_arrays_bit_identical(self):
+        # non-dyadic entries and step: a move undone by subtraction would
+        # leave the entries a few ulps off
+        rng = np.random.default_rng(3)
+        qt = rng.dirichlet(np.ones(3), size=2)
+        v = rng.dirichlet(np.ones(2), size=(2, 2))
+        before = (qt.copy(), v.copy())
+        tried = []
+
+        def never_better(arrays, incumbent):
+            tried.append(incumbent)
+            return 1.0, "moved"
+
+        value, info, arrays = _exchange_walk(never_better, (qt, v), 1.0,
+                                             "start", 0.1, 2, 1e-15)
+        assert tried and value == 1.0 and info == "start"
+        for got, inp, want in zip(arrays, (qt, v), before):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(inp, want)
+
+    def test_accepted_moves_keep_row_sums(self):
+        rng = np.random.default_rng(4)
+        start = (rng.dirichlet(np.ones(3), size=2),
+                 rng.dirichlet(np.ones(2), size=(2, 2)))
+        targets = (rng.dirichlet(np.ones(3), size=2),
+                   rng.dirichlet(np.ones(2), size=(2, 2)))
+
+        def distance(arrays, _):
+            d = sum(float(((a - t) ** 2).sum())
+                    for a, t in zip(arrays, targets))
+            return d, d
+
+        value0 = distance(start, None)[0]
+        value, info, arrays = _exchange_walk(distance, start, value0, None,
+                                             0.1, 3, 1e-15)
+        assert value < value0 and info == value
+        assert value == distance(arrays, None)[0]
+        for got, inp in zip(arrays, start):
+            assert np.all(got >= 0.0)
+            assert np.max(np.abs(got.sum(axis=-1) - inp.sum(axis=-1))) <= 1e-15
+
+
+class TestGrids:
+    @pytest.mark.parametrize("points", [2, 3, 5, 9])
+    def test_matrix_grid_matches_product_and_filter(self, points):
+        m = points - 1
+        for n_in, n_out in product((1, 2, 3), repeat=2):
+            rows = [np.array(comp + (m - sum(comp),), dtype=np.float64) / m
+                    for comp in product(range(m + 1), repeat=n_out - 1)
+                    if sum(comp) <= m]
+            want = [np.array(combo) for combo in product(rows, repeat=n_in)]
+            got = _matrix_grid(n_in, n_out, points)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
 
 
 class TestG1:
@@ -393,26 +480,28 @@ class TestG1:
 
 
 class TestJ:
-    def test_nonnegative_and_product_joint_witness(self, rng):
+    """J: its channel-behavior divergence is 0 at the product joint, so J
+    is the value of `_inner_min`."""
+
+    def test_nonnegative_with_decoding_branch(self, rng):
         chan = random_relay_channel(rng, (2, 2, 2, 2))
-        c = _random_cf_input(rng, chan)
-        val, wit = cf_J(chan, c, CfRates(0.2, 0.2), FAST)
+        aux = cf_aux_channels(chan, _random_cf_input(rng, chan))
+        val, wit = _inner_min(aux, CfRates(0.2, 0.2), FAST)
         assert val >= 0.0
-        assert wit["divergence"] == 0.0
-        assert isinstance(wit["joint"], CfJointType)
         assert wit["ell"] in (1, 2)
 
     def test_zero_at_large_rates(self, rng):
-        # rates above every mutual information drive both psi terms to 0
+        # rates above every mutual information drive both psi terms to 0;
+        # the truth pair certifies zero up to float noise in the cost
         chan = random_relay_channel(rng, (2, 2, 2, 2))
-        c = _random_cf_input(rng, chan)
-        val, _ = cf_J(chan, c, CfRates(3.0, 3.0), FAST)
-        assert val == 0.0
+        aux = cf_aux_channels(chan, _random_cf_input(rng, chan))
+        val, _ = _inner_min(aux, CfRates(3.0, 3.0), FAST)
+        assert val <= 1e-12
 
     def test_monotone_in_message_rate(self, rng):
         chan = random_relay_channel(rng, (2, 2, 2, 2))
-        c = _random_cf_input(rng, chan)
-        vals = [cf_J(chan, c, CfRates(r, 0.2), FAST)[0]
+        aux = cf_aux_channels(chan, _random_cf_input(rng, chan))
+        vals = [_inner_min(aux, CfRates(r, 0.2), FAST)[0]
                 for r in (0.05, 0.2, 0.5, 1.0)]
         assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
 
@@ -445,6 +534,7 @@ class TestG2:
         assert r_thresh > 0.05
         val_in, _ = cf_G2(chan, c, 0.5 * r_thresh, r2, FAST)
         assert val_in > 0.0
+        assert val_in == pytest.approx(0.5255089710496098, abs=1e-12)
         val_out, _ = cf_G2(chan, c, i_psi1 + 0.3, r2, FAST)
         assert val_out == 0.0
 
@@ -499,13 +589,7 @@ class TestG2:
             cf_overall(chan, c, 1, 0.3, 0.2)
 
 
-class TestCfJointType:
-    def test_rejects_inconsistent_marginals(self, rng):
-        j = rng.dirichlet(np.ones(16)).reshape(2, 2, 2, 2)
-        with pytest.raises(ValueError):
-            CfJointType(j, np.array([0.9, 0.1]), j.sum(axis=(0, 2, 3)),
-                        np.full((2, 2), 0.5))
-
+class TestCfRates:
     def test_rates_validation(self):
         with pytest.raises(ValueError):
             CfRates(-0.1, 0.2)
