@@ -36,8 +36,8 @@ from .pdf_exponents import (BlockMarkovConfig, _tally, df_input,
 from .prob_core import CondDist, Dist, OptimizerConfig
 from .relay_model import (CfInput, PdfInput, RelayChannelSpec, cutset_bound,
                           sato_channel)
-from .types_toolkit import (EnumBudgetError, TypeN, enum_cond_types,
-                            enum_types, verify_joint_typicality, verify_lemma1)
+from .types_toolkit import (EnumBudgetError, TypeN, check_joint_typicality,
+                            check_lemma1, enum_cond_types, enum_types)
 
 CSV_HEADER = "b,r_eff,r_b,kind,value_bits,witness,grid_note"
 #: points a --reff grid may hold; larger grids exit 4 before any work
@@ -216,9 +216,10 @@ def _cf_input(chan, caid) -> CfInput:
 
 def _rate_points(grid):
     start, stop, step = grid
-    n = int(round((stop - start) / step)) + 1
+    span = (stop - start) / step  # inf when the quotient overflows
+    n = round(span) + 1 if math.isfinite(span) else math.inf
     if n > RATE_POINT_BUDGET:
-        raise CliError(4, f"rate grid has {n} points, over the budget of "
+        raise CliError(4, f"rate grid has {n:.3g} points, over the budget of "
                           f"{RATE_POINT_BUDGET}")
     return [round(start + i * step, 12) for i in range(n)
             if start + i * step <= stop + 1e-12]
@@ -303,7 +304,7 @@ def run(spec: SweepSpec) -> SweepResult:
         grids.update(stats)
 
     elif spec.command == "types-verify":
-        failures = _types_sweep(rows)
+        failures, grids["types_checks"] = _types_sweep(rows)
         if failures:
             raise CliError(3, f"{failures} type-lemma checks failed")
 
@@ -320,33 +321,34 @@ def run(spec: SweepSpec) -> SweepResult:
 
 
 def _types_sweep(rows, n_max=4):
-    channels = {"bsc10": CondDist(np.array([[0.9, 0.1], [0.1, 0.9]])),
-                "bsc30": CondDist(np.array([[0.7, 0.3], [0.3, 0.7]])),
-                "identity": CondDist(np.eye(2))}
-    failures = 0
+    """Check every binary type-lemma instance up to n_max, one row per
+    lemma and n; returns (failed rows, per-n instance counts)."""
+    channels = [CondDist(np.array([[0.9, 0.1], [0.1, 0.9]])),
+                CondDist(np.array([[0.7, 0.3], [0.3, 0.7]])),
+                CondDist(np.eye(2))]
+    failures, checks = 0, []
     for n in range(1, n_max + 1):
-        ok = True
+        ok = {"lemma1": True, "lemma23": True} if n >= 2 else {"lemma1": True}
+        count = {"n": n, "lemma1": 0, "joint_typicality": 0,
+                 "x2_enumerations": 0}
         for p in enum_types(n, 2):
             for v in enum_cond_types(p, 2):
-                for w in channels.values():
-                    if not verify_lemma1(n, p, v, w).all_ok:
-                        ok = False
-        rows.append((0, float(n), float(n), "lemma1", 1.0 if ok else 0.0,
-                     "exhaustive", f"n:{n}"))
-        failures += 0 if ok else 1
-    for n in range(2, n_max + 1):
-        ok = True
-        for p in enum_types(n, 2):
-            for v in enum_cond_types(p, 2):
-                joint_base = TypeN(tuple(c for r in v.counts for c in r), n)
-                for vp in enum_cond_types(joint_base, 2):
-                    rep = verify_joint_typicality(n, p, v, vp)
-                    if not rep.all_ok:
-                        ok = False
-        rows.append((0, float(n), float(n), "lemma23", 1.0 if ok else 0.0,
-                     "exhaustive", f"n:{n}"))
-        failures += 0 if ok else 1
-    return failures
+                lemma1 = check_lemma1(n, p, v, channels)
+                ok["lemma1"] &= all(rep.all_ok for rep in lemma1)
+                count["lemma1"] += len(lemma1)
+                if n < 2:
+                    continue
+                vprimes = enum_cond_types(TypeN(sum(v.counts, ()), n), 2)
+                joint = check_joint_typicality(n, p, v, vprimes)
+                ok["lemma23"] &= all(rep.all_ok for rep in joint)
+                count["joint_typicality"] += len(joint)
+                count["x2_enumerations"] += 1
+        checks.append(count)
+        for kind, passed in ok.items():
+            rows.append((0, float(n), float(n), kind, 1.0 if passed else 0.0,
+                         "exhaustive", f"n:{n}"))
+            failures += 0 if passed else 1
+    return failures, checks
 
 
 def _sato_figures(spec: SweepSpec, rows, grids):
@@ -472,7 +474,11 @@ def main(argv=None):
     try:
         spec = _spec_from_args(args)
         result = run(spec)
-        write_outputs(spec, result)
+        try:
+            write_outputs(spec, result)
+        except OSError as exc:
+            raise CliError(3, f"cannot write output to {spec.out_dir}: "
+                              f"{exc.strerror or exc}")
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

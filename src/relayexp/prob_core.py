@@ -125,14 +125,15 @@ def mutual_info(p: Dist, v: CondDist) -> float:
     return max(val, 0.0)
 
 
-def cond_mi_from_joint(joint) -> float:
-    """I(A;B|S) in bits from a raw joint array p(s,a,b)."""
+def cond_mi_from_joint(joint):
+    """I(A;B|S) in bits of a joint p(s,a,b), or of each joint of a stack."""
     j = np.asarray(joint, dtype=np.float64)
-    h_as = _neg_plogp(j.sum(axis=2)).sum()
-    h_bs = _neg_plogp(j.sum(axis=1)).sum()
-    h_s = _neg_plogp(j.sum(axis=(1, 2))).sum()
-    h_abs = _neg_plogp(j).sum()
-    return max(float(h_as + h_bs - h_s - h_abs), 0.0)
+    h_as = _neg_plogp(j.sum(axis=-1)).sum(axis=(-2, -1))
+    h_bs = _neg_plogp(j.sum(axis=-2)).sum(axis=(-2, -1))
+    h_s = _neg_plogp(j.sum(axis=(-2, -1))).sum(axis=-1)
+    h_abs = _neg_plogp(j).sum(axis=(-3, -2, -1))
+    mi = np.maximum(h_as + h_bs - h_s - h_abs, 0.0)
+    return float(mi) if mi.ndim == 0 else mi
 
 
 def mi_axes(joint, a_axes, b_axes, s_axes=()) -> float:

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from relayexp import (BlockMarkovConfig, pdf_exponents, pdf_overall,
@@ -208,6 +208,27 @@ class TestCommands:
         assert all(row[4] == 1.0 for row in res.rows)
         assert {row[3] for row in res.rows} == {"lemma1", "lemma23"}
 
+    def test_types_verify_sidecar_records_checks(self, tmp_path):
+        # [DERIVED] binary P = (k, n-k) has (k+1)(n-k+1) V; each (P, V) is
+        # checked against 3 channels, with one X2^n enumeration for its V'
+        # on the joint type, and a joint type with counts c has
+        # prod (c+1) V'
+        spec = SweepSpec("types-verify", out_dir=str(tmp_path))
+        write_outputs(spec, run(spec))
+        meta = json.loads((tmp_path / "types_verify.meta.json").read_text())
+        want = []
+        for n in range(1, 5):
+            pv = vp = 0
+            for k in range(n + 1):
+                for i in range(k + 1):
+                    for j in range(n - k + 1):
+                        pv += 1
+                        vp += (i + 1) * (k - i + 1) * (j + 1) * (n - k - j + 1)
+            want.append({"n": n, "lemma1": 3 * pv,
+                         "joint_typicality": vp if n >= 2 else 0,
+                         "x2_enumerations": pv if n >= 2 else 0})
+        assert meta["grids"]["types_checks"] == want
+
     def test_pdf_grid_rows_sorted(self, tmp_path, rng):
         path, _ = _small_channel_file(tmp_path, rng)
         res = run(SweepSpec("pdf", channel_path=path, blocks=(10, 5),
@@ -377,17 +398,31 @@ class TestMain:
             bracket["hi"] - bracket["lo"], rel=1e-6)
 
     def test_rate_grid_over_budget_exits_4(self, tmp_path, capsys):
-        # 10^18 rate points are counted, not built
-        start = time.perf_counter()
-        code = main(["upper", "--preset", "sato", "--reff", "0:1e9:1e-9",
-                     "--out", str(tmp_path / "out")])
-        elapsed = time.perf_counter() - start
+        # the points are counted, not built, and the count is printed short
+        for command, grid in (("upper", "0:1e9:1e-9"),    # 10^18 points
+                              ("df", "0:1e308:1e-10"),    # overflows to inf
+                              ("pdf", "0:1:1e-300")):     # a 301-digit count
+            start = time.perf_counter()
+            code = main([command, "--preset", "sato", "--reff", grid,
+                         "--out", str(tmp_path / "out")])
+            elapsed = time.perf_counter() - start
+            err = capsys.readouterr().err
+            assert code == 4
+            assert elapsed < 5.0
+            assert err.count("error:") == 1
+            assert err.startswith("error:") and "budget" in err
+            assert "Traceback" not in err
+            assert len(err) < 100
+
+    @pytest.mark.parametrize("command", ["cutset", "types-verify"])
+    def test_unwritable_out_exits_3(self, tmp_path, capsys, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = str(blocker / "out")
+        code = main([command, "--preset", "sato", "--out", out])
         err = capsys.readouterr().err
-        assert code == 4
-        assert elapsed < 5.0
-        assert err.count("error:") == 1
-        assert err.startswith("error:") and "budget" in err
-        assert "Traceback" not in err
+        assert code == 3
+        assert err == f"error: cannot write output to {out}: Not a directory\n"
 
     def test_cf_alphabet_over_limit_exits_3(self, tmp_path, capsys):
         chan = random_relay_channel(np.random.default_rng(0), (4, 2, 2, 2))
@@ -499,3 +534,59 @@ class TestMalformedChannelFiles:
         err = capsys.readouterr().err
         assert code in (2, 3)
         assert err.startswith("error:") and "Traceback" not in err
+
+
+_COMMANDS = ("pdf", "df", "cf", "cutset", "upper", "types-verify",
+             "sato-figures")
+_EDGE = ("nan", "inf", "-inf", "-1", "0", "1e308", "", "x")
+# (flag, values a run accepts, edge values); valid grids have <= 3 points
+_FLAGS = (("--b", ("2", "2,3", "5"), _EDGE + ("1", "2,,3")),
+          ("--reff", ("0.1:0.3:0.1", "0:1:0.5", "0.2"),
+           _EDGE + ("0:1e308:1e-10", "0:1:1e-300", "0:1e9:1e-9", "1:0:0.1",
+                    "0:1", "a:b", "0:1:0", "::")),
+          ("--rate", ("0", "0.3", "1"), _EDGE),
+          ("--r2", ("0", "0.3", "1"), _EDGE),
+          ("--split", ("auto", "0.5", "1"), _EDGE + ("2",)),
+          ("--u-size", ("1", "2"), _EDGE),
+          ("--seed", ("0", "3"), _EDGE),
+          ("--restarts", ("1", "2"), _EDGE),
+          ("--form", ("primal", "dual"), ("x", "")))
+# the Sato preset runs every command in well under a second; the channel
+# files are placeholders the test replaces by paths under its tmp_path
+_SOURCES = (("--preset", "sato"), (), ("--preset", "nope"),
+            ("--channel", "@missing"), ("--channel", "@garbage"))
+
+
+@st.composite
+def _argv(draw):
+    """A command line: one command, a channel source, each option absent,
+    valid or an edge value, and a writable or an unwritable --out."""
+    argv = [draw(st.sampled_from(_COMMANDS))]
+    argv += draw(st.sampled_from(_SOURCES))
+    for flag, valid, edge in _FLAGS:
+        kind = draw(st.sampled_from(("absent", "absent", "valid", "edge")))
+        if kind != "absent":
+            value = draw(st.sampled_from(valid if kind == "valid" else edge))
+            argv.append(f"{flag}={value}")
+    return argv + ["--out", draw(st.sampled_from(["@out", "@blocked"]))]
+
+
+class TestArgumentFuzz:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=_argv())
+    @example(argv=["df", "--preset", "sato", "--reff=0:1e308:1e-10",
+                   "--out", "@out"])
+    @example(argv=["types-verify", "--out", "@blocked"])
+    def test_exit_code_without_traceback(self, tmp_path, capsys, argv):
+        (tmp_path / "garbage.json").write_text("{broken")
+        paths = {"@missing": str(tmp_path / "none.json"),
+                 "@garbage": str(tmp_path / "garbage.json"),
+                 "@out": str(tmp_path / "out"),
+                 "@blocked": str(tmp_path / "garbage.json" / "out")}
+        try:
+            code = main([paths.get(tok, tok) for tok in argv])
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in capsys.readouterr().err

@@ -103,6 +103,19 @@ class TestMutualInfo:
                              - entropy_vec(c.reshape(-1)))
         assert cond_mi_from_joint(j) == pytest.approx(want, abs=1e-12)
 
+    def test_cond_mi_from_joint_stack_matches_each_joint(self, rng):
+        # a stack gives, bit for bit, the float of each joint alone
+        stack = rng.dirichlet(np.ones(12), size=(2, 5)).reshape(2, 5, 2, 3, 2)
+        stack[0, 0] = 0.0
+        stack[0, 0, 1, 2, 0] = 1.0  # a point mass: I = 0
+        got = cond_mi_from_joint(stack)
+        assert got.shape == (2, 5)
+        for idx in np.ndindex(2, 5):
+            want = cond_mi_from_joint(stack[idx])
+            assert type(want) is float
+            assert got[idx] == want
+        assert got[0, 0] == 0.0
+
     def test_mi_axes_matches_direct(self, rng):
         j = rng.dirichlet(np.ones(36)).reshape(2, 3, 2, 3)
         direct = cond_mi_from_joint(

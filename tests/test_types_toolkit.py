@@ -9,10 +9,31 @@ import pytest
 from relayexp import (CondTypeN, TypeN, enum_types, type_class_size,
                       verify_joint_typicality, verify_lemma1, vshell_size)
 from relayexp.prob_core import CondDist
-from relayexp.types_toolkit import EnumBudgetError, enum_cond_types
+from relayexp.types_toolkit import (EnumBudgetError, check_joint_typicality,
+                                    check_lemma1, enum_cond_types)
 
 BSC01 = CondDist(np.array([[0.9, 0.1], [0.1, 0.9]]))
 IDENTITY = CondDist(np.eye(2))
+# the three channels of the types-verify sweep, and one whose first row
+# misses part of most shells' support
+CHANNELS = (BSC01, CondDist(np.array([[0.7, 0.3], [0.3, 0.7]])), IDENTITY,
+            CondDist(np.array([[1.0, 0.0], [0.2, 0.8]])))
+
+
+def _joint_cases(n):
+    """Every binary (P, V) of blocklength n with every V' on its joint type."""
+    return [(p, v, enum_cond_types(
+                TypeN(tuple(c for row in v.counts for c in row), n), 2))
+            for p in enum_types(n, 2) for v in enum_cond_types(p, 2)]
+
+
+def _fields(rep):
+    """A report's fields with floats as repr, so == compares bit for bit."""
+    def exact(x):
+        return repr(float(x)) if isinstance(x, float) else x
+    out = {key: exact(val) for key, val in vars(rep).items()}
+    out["details"] = {key: exact(val) for key, val in rep.details.items()}
+    return out
 
 
 class TestEnumeration:
@@ -149,3 +170,65 @@ class TestJointTypicality:
                     base = TypeN(tuple(c for r in v.counts for c in r), n)
                     for vp in enum_cond_types(base, 2):
                         assert verify_joint_typicality(n, p, v, vp).all_ok
+
+
+class TestBatchedCores:
+    def test_counts_match_closed_form(self):
+        # [DERIVED] with x1 and ybar sorted, the x2 in the V-shell whose
+        # joint type is V' fill each (x1, y) block independently, so
+        # num = prod_{a,y} multinomial(ymarg[a][y]; (V'[a,b][y])_b) and
+        # den = |V-shell|; the library enumerates X2^n instead
+        for n in range(2, 7):
+            for p, v, vps in _joint_cases(n):
+                for vp, rep in zip(vps, check_joint_typicality(n, p, v, vps)):
+                    num = 1
+                    for a in range(2):
+                        for y in range(2):
+                            col = [vp.counts[a * 2 + b][y] for b in range(2)]
+                            ways = math.factorial(sum(col))
+                            for c in col:
+                                ways //= math.factorial(c)
+                            num *= ways
+                    assert rep.details["num"] == num
+                    assert rep.details["den"] == vshell_size(v)
+
+    def test_batches_equal_one_instance_calls(self):
+        # every field of every report, bit for bit, with all channels of one
+        # (P, V) in one Lemma 1 call and all its V' in one joint call; one
+        # V' whose base is not the joint type leads each joint batch, so
+        # reports must keep their order
+        for n in range(1, 7):
+            for p, v, vps in _joint_cases(n):
+                batch = check_lemma1(n, p, v, CHANNELS)
+                single = [verify_lemma1(n, p, v, w) for w in CHANNELS]
+                assert [_fields(r) for r in batch] == [_fields(r) for r in single]
+                if n < 2:
+                    continue
+                wrong = enum_cond_types(TypeN((n, 0, 0, 0), n), 2)[0]
+                batch = check_joint_typicality(n, p, v, [wrong] + vps)
+                single = [verify_joint_typicality(n, p, v, vp)
+                          for vp in [wrong] + vps]
+                assert [_fields(r) for r in batch] == [_fields(r) for r in single]
+                assert all(r.consistent for r in batch[1:])
+                assert (batch[0].consistent
+                        == (sum(v.counts, ()) == (n, 0, 0, 0)))
+
+    def test_shell_budget_checked_only_for_consistent_instances(self):
+        # 2^30 x2 sequences are over the budget: refused before any is
+        # built, unless no V' needs the shell
+        n = 30
+        p = TypeN((15, 15), n)
+        v = CondTypeN(((15, 0), (0, 15)), p)
+        vp = CondTypeN(((15, 0), (0, 0), (0, 0), (0, 15)),
+                       TypeN((15, 0, 0, 15), n))
+        with pytest.raises(EnumBudgetError):
+            verify_joint_typicality(n, p, v, vp)
+        wrong = CondTypeN(((30, 0), (0, 0), (0, 0), (0, 0)),
+                          TypeN((30, 0, 0, 0), n))
+        assert not verify_joint_typicality(n, p, v, wrong).consistent
+
+    def test_lemma1_rejects_mismatched_channel(self):
+        p = TypeN((2, 1), 3)
+        v = CondTypeN(((2, 0), (1, 0)), p)
+        with pytest.raises(ValueError):
+            verify_lemma1(3, p, v, CondDist(np.ones((2, 1))))
