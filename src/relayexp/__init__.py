@@ -6,9 +6,9 @@ from .prob_core import (CondDist, Dist, OptimizerConfig, cond_entropy,
                         entropy, kl_div_cond, mutual_info)
 from .relay_model import (CfInput, PdfInput, RelayChannelSpec, cf_aux_channels,
                           cutset_bound, pdf_virtual_channels, sato_channel)
-from .pdf_exponents import (BlockMarkovConfig, ExponentEval, df_input,
-                            optimize_blocks, pdf_dual_exponent, pdf_overall,
-                            pdf_primal_exponent)
+from .pdf_exponents import (BlockMarkovConfig, ExponentEval, PdfSweep,
+                            df_input, optimize_blocks, pdf_dual_exponent,
+                            pdf_overall, pdf_primal_exponent, pdf_sweep)
 from .cf_exponents import CfRates, cf_G1, cf_G2, cf_overall, cf_psi1, cf_psi2
 from .haroutunian_upper import (UpperBoundResult, ecs_objective, ecs_upper,
                                 ecs_upper_sweep)

@@ -23,16 +23,14 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .cf_exponents import _check_scale, cf_G1, cf_overall_witness
 from .haroutunian_upper import ecs_upper_sweep
-from .pdf_exponents import (BlockMarkovConfig, _tally, df_input,
-                            optimize_blocks, pdf_dual_exponent,
-                            pdf_overall_batch)
+from .pdf_exponents import SPLIT_GRID, df_input, pdf_sweep
 from .prob_core import CondDist, Dist, OptimizerConfig
 from .relay_model import (CfInput, PdfInput, RelayChannelSpec, cutset_bound,
                           sato_channel)
@@ -40,8 +38,12 @@ from .types_toolkit import (EnumBudgetError, TypeN, check_joint_typicality,
                             check_lemma1, enum_cond_types, enum_types)
 
 CSV_HEADER = "b,r_eff,r_b,kind,value_bits,witness,grid_note"
-#: points a --reff grid may hold; larger grids exit 4 before any work
+#: points a --reff grid, or the (b, r_eff) grid of pdf, df and cf, may hold;
+#: larger grids exit 4 before any work
 RATE_POINT_BUDGET = 10**5
+#: entries the largest pdf state channel may hold (Sato with --u-size
+#: 100000 has 1.8e6); larger inputs exit 4 before any array is built
+STATE_ENTRY_BUDGET = 4 * 10**6
 
 
 class CliError(Exception):
@@ -89,11 +91,20 @@ class SweepSpec:
             raise CliError(3, f"--seed must be >= 0, got {self.seed}")
 
 
+def _row_key(row):
+    return row[0], row[1], row[3]
+
+
 @dataclass
 class SweepResult:
-    rows: list
+    tables: dict                   # {CSV file stem: rows}
     metadata: dict
-    files: list = field(default_factory=list)
+
+    @property
+    def rows(self):
+        """Every table's rows, sorted by (b, r_eff, kind)."""
+        return sorted((row for rows in self.tables.values() for row in rows),
+                      key=_row_key)
 
 
 def _fmt(x):
@@ -190,9 +201,16 @@ def _default_joint(chan: RelayChannelSpec, caid):
 
 
 def _pdf_q(chan, caid, u_size) -> PdfInput:
-    if u_size is None or u_size == chan.sizes[0]:
+    n_x1, n_x2, n_y2, n_y3 = chan.sizes
+    # relay_F's state channel has u * x2 * y2 entries, decoder_Gtilde's
+    # u * x2 * x1 * y3 and decoder_G's fewer; the product is not printed,
+    # since a --u-size of thousands of digits would not convert to a float
+    u, per_u = u_size or n_x1, n_x2 * max(n_y2, n_x1 * n_y3)
+    if u * per_u > STATE_ENTRY_BUDGET:
+        raise CliError(4, f"a state channel has |U| = {u} times {per_u} "
+                          f"entries, over the budget of {STATE_ENTRY_BUDGET}")
+    if u_size is None or u_size == n_x1:
         return df_input(chan, _default_joint(chan, caid))
-    n_x1, n_x2 = chan.sizes[0], chan.sizes[1]
     q_x2 = Dist(np.full(n_x2, 1.0 / n_x2))
     q_u = CondDist(np.full((n_x2, u_size), 1.0 / u_size))
     q_x1 = CondDist(np.full((u_size * n_x2, n_x1), 1.0 / n_x1))
@@ -214,21 +232,33 @@ def _cf_input(chan, caid) -> CfInput:
     return CfInput(q_x1, q_x2, yhat, CondDist(test), realized)
 
 
-def _rate_points(grid):
+def _rate_points(grid, blocks=1):
+    """The rates of a --reff grid; exits 4, before any rate is built, when
+    the grid times `blocks` block counts has over RATE_POINT_BUDGET points."""
     start, stop, step = grid
     span = (stop - start) / step  # inf when the quotient overflows
     n = round(span) + 1 if math.isfinite(span) else math.inf
-    if n > RATE_POINT_BUDGET:
-        raise CliError(4, f"rate grid has {n:.3g} points, over the budget of "
-                          f"{RATE_POINT_BUDGET}")
+    if n * blocks > RATE_POINT_BUDGET:
+        raise CliError(4, f"grid has {float(n) * blocks:.6g} points, over the "
+                          f"budget of {RATE_POINT_BUDGET}")
     return [round(start + i * step, 12) for i in range(n)
             if start + i * step <= stop + 1e-12]
+
+
+def _block_grid(spec):
+    """(sorted block counts, rates) of a pdf, df or cf sweep, counted
+    against RATE_POINT_BUDGET before either is used; without --reff the
+    rate is one point."""
+    blocks = sorted(spec.blocks or (10,))
+    points = _rate_points(spec.rate_grid or (0.0, 0.0, 1.0), len(blocks))
+    return blocks, points if spec.rate_grid else [spec.rate or 0.0]
 
 
 def run(spec: SweepSpec) -> SweepResult:
     """Execute one sweep command and return rows plus metadata."""
     t0 = time.perf_counter()
     rows = []
+    tables = {spec.command.replace("-", "_"): rows}
     grids = {}
     chan, caid = (None, None)
     if spec.command != "types-verify":
@@ -245,18 +275,17 @@ def run(spec: SweepSpec) -> SweepResult:
     elif spec.command in ("pdf", "df"):
         split = 1.0 if spec.command == "df" else spec.split
         split = None if split == "auto" else float(split)
+        blocks, points = _block_grid(spec)
         q = _pdf_q(chan, caid, None if spec.command == "df" else spec.u_size)
-        blocks = spec.blocks or (10,)
-        points = _rate_points(spec.rate_grid) if spec.rate_grid else [spec.rate or 0.0]
-        bms = [BlockMarkovConfig(b, r_eff, split)
-               for b in sorted(blocks) for r_eff in points]
         work = {}
-        for bm, (val, rep) in zip(bms, pdf_overall_batch(chan, q, bms,
-                                                         spec.form, work)):
-            rows.append((bm.b, bm.r_eff, bm.r_b, f"{spec.command}_overall",
-                         val, f"split={_fmt(rep['split'])}",
-                         f"splits:{'fixed' if split is not None else 41}"))
-        grids["split_grid"] = 41 if split is None else "fixed"
+        sweep = pdf_sweep(chan, q, blocks, points, spec.form, split, work)
+        grids["split_grid"] = SPLIT_GRID if split is None else "fixed"
+        for i, b in enumerate(blocks):
+            for j, r_eff in enumerate(points):
+                rows.append((b, r_eff, sweep.r_b[i, j],
+                             f"{spec.command}_overall", sweep.value[i, j],
+                             f"split={_fmt(sweep.split[i, j])}",
+                             f"splits:{grids['split_grid']}"))
         grids["exponent_work"] = work
 
     elif spec.command == "cf":
@@ -265,14 +294,13 @@ def run(spec: SweepSpec) -> SweepResult:
             _check_scale(chan, cin.yhat_size)
         except ValueError as exc:
             raise CliError(3, str(exc))
-        blocks = spec.blocks or (10,)
-        points = _rate_points(spec.rate_grid) if spec.rate_grid else [spec.rate or 0.0]
+        blocks, points = _block_grid(spec)
         # G1 depends only on R2 and the input; when it is 0 no G2 search
         # runs.  The G2 grids go to the sidecar only: v_grid_points 0 marks
         # the seeded Dirichlet sample that replaces a V lattice over budget
         g1 = cf_G1(chan, cin, spec.r2).value
         grids["cf_g2"] = []
-        for b in sorted(blocks):
+        for b in blocks:
             for r_eff in points:
                 val, g2 = cf_overall_witness(chan, cin, b, r_eff, spec.r2,
                                              g1=g1)
@@ -309,15 +337,16 @@ def run(spec: SweepSpec) -> SweepResult:
             raise CliError(3, f"{failures} type-lemma checks failed")
 
     elif spec.command == "sato-figures":
-        _sato_figures(spec, rows, grids)
+        tables = _sato_figures(grids)
 
     else:
         raise CliError(3, f"unknown command {spec.command!r}")
 
-    rows.sort(key=lambda row: (row[0], row[1], row[3]))
+    for table in tables.values():
+        table.sort(key=_row_key)
     metadata = {"version": __version__, "seed": spec.seed,
                 "grids": grids, "wall_time_s": time.perf_counter() - t0}
-    return SweepResult(rows, metadata)
+    return SweepResult(tables, metadata)
 
 
 def _types_sweep(rows, n_max=4):
@@ -351,41 +380,29 @@ def _types_sweep(rows, n_max=4):
     return failures, checks
 
 
-def _sato_figures(spec: SweepSpec, rows, grids):
+def _sato_figures(grids):
+    """The three figure tables from one decode-forward sweep over b = 2..200:
+    F/b and G/b at b = 10, 50, 100, and the best block count per rate."""
     chan, caid = sato_channel()
-    q = df_input(chan, caid)
-    blocks = (10, 50, 100)
     points = _rate_points((1.00, 1.20, 0.005))
     grids["r_eff_grid"] = "1.00:1.20:0.005"
-    figure_points = [(b, r_eff, b / (b - 1) * r_eff)
-                     for b in blocks for r_eff in points]
-    r_bs = np.array([r_b for _, _, r_b in figure_points])
     work = {}
-    f = pdf_dual_exponent("relay_F", chan, q, r_bs)
-    g = pdf_dual_exponent("decoder_G", chan, q, r_bs)
-    for ev in (f, g):
-        _tally(work, ev.kind, r_bs.size, ev.diagnostics["curve_points"])
-    relay_rows, decoder_rows = [], []
-    for i, (b, r_eff, r_b) in enumerate(figure_points):
-        relay_rows.append((b, r_eff, r_b, "relay_F_over_b", f.value[i] / b,
-                           f"rho={_fmt(f.witness[i])}", "dual"))
-        decoder_rows.append((b, r_eff, r_b, "decoder_G_over_b",
-                             g.value[i] / b, f"rho={_fmt(g.witness[i])}",
-                             "dual"))
-    opt_rows = []
-    best = optimize_blocks(chan, q, points, (2, 200), "dual",
-                           split_fraction=1.0, stats=work)
-    for r_eff, (best_b, curve) in zip(points, best):
-        val = dict(curve)[best_b]
-        r_b = best_b / (best_b - 1) * r_eff
-        opt_rows.append((best_b, r_eff, r_b, "df_opt_b", val,
-                         f"best_b={best_b}", "b:2..200"))
+    sweep = pdf_sweep(chan, df_input(chan, caid), range(2, 201), points,
+                      "dual", 1.0, work)
     grids["exponent_work"] = work
-    rows.extend(relay_rows + decoder_rows + opt_rows)
-    # stash the per-figure row groups for the writer
-    grids["_figure_groups"] = {"fig_relay": relay_rows,
-                               "fig_decoder": decoder_rows,
-                               "fig_blocks": opt_rows}
+    tables = {"fig_relay": [], "fig_decoder": []}
+    for name, kind in zip(tables, ("relay_F", "decoder_G")):
+        _, _, value, rho = sweep.parts[kind]
+        for b in (10, 50, 100):
+            for j, r_eff in enumerate(points):
+                tables[name].append((b, r_eff, sweep.r_b[b - 2, j],
+                                     f"{kind}_over_b", value[b - 2, j] / b,
+                                     f"rho={_fmt(rho[b - 2, j])}", "dual"))
+    tables["fig_blocks"] = [
+        (i + 2, r_eff, sweep.r_b[i, j], "df_opt_b", sweep.value[i, j],
+         f"best_b={i + 2}", "b:2..200")
+        for j, (r_eff, i) in enumerate(zip(points, sweep.best_blocks()))]
+    return tables
 
 
 def _write_csv(path, rows):
@@ -400,21 +417,13 @@ def _write_csv(path, rows):
 def write_outputs(spec: SweepSpec, result: SweepResult):
     import os
     os.makedirs(spec.out_dir, exist_ok=True)
-    groups = result.metadata["grids"].pop("_figure_groups", None)
-    if groups:
-        for name, rows in groups.items():
-            path = os.path.join(spec.out_dir, f"{name}.csv")
-            _write_csv(path, sorted(rows, key=lambda r: (r[0], r[1], r[3])))
-            result.files.append(path)
-    else:
-        path = os.path.join(spec.out_dir, f"{spec.command.replace('-', '_')}.csv")
-        _write_csv(path, result.rows)
-        result.files.append(path)
+    for name, rows in result.tables.items():
+        path = os.path.join(spec.out_dir, f"{name}.csv")
+        _write_csv(path, rows)
     meta_path = os.path.join(spec.out_dir, f"{spec.command.replace('-', '_')}.meta.json")
     with open(meta_path, "w") as fh:
         json.dump(result.metadata, fh, indent=1, default=str)
         fh.write("\n")
-    result.files.append(meta_path)
 
 
 def _build_parser():

@@ -30,6 +30,11 @@ _ALTERNATION_TOL = 1e-12
 # probes x channel entries per curve call of a lockstep golden section, so
 # that each float64 (probes x channel) temporary stays within 0.5 MiB
 _CURVE_ELEMENTS = 1 << 16
+#: the automatic rate split: a scan of SPLIT_GRID points over [0, 1], then
+#: SPLIT_REFINE points within SPLIT_WINDOW of the scan's first maximum
+SPLIT_GRID = 41
+SPLIT_REFINE = 11
+SPLIT_WINDOW = 0.025
 
 
 @dataclass
@@ -47,6 +52,16 @@ def _check_rates(rate, name="rate"):
         raise ValueError(f"{name} must be finite and nonnegative")
 
 
+def _check_grid(b, r_eff, split_fraction):
+    """Raise ValueError unless every b >= 2, every r_eff is finite and >= 0
+    and the split is None or lies in [0, 1]."""
+    if np.any(np.asarray(b) < 2):
+        raise ValueError("b must be >= 2")
+    _check_rates(r_eff, "r_eff")
+    if split_fraction is not None and not 0 <= split_fraction <= 1:
+        raise ValueError("split_fraction must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class BlockMarkovConfig:
     """Block-Markov bookkeeping: R_b = b/(b-1) * r_eff."""
@@ -56,11 +71,7 @@ class BlockMarkovConfig:
     split_fraction: float = None   # None means scan over the split grid
 
     def __post_init__(self):
-        if self.b < 2:
-            raise ValueError("b must be >= 2")
-        _check_rates(self.r_eff, "r_eff")
-        if self.split_fraction is not None and not 0 <= self.split_fraction <= 1:
-            raise ValueError("split_fraction must lie in [0, 1]")
+        _check_grid(self.b, self.r_eff, self.split_fraction)
 
     @property
     def r_b(self):
@@ -309,129 +320,126 @@ def pdf_primal_exponent(kind, w: RelayChannelSpec, q: PdfInput,
                          "curve_points": points})
 
 
-def _constituents(r_b, splits):
-    """Per kind, (active, rate) grids for the splits R_b = R' + R''.
-
-    `r_b` has shape (n,) and `splits` shape (n, m).  F and G take
-    R' = split * R_b and Gtilde takes R'' = (1 - split) * R_b; each is
-    active where its rate is positive.  Where neither rate is positive (zero
-    per-block rate) every constituent is kept, at rate 0.
-    """
-    r1 = splits * r_b[:, None]
-    r2 = (1.0 - splits) * r_b[:, None]
-    idle = ~(r1 > 0.0) & ~(r2 > 0.0)
-    on1, on2 = (r1 > 0.0) | idle, (r2 > 0.0) | idle
-    r1, r2 = np.where(idle, 0.0, r1), np.where(idle, 0.0, r2)
-    return {"relay_F": (on1, r1), "decoder_G": (on1, r1),
-            "decoder_Gtilde": (on2, r2)}
-
-
-def _tally(stats, kind, problems, points):
-    """Add one solve of `kind` to `stats`, a dict of
-    {kind: {"problems": n, "curve_points": n}}, unless `stats` is None."""
-    if stats is not None:
-        work = stats.setdefault(kind, {"problems": 0, "curve_points": 0})
-        work["problems"] += int(problems)
-        work["curve_points"] += int(points)
-
-
-def _split_values(w, q, r_b, splits, form, stats=None):
-    """Min over the active constituents at every (r_b[i], splits[i, j]).
-
-    Each kind is solved once, at all of its active rates, and tallied in
-    `stats`.  Returns the (n, m) minima and, per kind, its (active, rate,
-    value, witness) grids.
-    """
-    solve = pdf_dual_exponent if form == "dual" else pdf_primal_exponent
-    mins = np.full(splits.shape, np.inf)
-    parts = {}
-    for kind, (active, rate) in _constituents(r_b, splits).items():
-        value, witness = np.zeros(splits.shape), np.zeros(splits.shape)
-        if active.any():
-            ev = solve(kind, w, q, rate[active])
-            _tally(stats, kind, active.sum(), ev.diagnostics["curve_points"])
-            witness = np.zeros(splits.shape + np.shape(ev.witness)[1:])
-            value[active], witness[active] = ev.value, ev.witness
-        mins = np.where(active, np.minimum(mins, value), mins)
-        parts[kind] = (active, rate, value, witness)
-    return mins, parts
-
-
 def _best_splits(w, q, r_b, fraction, form, stats=None):
     """Best split value at every per-block rate in `r_b`, and where it is.
 
-    `fraction` fixes the split, or None scans a 41-point grid and refines
-    11 points around its first maximum.  Each kind is evaluated once over
-    every rate's split grid and once over every refinement grid.  Returns
-    the (n,) best minima over the constituents, the stages as (grid, parts,
-    columns) and, per rate, the index of the stage holding its best split.
+    `fraction` fixes the split, or None scans `SPLIT_GRID` points over
+    [0, 1] and then `SPLIT_REFINE` points within `SPLIT_WINDOW` of the
+    scan's first maximum.  Each kind is solved once per stage, at all of
+    its active rates; if `stats` is a dict, the solve's problems and curve
+    points are added to its {kind: {"problems": n, "curve_points": n}}.
+    Returns the (n,) best minima over the active constituents, the (n,)
+    splits attaining them and, per kind, its (active, rate, value,
+    witness) at those splits.
     """
+    solve = pdf_dual_exponent if form == "dual" else pdf_primal_exponent
     rows = np.arange(r_b.size)
+
+    def stage(splits):
+        # F and G take R' = split * R_b and Gtilde R'' = (1 - split) * R_b,
+        # each active where its rate is positive; where neither rate is
+        # (zero per-block rate) every constituent is kept, at rate 0
+        r1, r2 = splits * r_b[:, None], (1.0 - splits) * r_b[:, None]
+        idle = ~(r1 > 0.0) & ~(r2 > 0.0)
+        r1, r2 = np.where(idle, 0.0, r1), np.where(idle, 0.0, r2)
+        on1, on2 = (r1 > 0.0) | idle, (r2 > 0.0) | idle
+        mins, parts = np.full(splits.shape, np.inf), {}
+        for kind, active, rate in (("relay_F", on1, r1), ("decoder_G", on1, r1),
+                                   ("decoder_Gtilde", on2, r2)):
+            # an empty solve still gives the witness its trailing axes
+            ev = solve(kind, w, q, rate[active])
+            if stats is not None and active.any():
+                work = stats.setdefault(kind, {"problems": 0,
+                                               "curve_points": 0})
+                work["problems"] += int(active.sum())
+                work["curve_points"] += int(ev.diagnostics["curve_points"])
+            value = np.zeros(splits.shape)
+            witness = np.zeros(splits.shape + np.shape(ev.witness)[1:])
+            value[active], witness[active] = ev.value, ev.witness
+            mins = np.where(active, np.minimum(mins, value), mins)
+            parts[kind] = (active, rate, value, witness)
+        # the first maximum over the grid wins, as in a strict > scan
+        cols = np.argmax(mins, axis=1)
+        return (mins[rows, cols], splits[rows, cols],
+                {k: [a[rows, cols] for a in p] for k, p in parts.items()})
+
     if fraction is not None:
-        splits = np.full((r_b.size, 1), fraction)
-    else:
-        splits = np.tile(np.linspace(0.0, 1.0, 41), (r_b.size, 1))
-    # the first maximum over the grid wins, as in a strict > scan
-    mins, parts = _split_values(w, q, r_b, splits, form, stats)
-    cols = np.argmax(mins, axis=1)
-    best_val = mins[rows, cols]
-    stages = [(splits, parts, cols)]
-    stage = np.zeros(r_b.size, dtype=int)
-    if fraction is None:
-        center = splits[rows, cols]
-        fine = np.linspace(np.maximum(center - 0.025, 0.0),
-                           np.minimum(center + 0.025, 1.0), 11, axis=1)
-        fine_mins, fine_parts = _split_values(w, q, r_b, fine, form, stats)
-        fine_cols = np.argmax(fine_mins, axis=1)
-        fine_val = fine_mins[rows, fine_cols]
-        stage = (fine_val > best_val).astype(int)
-        best_val = np.where(stage, fine_val, best_val)
-        stages.append((fine, fine_parts, fine_cols))
-    return best_val, stages, stage
+        return stage(np.full((r_b.size, 1), fraction))
+    best, split, at = stage(np.tile(np.linspace(0.0, 1.0, SPLIT_GRID),
+                                    (r_b.size, 1)))
+    fine_best, fine_split, fine_at = stage(np.linspace(
+        np.maximum(split - SPLIT_WINDOW, 0.0),
+        np.minimum(split + SPLIT_WINDOW, 1.0), SPLIT_REFINE, axis=1))
+    # a refined split wins only where it is strictly better
+    better = fine_best > best
+    at = {k: [np.where(better.reshape((-1,) + (1,) * (new.ndim - 1)), new, old)
+              for new, old in zip(fine_at[k], at[k])] for k in at}
+    return (np.where(better, fine_best, best),
+            np.where(better, fine_split, split), at)
 
 
-def pdf_overall_batch(w: RelayChannelSpec, q: PdfInput, bms,
-                      form: str = "dual", stats=None):
-    """`pdf_overall` at every BlockMarkovConfig in `bms`, as a list of
-    (value, report) pairs.  The configs must share one split_fraction.
-    If `stats` is a dict, each kind's problems and curve points are added
-    to it, as in `_tally`."""
-    if not bms:
-        return []
-    fractions = {bm.split_fraction for bm in bms}
-    if len(fractions) > 1:
-        raise ValueError("all configs must share one split_fraction")
-    r_b = np.array([bm.r_b for bm in bms])
-    best_val, stages, stage = _best_splits(w, q, r_b, fractions.pop(), form,
-                                           stats)
-    out = []
-    for i, bm in enumerate(bms):
-        grid, grid_parts, cols = stages[stage[i]]
-        j = cols[i]
-        on = [(k, rate[i, j], value[i, j], witness[i, j])
-              for k, (active, rate, value, witness) in grid_parts.items()
-              if active[i, j]]
-        report = {
-            "split": grid[i, j],
-            "r_b": bm.r_b,
-            "constituents": [(k, r, v) for k, r, v, _ in on],
-            "witnesses": {k: wit for k, _, _, wit in on},
-        }
-        out.append((max(0.0, best_val[i] / bm.b), report))
-    return out
+@dataclass
+class PdfSweep:
+    """`pdf_sweep` results on a block-count x rate grid: `r_b`, `value` and
+    `split` have shape (len(bs), len(r_effs)), and `parts` maps each kind
+    to its (active, rate, value, witness) grids at `split`, a primal
+    witness adding the dummy channel's axes."""
+
+    r_b: np.ndarray
+    value: np.ndarray
+    split: np.ndarray
+    parts: dict
+
+    def best_blocks(self):
+        """Per rate, the index of the first block count whose value beats
+        the best so far by more than 1e-15."""
+        best = np.full(self.value.shape[1:], -1.0)
+        index = np.zeros(self.value.shape[1:], dtype=int)
+        for i, row in enumerate(self.value):
+            better = row > best + 1e-15
+            index, best = np.where(better, i, index), np.where(better, row, best)
+        return index
+
+
+def pdf_sweep(w: RelayChannelSpec, q: PdfInput, bs, r_effs,
+              form: str = "dual", split_fraction=None, stats=None) -> PdfSweep:
+    """The block-Markov pdf exponent at every (b, r_eff) of `bs` x `r_effs`.
+
+    Each value is (1/b) max over the rate split R' + R'' = R_b of
+    min{F(R'), G(R'), Gtilde(R'')}, R_b = b/(b-1) * r_eff, floored at 0.
+    A constituent whose rate argument is zero carries no messages and is
+    dropped from the min (with U = X1 and split 1 this is exactly
+    decode-forward, where only F and G remain).  `split_fraction` fixes
+    the split, or None scans it as `_best_splits` does.  All points are
+    solved in one batch and tallied in `stats` as `_best_splits` says.
+    """
+    bs = np.asarray(bs, dtype=np.float64).reshape(-1, 1)
+    r_effs = np.asarray(r_effs, dtype=np.float64).reshape(-1)
+    _check_grid(bs, r_effs, split_fraction)
+    r_b = bs / (bs - 1) * r_effs
+    best, split, parts = _best_splits(w, q, r_b.ravel(), split_fraction, form,
+                                      stats)
+    value = best.reshape(r_b.shape) / bs
+    return PdfSweep(r_b, np.where(value > 0.0, value, 0.0),
+                    split.reshape(r_b.shape),
+                    {k: tuple(a.reshape(r_b.shape + a.shape[1:]) for a in p)
+                     for k, p in parts.items()})
 
 
 def pdf_overall(w: RelayChannelSpec, q: PdfInput, bm: BlockMarkovConfig,
                 form: str = "dual"):
-    """(1/b) max over the rate split R'+R''=R_b of min{F(R'), G(R'), Gtilde(R'')}.
+    """`pdf_sweep` at the single point `bm`, as (value, report).
 
-    A constituent whose rate argument is zero carries no messages and is
-    dropped from the min (with U = X1 and split 1 this is exactly
-    decode-forward, where only F and G remain).  The split is scanned over
-    41 points and refined on 11 points around the first maximum, unless
-    `bm` fixes it.
+    The report gives the split, R_b, the active constituents as (kind,
+    rate, value) and their witnesses.
     """
-    return pdf_overall_batch(w, q, [bm], form)[0]
+    sweep = pdf_sweep(w, q, bm.b, bm.r_eff, form, bm.split_fraction)
+    on = {k: p for k, p in sweep.parts.items() if p[0][0, 0]}
+    return sweep.value[0, 0], {
+        "split": sweep.split[0, 0], "r_b": sweep.r_b[0, 0],
+        "constituents": [(k, p[1][0, 0], p[2][0, 0]) for k, p in on.items()],
+        "witnesses": {k: p[3][0, 0] for k, p in on.items()},
+    }
 
 
 def optimize_blocks(w: RelayChannelSpec, q: PdfInput, r_eff, b_range,
@@ -440,34 +448,18 @@ def optimize_blocks(w: RelayChannelSpec, q: PdfInput, r_eff, b_range,
 
     `r_eff` is one rate, which gives one (best_b, curve) pair, or a sequence
     of rates, which gives a list of them.  The curve lists (b, value) for
-    every b in the interval, each value equal to `pdf_overall` there; the
-    first b whose value beats the best so far by more than 1e-15 is best.
-    Every (b, r_eff) pair is solved in one batch, and `stats` tallies the
-    work as in `pdf_overall_batch`.
+    every b in the interval from one `pdf_sweep`, and the best b is
+    `PdfSweep.best_blocks`.
     """
     lo, hi = int(b_range[0]), int(b_range[1])
-    if lo > hi:
-        raise ValueError("empty block range")
-    if lo < 2 or hi > 10**4:
-        raise ValueError("block range must lie within [2, 10^4]")
-    rates = np.asarray(r_eff, dtype=np.float64)
-    _check_rates(rates, "r_eff")
-    if split_fraction is not None and not 0 <= split_fraction <= 1:
-        raise ValueError("split_fraction must lie in [0, 1]")
-    bs = np.arange(lo, hi + 1)
-    r_b = bs / (bs - 1) * rates.reshape(-1, 1)          # BlockMarkovConfig.r_b
-    best_val, _, _ = _best_splits(w, q, r_b.ravel(), split_fraction, form,
-                                  stats)
-    vals = best_val.reshape(r_b.shape) / bs
-    out = []
-    for row in np.where(vals > 0.0, vals, 0.0):
-        curve = list(zip(bs.tolist(), row.tolist()))
-        best_b, best = None, -1.0
-        for b, val in curve:
-            if val > best + 1e-15:
-                best_b, best = b, val
-        out.append((best_b, curve))
-    return out if rates.ndim else out[0]
+    if not 2 <= lo <= hi <= 10**4:
+        raise ValueError("block range must be a nonempty interval within "
+                         "[2, 10^4]")
+    bs = list(range(lo, hi + 1))
+    sweep = pdf_sweep(w, q, bs, r_eff, form, split_fraction, stats)
+    out = [(bs[i], list(zip(bs, curve.tolist())))
+           for i, curve in zip(sweep.best_blocks(), sweep.value.T)]
+    return out if np.ndim(r_eff) else out[0]
 
 
 def df_input(w: RelayChannelSpec, q_joint: Dist) -> PdfInput:
@@ -478,8 +470,5 @@ def df_input(w: RelayChannelSpec, q_joint: Dist) -> PdfInput:
     if np.any(q_x2 <= 0.0):
         raise ValueError("q_joint must give positive mass to every x2")
     q_u_given_x2 = (joint / q_x2[None, :]).T        # (x2, u=x1)
-    rows = np.zeros((n_x1 * n_x2, n_x1))
-    for u in range(n_x1):
-        for x2 in range(n_x2):
-            rows[u * n_x2 + x2, u] = 1.0
+    rows = np.repeat(np.eye(n_x1), n_x2, axis=0)    # row (u, x2) puts 1 on u
     return PdfInput(Dist(q_x2), CondDist(q_u_given_x2), CondDist(rows), n_x1)

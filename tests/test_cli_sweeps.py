@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from relayexp import (BlockMarkovConfig, pdf_exponents, pdf_overall,
                       sato_channel)
-from relayexp.cli_sweeps import (CSV_HEADER, CliError, SweepSpec, _rate_points,
-                                 main, parse_channel, run, write_channel,
-                                 write_outputs)
+from relayexp.cli_sweeps import (CSV_HEADER, CliError, SweepSpec, _pdf_q,
+                                 _rate_points, main, parse_channel, run,
+                                 write_channel, write_outputs)
 from relayexp.pdf_exponents import df_input
 from conftest import random_relay_channel
 
@@ -183,13 +183,30 @@ class TestCommands:
         assert res.rows[0][3] == "cutset"
         assert res.rows[0][4] == pytest.approx(1.161878, abs=1e-3)
 
-    def test_df_cli_matches_library(self):
+    def test_df_cli_matches_library(self, tmp_path):
         # [TRIVIAL] the CLI is a thin shell over the library call
         res = run(SweepSpec("df", preset="sato", blocks=(50,), rate=1.05))
         chan, caid = sato_channel()
         bm = BlockMarkovConfig(50, 1.05, 1.0)
         val, _ = pdf_overall(chan, df_input(chan, caid), bm, "dual")
         assert res.rows[0][4] == val
+        # every row of a pdf grid is the library value at its (b, r_eff)
+        chan = random_relay_channel(np.random.default_rng(0), (3, 2, 2, 3))
+        path = tmp_path / "chan.json"
+        write_channel(chan, str(path))
+        q = _pdf_q(chan, None, 2)
+        for form in ("dual", "primal"):
+            res = run(SweepSpec("pdf", channel_path=str(path), blocks=(7, 2),
+                                rate_grid=(0.0, 0.2, 0.1), form=form,
+                                u_size=2))
+            assert [row[:2] for row in res.rows] == [
+                (b, r) for b in (2, 7) for r in (0.0, 0.1, 0.2)]
+            for b, r_eff, r_b, _, value, split, note in res.rows:
+                val, rep = pdf_overall(chan, q, BlockMarkovConfig(b, r_eff),
+                                       form)
+                assert (r_b, value) == (rep["r_b"], val)
+                assert split == f"split={rep['split']:.9g}"
+                assert note == "splits:41"
 
     def test_upper_single_rate(self, tmp_path, rng):
         path, chan = _small_channel_file(tmp_path, rng)
@@ -269,10 +286,40 @@ class TestDeterminism:
                .hexdigest() for name in want}
         assert got == want
 
+    def test_pdf_auto_split_bytes_match_recorded_hashes(self, tmp_path):
+        # SHA-256 of two split-scanning pdf CSVs as written before the three
+        # pdf paths became one sweep (numpy 2.4, x86-64 Linux), and the work
+        # of the first, which pins the refinement grid that the printed
+        # values do not show
+        chan = random_relay_channel(np.random.default_rng(0), (3, 2, 2, 3))
+        write_channel(chan, str(tmp_path / "chan.json"))
+        runs = {
+            "07909e176a32475b3d6ca09eb75afa12"
+            "77ce5e379d3c4cd0a6903eaa1c0dc806":
+                SweepSpec("pdf", preset="sato", blocks=(5, 50, 10),
+                          rate_grid=(0.9, 1.1, 0.05)),
+            "28e4af5b336077d80ce6426e21d77b1b"
+            "493736e7167539578365e3cc30e1b398":
+                SweepSpec("pdf", channel_path=str(tmp_path / "chan.json"),
+                          form="primal", u_size=2, blocks=(5, 10),
+                          rate_grid=(0.0, 0.1, 0.02)),
+        }
+        for i, (want, spec) in enumerate(runs.items()):
+            spec.out_dir = str(tmp_path / str(i))
+            write_outputs(spec, run(spec))
+            got = (tmp_path / str(i) / "pdf.csv").read_bytes()
+            assert hashlib.sha256(got).hexdigest() == want
+        meta = json.loads((tmp_path / "0" / "pdf.meta.json").read_text())
+        assert meta["grids"]["exponent_work"] == {
+            "relay_F": {"problems": 759, "curve_points": 9282},
+            "decoder_G": {"problems": 759, "curve_points": 1813},
+            "decoder_Gtilde": {"problems": 756, "curve_points": 88},
+        }
+
     def test_sato_figures_work_is_pinned(self, tmp_path, monkeypatch):
         # a timing-free guard on the figure sweep: the curve points per kind
-        # and the e0_sum calls that evaluate them (198 under the element
-        # budget per curve call, 895 with 256-probe blocks)
+        # and the e0_sum calls that evaluate them (110 under the element
+        # budget per curve call); F and G are solved once, over b = 2..200
         real, calls = pdf_exponents.e0_sum, []
 
         def counted(*args):
@@ -284,10 +331,10 @@ class TestDeterminism:
         write_outputs(spec, run(spec))
         meta = json.loads((tmp_path / "sato_figures.meta.json").read_text())
         assert meta["grids"]["exponent_work"] == {
-            "relay_F": {"problems": 8282, "curve_points": 122648},
-            "decoder_G": {"problems": 8282, "curve_points": 73721},
+            "relay_F": {"problems": 8159, "curve_points": 120479},
+            "decoder_G": {"problems": 8159, "curve_points": 72268},
         }
-        assert sum(calls) == 122648 + 73721
+        assert sum(calls) == 120479 + 72268
         assert len(calls) <= 250
 
     def test_sidecar_records_exponent_work(self, tmp_path):
@@ -413,6 +460,25 @@ class TestMain:
             assert err.startswith("error:") and "budget" in err
             assert "Traceback" not in err
             assert len(err) < 100
+
+    @pytest.mark.parametrize("flags", [
+        # 2 block counts x 50,001 rates; at 5,000,100 points x 41 splits the
+        # split grid alone would take 1.5 GiB
+        ["df", "--b", "2,3", "--reff", "0:1:0.00002"],
+        ["cf", "--b", "2,3", "--reff", "0:1:0.00002"],
+        # a state channel of 1.8e10 entries
+        ["pdf", "--u-size", "1000000000"]])
+    def test_sweep_over_budget_exits_4_at_once(self, tmp_path, capsys,
+                                               flags):
+        start = time.perf_counter()
+        code = main(flags + ["--preset", "sato", "--out", str(tmp_path)])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 4
+        assert elapsed < 5.0
+        assert err.startswith("error:") and "budget" in err
+        assert "100002 points" in err or "|U| = 1000000000 times 18" in err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["cutset", "types-verify"])
     def test_unwritable_out_exits_3(self, tmp_path, capsys, command):
@@ -547,7 +613,7 @@ _FLAGS = (("--b", ("2", "2,3", "5"), _EDGE + ("1", "2,,3")),
           ("--rate", ("0", "0.3", "1"), _EDGE),
           ("--r2", ("0", "0.3", "1"), _EDGE),
           ("--split", ("auto", "0.5", "1"), _EDGE + ("2",)),
-          ("--u-size", ("1", "2"), _EDGE),
+          ("--u-size", ("1", "2"), _EDGE + ("1000000000",)),
           ("--seed", ("0", "3"), _EDGE),
           ("--restarts", ("1", "2"), _EDGE),
           ("--form", ("primal", "dual"), ("x", "")))

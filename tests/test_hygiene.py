@@ -1,6 +1,9 @@
-"""Source hygiene: every name a package module imports is used in it."""
+"""Source hygiene: every name a package module imports is used in it, and
+the README's code references resolve."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -37,3 +40,27 @@ def test_detects_unused_import():
     source = ("import numpy as np\nfrom os import path, sep as s\n"
               "x = np.zeros(1)\n")
     assert _unused_imports(source) == [(2, "path"), (2, "s")]
+
+
+README = SRC.parents[1] / "README.md"
+
+
+def test_readme_import_block_imports():
+    block = re.search(r"^from relayexp import \([^)]*\)$", README.read_text(),
+                      re.M)
+    assert block is not None
+    exec(block.group(0), {})
+
+
+def test_readme_module_references_resolve():
+    # `module.name` and `relayexp.module.name`, with or without a call's
+    # arguments after the name, for every module of the package
+    modules = {p.stem for p in SRC.glob("*.py")}
+    refs = [(mod, name) for mod, name in re.findall(
+                r"`(?:relayexp\.)?(\w+)\.(\w+)", README.read_text())
+            if mod in modules]
+    assert len(refs) >= 5
+    missing = [f"{mod}.{name}" for mod, name in refs
+               if not hasattr(importlib.import_module(f"relayexp.{mod}"),
+                              name)]
+    assert missing == []

@@ -1,17 +1,19 @@
 """Partial-decode-forward exponents: dual and primal forms, block scan."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relayexp import (BlockMarkovConfig, CondDist, Dist, PdfInput, df_input,
-                      optimize_blocks, pdf_dual_exponent, pdf_overall,
-                      pdf_primal_exponent, sato_channel)
+from relayexp import (BlockMarkovConfig, CondDist, Dist, PdfInput, PdfSweep,
+                      df_input, optimize_blocks, pdf_dual_exponent,
+                      pdf_overall, pdf_primal_exponent, pdf_sweep,
+                      sato_channel)
 from relayexp._kernels import e0_sum
 from relayexp.pdf_exponents import (_GOLDEN, KINDS, _lagrange_max,
-                                    _state_channel, golden_max,
-                                    pdf_overall_batch)
+                                    _state_channel, golden_max)
 from relayexp.prob_core import cond_mi_from_joint, entropy_vec, kl_div_vec
 from conftest import random_relay_channel
 
@@ -432,22 +434,44 @@ class TestBlockMarkov:
             optimize_blocks(chan, q, 0.1, (2, 5), split_fraction=1.5)
 
     def test_batch_matches_single_configs(self, rng):
+        # one sweep over the grid gives what one point at a time gives; at
+        # r_eff = 5e-324 the rates of F and G round to 0 on every refined
+        # split near 0, so they are active in the scan only
         chan = random_relay_channel(rng, (3, 2, 2, 3))
         q = _uniform_pdf_input(3, 2, 2)
-        bms = [BlockMarkovConfig(b, r, None)
-               for b in (2, 10) for r in (0.0, 0.02, 0.1, 0.5)]
-        for bm, (val, rep) in zip(bms, pdf_overall_batch(chan, q, bms)):
-            one_val, one_rep = pdf_overall(chan, q, bm)
-            assert val == one_val
-            assert rep["split"] == one_rep["split"]
-            assert rep["constituents"] == one_rep["constituents"]
+        bs = (2, 10)
+        for form, rates in (("dual", (0.0, 5e-324, 0.02, 0.1, 0.5)),
+                            ("primal", (5e-324, 0.1))):
+            sweep = pdf_sweep(chan, q, bs, rates, form)
+            assert sweep.value.shape == sweep.split.shape == (2, len(rates))
+            for (i, b), (j, r) in itertools.product(enumerate(bs),
+                                                    enumerate(rates)):
+                bm = BlockMarkovConfig(b, r)
+                val, rep = pdf_overall(chan, q, bm, form)
+                assert sweep.value[i, j] == val
+                assert sweep.split[i, j] == rep["split"]
+                assert sweep.r_b[i, j] == bm.r_b == rep["r_b"]
+                on = {k: p for k, p in sweep.parts.items() if p[0][i, j]}
+                assert [(k, p[1][i, j], p[2][i, j]) for k, p in on.items()] \
+                    == rep["constituents"]
+                for k, p in on.items():
+                    np.testing.assert_array_equal(p[3][i, j],
+                                                  rep["witnesses"][k])
 
-    def test_batch_rejects_mixed_splits(self, rng):
+    def test_best_blocks_keeps_first_within_tolerance(self):
+        # per rate (column), the first b that beats the best so far by more
+        # than 1e-15 wins
+        value = np.array([[0.3, 0.0, 0.1],
+                          [0.3 + 4e-16, 0.0, 0.1 + 2e-15],
+                          [0.2, 0.0, 0.1 + 2e-15]])
+        sweep = PdfSweep(value, value, value, {})
+        assert sweep.best_blocks().tolist() == [0, 0, 1]
+
+    def test_sweep_checks_every_block_count(self, rng):
         chan = random_relay_channel(rng)
         q = _uniform_pdf_input(2, 2, 2)
         with pytest.raises(ValueError):
-            pdf_overall_batch(chan, q, [BlockMarkovConfig(5, 0.1, None),
-                                        BlockMarkovConfig(5, 0.1, 0.5)])
+            pdf_sweep(chan, q, [2, 5, 1], [0.1])
 
     def test_optimize_blocks_validates_range(self, rng):
         chan = random_relay_channel(rng)
