@@ -20,7 +20,8 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .pdf_exponents import ExponentEval, alternating_primal, gallager_dual
+from .pdf_exponents import (ExponentEval, _below_mi, alternating_primal,
+                            gallager_dual)
 from .prob_core import (CondDist, OptimizerConfig, _neg_plogp,
                         cond_mi_from_joint, kl_div_cond)
 from .relay_model import CfAuxChannels, CfInput, RelayChannelSpec, cf_aux_channels
@@ -488,7 +489,9 @@ def cf_G1(w: RelayChannelSpec, c: CfInput, r2: float) -> ExponentEval:
 
     Computed in both the 1-D Gallager dual and the `alternating_primal`
     form; the dual value is returned with the primal (an upper bound) and
-    its dummy channel attached as diagnostics.
+    its dummy channel attached as diagnostics.  Where R2 >= I(Q_X2,
+    W_{Q_X1}) both are exactly 0, with rho = 0 and V = W_{Q_X1}, and no
+    curve is evaluated.
     """
     if r2 < 0:
         raise ValueError("r2 must be nonnegative")
@@ -497,8 +500,9 @@ def cf_G1(w: RelayChannelSpec, c: CfInput, r2: float) -> ExponentEval:
     q_xs = aux.q_x2[None, :]
     chan = aux.wq1_y3[None, :, :]
 
-    dual, rho, _ = gallager_dual(q_s, q_xs, chan, r2)
-    primal, vp, _, _, _ = alternating_primal(q_s, q_xs, chan, r2)
+    below = _below_mi(q_s, q_xs, chan, r2)
+    dual, rho, _ = gallager_dual(q_s, q_xs, chan, r2, below)
+    primal, vp, _, _, _ = alternating_primal(q_s, q_xs, chan, r2, below)
     return ExponentEval(dual, rho, "dual", "cf_G1",
                         {"primal": primal, "primal_witness": vp[0]})
 

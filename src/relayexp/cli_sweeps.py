@@ -42,7 +42,9 @@ CSV_HEADER = "b,r_eff,r_b,kind,value_bits,witness,grid_note"
 #: larger grids exit 4 before any work
 RATE_POINT_BUDGET = 10**5
 #: entries the largest pdf state channel may hold (Sato with --u-size
-#: 100000 has 1.8e6); larger inputs exit 4 before any array is built
+#: 100000 has 1.8e6), and the dummy channels of one primal split stage
+#: ((b, r_eff) points x splits x those entries); larger inputs exit 4
+#: before any array is built
 STATE_ENTRY_BUDGET = 4 * 10**6
 
 
@@ -200,7 +202,9 @@ def _default_joint(chan: RelayChannelSpec, caid):
     return Dist(np.full(n, 1.0 / n))
 
 
-def _pdf_q(chan, caid, u_size) -> PdfInput:
+def _state_entries(chan, u_size):
+    """Entries of the largest pdf state channel; exits 4 over
+    STATE_ENTRY_BUDGET."""
     n_x1, n_x2, n_y2, n_y3 = chan.sizes
     # relay_F's state channel has u * x2 * y2 entries, decoder_Gtilde's
     # u * x2 * x1 * y3 and decoder_G's fewer; the product is not printed,
@@ -209,6 +213,12 @@ def _pdf_q(chan, caid, u_size) -> PdfInput:
     if u * per_u > STATE_ENTRY_BUDGET:
         raise CliError(4, f"a state channel has |U| = {u} times {per_u} "
                           f"entries, over the budget of {STATE_ENTRY_BUDGET}")
+    return u * per_u
+
+
+def _pdf_q(chan, caid, u_size) -> PdfInput:
+    n_x1, n_x2, _, _ = chan.sizes
+    _state_entries(chan, u_size)
     if u_size is None or u_size == n_x1:
         return df_input(chan, _default_joint(chan, caid))
     q_x2 = Dist(np.full(n_x2, 1.0 / n_x2))
@@ -276,7 +286,16 @@ def run(spec: SweepSpec) -> SweepResult:
         split = 1.0 if spec.command == "df" else spec.split
         split = None if split == "auto" else float(split)
         blocks, points = _block_grid(spec)
-        q = _pdf_q(chan, caid, None if spec.command == "df" else spec.u_size)
+        u_size = None if spec.command == "df" else spec.u_size
+        if spec.form == "primal":
+            # a primal split stage keeps one dummy channel per (point, split)
+            n = len(blocks) * len(points) * (SPLIT_GRID if split is None else 1)
+            entries = _state_entries(chan, u_size)
+            if n * entries > STATE_ENTRY_BUDGET:
+                raise CliError(4, f"a primal split stage holds {n} dummy "
+                                  f"channels of {entries} entries, over the "
+                                  f"budget of {STATE_ENTRY_BUDGET}")
+        q = _pdf_q(chan, caid, u_size)
         work = {}
         sweep = pdf_sweep(chan, q, blocks, points, spec.form, split, work)
         grids["split_grid"] = SPLIT_GRID if split is None else "fixed"

@@ -142,27 +142,25 @@ def _lagrange_max(curve, rate, size=1):
     """(value, x, points) of max_{x in [0,1]} curve(x) - x*R for each rate.
 
     `curve` maps a scalar or an array of multipliers to the concave curve
-    at each of them.  `rate` is a scalar or an array; all of its rates
+    at each of them.  `rate` is a scalar or an array; each distinct rate is
+    solved once (equal rates would share every probe), and all of them
     share one lockstep golden section.  The curve does not depend on the
     rate, and problems that have made the same left/right choices probe
     bit-identical x.  Since the curve is concave, those choices are
     monotone in R, so problems that share a probe are neighbours in rate
-    order: the problems are put in that order once (a stable sort), and at
-    each step a probe is new when it differs from the one before it.  The
-    curve is evaluated at the new probes only, at most
-    `_CURVE_ELEMENTS // size` at a time (`size` is the number of channel
-    entries one probe costs), and `points` counts the evaluations.  A run
-    of equal probes that rounding splits is evaluated once per piece, with
-    the same value.  The endpoints x = 0 and 1 are checked too, and a
-    nonpositive (or NaN) value becomes +0.0 with x = 0.  An empty `rate`
-    gives empty results and no evaluations.
+    order, the order `np.unique` gives: at each step a probe is new when it
+    differs from the one before it.  The curve is evaluated at the new
+    probes only, at most `_CURVE_ELEMENTS // size` at a time (`size` is the
+    number of channel entries one probe costs), and `points` counts the
+    evaluations.  A run of equal probes that rounding splits is evaluated
+    once per piece, with the same value.  The endpoints x = 0 and 1 are
+    checked too, and a nonpositive (or NaN) value becomes +0.0 with x = 0.
+    An empty `rate` gives empty results and no evaluations.
     """
     rate = np.asarray(rate, dtype=np.float64)
     if not rate.size:
         return np.zeros(rate.shape), np.zeros(rate.shape), 0
-    order = np.argsort(rate, axis=None, kind="stable")
-    # the sorted problems keep rate's shape, so a scalar rate stays scalar
-    sorted_rate = rate.ravel()[order].reshape(rate.shape)
+    distinct, inverse = np.unique(rate, return_inverse=True)
     block = max(1, _CURVE_ELEMENTS // size)
     points = 0
 
@@ -170,40 +168,57 @@ def _lagrange_max(curve, rate, size=1):
         nonlocal points
         if not np.ndim(x):
             points += 1
-            return curve(x) - x * sorted_rate
-        xs = x.ravel()
-        new = np.ones(xs.size, dtype=bool)
-        np.not_equal(xs[1:], xs[:-1], out=new[1:])
-        u = xs[new]
+            return curve(x) - x * distinct
+        new = np.ones(x.size, dtype=bool)
+        np.not_equal(x[1:], x[:-1], out=new[1:])
+        u = x[new]
         points += u.size
         vals = np.empty(u.size)
         for i in range(0, u.size, block):
             vals[i:i + block] = curve(u[i:i + block])
-        return vals[np.cumsum(new) - 1].reshape(x.shape) - x * sorted_rate
+        return vals[np.cumsum(new) - 1] - x * distinct
 
-    x, val = golden_max(g, np.zeros(rate.shape), np.ones(rate.shape))
+    x, val = golden_max(g, np.zeros(distinct.shape), np.ones(distinct.shape))
     for cand in (0.0, 1.0):
         cval = g(cand)
         better = cval > val
         x, val = np.where(better, cand, x), np.where(better, cval, val)
     positive = val > 0.0
-    value, witness = np.empty(rate.size), np.empty(rate.size)
-    value[order] = np.where(positive, val, 0.0).ravel()
-    witness[order] = np.where(positive, x, 0.0).ravel()
-    return (value.reshape(rate.shape)[()], witness.reshape(rate.shape)[()],
-            points)
+    value = np.where(positive, val, 0.0)[inverse].reshape(rate.shape)
+    witness = np.where(positive, x, 0.0)[inverse].reshape(rate.shape)
+    return value[()], witness[()], points
 
 
-def gallager_dual(q_s, q_xs, chan, rate):
+def _below_mi(q_s, q_xs, chan, rate):
+    """Mask of the rates below the package's I(Q,chan) of the state channel.
+
+    Both forms are max_lam E(lam) - lam*R with E concave and E'(0) = I(Q,W)
+    (Gallager 1968, section 5.6), so every other rate gives exactly 0 at
+    lam = 0 without evaluating E.
+    """
+    weights = q_s[:, None] * q_xs
+    return np.asarray(rate) < cond_mi_from_joint(weights[..., None] * chan)
+
+
+def gallager_dual(q_s, q_xs, chan, rate, below=None):
     """(value, rho, points) of max_{rho in [0,1]} -rho*R - log2 S(rho) for
     each rate.
 
     S is `e0_sum` of the state channel (q_s, q_xs, chan); `rate` is a
-    scalar or an array, solved as in `_lagrange_max`, and `points` is the
-    number of rho at which S was evaluated.
+    scalar or an array.  Rates at or above I(Q,chan) give exactly 0 with
+    rho = 0 and no evaluation of S; the others are solved as in
+    `_lagrange_max`, and `points` is the number of rho at which S was
+    evaluated.  `below` is `_below_mi` at `rate`, when the caller has it.
     """
-    return _lagrange_max(lambda rho: -np.log2(e0_sum(q_s, q_xs, chan, rho)),
-                         rate, chan.size)
+    rate = np.asarray(rate, dtype=np.float64)
+    if below is None:
+        below = _below_mi(q_s, q_xs, chan, rate)
+    value, rho, points = np.zeros(rate.shape), np.zeros(rate.shape), 0
+    if below.any():
+        value[below], rho[below], points = _lagrange_max(
+            lambda r: -np.log2(e0_sum(q_s, q_xs, chan, r)), rate[below],
+            chan.size)
+    return value[()], rho[()], points
 
 
 def pdf_dual_exponent(kind, w: RelayChannelSpec, q: PdfInput,
@@ -211,8 +226,10 @@ def pdf_dual_exponent(kind, w: RelayChannelSpec, q: PdfInput,
     """Gallager-form exponent max_{rho in [0,1]} -rho*R - log2 S_kind(rho).
 
     `rate` may be an array; value and witness (rho) then have its shape
-    and every entry equals the scalar call at that rate.  The diagnostics
-    carry `curve_points`, the number of rho at which S was evaluated.
+    and every entry equals the scalar call at that rate.  Rates at or above
+    I(Q,W) of the kind's state channel give exactly 0 with rho = 0.  The
+    diagnostics carry `curve_points`, the number of rho at which S was
+    evaluated, all of them for rates below I(Q,W).
     """
     _check_rates(rate)
     value, rho, points = gallager_dual(*_state_channel(kind, w, q), rate)
@@ -264,7 +281,7 @@ def _alternate(q_s, q_xs, chan, lam):
     return v, np.where(lam > 0.0, value, 0.0), steps
 
 
-def alternating_primal(q_s, q_xs, chan, rate):
+def alternating_primal(q_s, q_xs, chan, rate, below=None):
     """(value, V, lam, alternations, points) of
     min_V D(V||chan|Q) + |I(Q,V) - R|+.
 
@@ -272,12 +289,13 @@ def alternating_primal(q_s, q_xs, chan, rate):
     `_alternate` minimum.  The value is the objective at the returned V,
     never below the true minimum; rates at or above I(Q,chan) give exactly
     0 with V = chan.  Value and lam have the shape of `rate`; `points` is
-    the number of multipliers at which E was evaluated.
+    the number of multipliers at which E was evaluated.  `below` is
+    `_below_mi` at `rate`, when the caller has it.
     """
     rate = np.asarray(rate, dtype=np.float64)
     weights = q_s[:, None] * q_xs
-    # the package's I(Q,W), so that a rate equal to it gives exactly 0
-    hard = rate < cond_mi_from_joint(weights[..., None] * chan)
+    if below is None:
+        below = _below_mi(q_s, q_xs, chan, rate)
     steps = 0
 
     def curve(lam):
@@ -288,15 +306,15 @@ def alternating_primal(q_s, q_xs, chan, rate):
 
     lam = np.zeros(rate.shape)
     points = 0
-    if hard.any():
-        _, lam[hard], points = _lagrange_max(curve, rate[hard], chan.size)
+    if below.any():
+        _, lam[below], points = _lagrange_max(curve, rate[below], chan.size)
     v, _, n = _alternate(q_s, q_xs, chan, lam)
     # V is zero wherever chan is, so the ratio is taken on V's support only
     on = v > 0.0
     ratio = np.divide(v, chan, out=np.ones_like(v), where=on)
     div = np.einsum("sx,...sxy->...", weights, v * np.log2(ratio))
     value = div + np.maximum(_state_mi(q_s, q_xs, v) - rate, 0.0)
-    value = np.where(hard & (value > 0.0), value, 0.0)
+    value = np.where(below & (value > 0.0), value, 0.0)
     return value[()], v, lam[()], steps + n, points
 
 
@@ -309,12 +327,15 @@ def pdf_primal_exponent(kind, w: RelayChannelSpec, q: PdfInput,
     Gallager value at the same rates (`"dual"`), so [dual, value] brackets
     the exponent, the Lagrange multiplier, the number of alternations and
     `curve_points`, the number of multipliers at which the alternating
-    minimum was evaluated.
+    minimum was evaluated.  I(Q,W) is computed once for both forms, which
+    are exactly 0 at every rate at or above it.
     """
     _check_rates(rate)
     q_s, q_xs, chan = _state_channel(kind, w, q)
-    value, v, lam, steps, points = alternating_primal(q_s, q_xs, chan, rate)
-    dual, _, _ = gallager_dual(q_s, q_xs, chan, rate)
+    below = _below_mi(q_s, q_xs, chan, rate)
+    value, v, lam, steps, points = alternating_primal(q_s, q_xs, chan, rate,
+                                                      below)
+    dual, _, _ = gallager_dual(q_s, q_xs, chan, rate, below)
     return ExponentEval(value, v, "primal", kind,
                         {"dual": dual, "lambda": lam, "alternations": steps,
                          "curve_points": points})

@@ -450,6 +450,22 @@ class TestG1:
             assert cf_G1(chan, c, 0.5 * i23).value > 0.0
         assert cf_G1(chan, c, i23 + 0.05).value <= 1e-12
 
+    def test_exactly_zero_above_mutual_information(self):
+        # R2 = 1 is above I(X2;Y3) on these channels, where -log2 S(0)
+        # rounds to 1.6e-16 and a golden section over rho would report it
+        for seed in (1, 21):
+            chan = random_relay_channel(np.random.default_rng(seed),
+                                        (2, 2, 2, 2))
+            c = _identity_test_input(chan)
+            aux = cf_aux_channels(chan, c)
+            assert mutual_info(Dist(aux.q_x2), CondDist(aux.wq1_y3)) < 1.0
+            res = cf_G1(chan, c, 1.0)
+            assert (res.value, res.witness) == (0.0, 0.0)
+            assert not np.signbit(res.value)
+            assert res.value <= res.diagnostics["primal"] == 0.0
+            assert np.array_equal(res.diagnostics["primal_witness"],
+                                  aux.wq1_y3)
+
     def test_rejects_negative_rate(self, rng):
         chan = random_relay_channel(rng, (2, 2, 2, 2))
         with pytest.raises(ValueError):

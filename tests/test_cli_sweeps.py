@@ -3,18 +3,20 @@
 import hashlib
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from relayexp import (BlockMarkovConfig, pdf_exponents, pdf_overall,
-                      sato_channel)
-from relayexp.cli_sweeps import (CSV_HEADER, CliError, SweepSpec, _pdf_q,
-                                 _rate_points, main, parse_channel, run,
-                                 write_channel, write_outputs)
-from relayexp.pdf_exponents import df_input
+from relayexp import (BlockMarkovConfig, cf_exponents, pdf_exponents,
+                      pdf_overall, sato_channel)
+from relayexp.cli_sweeps import (CSV_HEADER, STATE_ENTRY_BUDGET, CliError,
+                                 SweepSpec, _pdf_q, _rate_points, main,
+                                 parse_channel, run, write_channel,
+                                 write_outputs)
+from relayexp.pdf_exponents import SPLIT_GRID, df_input
 from conftest import random_relay_channel
 
 
@@ -290,7 +292,8 @@ class TestDeterminism:
         # SHA-256 of two split-scanning pdf CSVs as written before the three
         # pdf paths became one sweep (numpy 2.4, x86-64 Linux), and the work
         # of the first, which pins the refinement grid that the printed
-        # values do not show
+        # values do not show (decoder_Gtilde's I(Q,W) is 0 with U = X1, so
+        # its curve is never evaluated)
         chan = random_relay_channel(np.random.default_rng(0), (3, 2, 2, 3))
         write_channel(chan, str(tmp_path / "chan.json"))
         runs = {
@@ -311,15 +314,16 @@ class TestDeterminism:
             assert hashlib.sha256(got).hexdigest() == want
         meta = json.loads((tmp_path / "0" / "pdf.meta.json").read_text())
         assert meta["grids"]["exponent_work"] == {
-            "relay_F": {"problems": 759, "curve_points": 9282},
-            "decoder_G": {"problems": 759, "curve_points": 1813},
-            "decoder_Gtilde": {"problems": 756, "curve_points": 88},
+            "relay_F": {"problems": 759, "curve_points": 9255},
+            "decoder_G": {"problems": 759, "curve_points": 1783},
+            "decoder_Gtilde": {"problems": 756, "curve_points": 0},
         }
 
     def test_sato_figures_work_is_pinned(self, tmp_path, monkeypatch):
         # a timing-free guard on the figure sweep: the curve points per kind
         # and the e0_sum calls that evaluate them (110 under the element
-        # budget per curve call); F and G are solved once, over b = 2..200
+        # budget per curve call); F and G are solved once, over b = 2..200,
+        # and the curve is evaluated only for the rates below I(Q,W)
         real, calls = pdf_exponents.e0_sum, []
 
         def counted(*args):
@@ -331,10 +335,10 @@ class TestDeterminism:
         write_outputs(spec, run(spec))
         meta = json.loads((tmp_path / "sato_figures.meta.json").read_text())
         assert meta["grids"]["exponent_work"] == {
-            "relay_F": {"problems": 8159, "curve_points": 120479},
-            "decoder_G": {"problems": 8159, "curve_points": 72268},
+            "relay_F": {"problems": 8159, "curve_points": 120465},
+            "decoder_G": {"problems": 8159, "curve_points": 72249},
         }
-        assert sum(calls) == 120479 + 72268
+        assert sum(calls) == 120465 + 72249
         assert len(calls) <= 250
 
     def test_sidecar_records_exponent_work(self, tmp_path):
@@ -421,6 +425,32 @@ class TestMain:
             {"b": 10, "r_eff": 0.0, "g1": 0.0, "g2_skipped": True,
              "grid_note": None, "v_grid_points": None}]
 
+    def test_zero_above_mutual_information_prints_zero(self, tmp_path,
+                                                       monkeypatch):
+        # R2 = 1 is above this channel's I(X2;Y3), so G1 is exactly 0 and
+        # no G2 search runs (a G1 of 1.6e-16 from -log2 S(0) would start
+        # one and print 3.2e-17); df at r_eff = 0 is 0 for the same reason
+        def refuse(*args, **kwargs):
+            raise AssertionError("cf_G2 called although G1 = 0")
+
+        monkeypatch.setattr(cf_exponents, "cf_G2", refuse)
+        for seed, sizes, flags in (
+                (1, (2, 2, 2, 2), ["cf", "--b", "5", "--rate", "0.05",
+                                   "--r2", "1.0"]),
+                (0, (3, 2, 2, 3), ["df", "--b", "2,10", "--rate", "0"])):
+            chan = random_relay_channel(np.random.default_rng(seed), sizes)
+            path = tmp_path / f"{flags[0]}.json"
+            write_channel(chan, str(path))
+            out = tmp_path / flags[0]
+            assert main(flags + ["--channel", str(path),
+                                 "--out", str(out)]) == 0
+            rows = (out / f"{flags[0]}.csv").read_text().splitlines()[1:]
+            assert [row.split(",")[4] for row in rows] == ["0"] * len(rows)
+        meta = json.loads((tmp_path / "cf" / "cf.meta.json").read_text())
+        assert meta["grids"]["cf_g2"] == [
+            {"b": 5, "r_eff": 0.05, "g1": 0.0, "g2_skipped": True,
+             "grid_note": None, "v_grid_points": None}]
+
     def test_cutset_5x5_input_pair_certified(self, tmp_path, capsys):
         # a 5x5 input pair is certified within the time limit
         chan = random_relay_channel(np.random.default_rng(5), (5, 5, 3, 3))
@@ -479,6 +509,34 @@ class TestMain:
         assert err.startswith("error:") and "budget" in err
         assert "100002 points" in err or "|U| = 1000000000 times 18" in err
         assert not list(tmp_path.iterdir())
+
+    def test_primal_split_scan_over_budget_exits_4(self, tmp_path, capsys):
+        # 4,004 (b, r_eff) points x 41 splits x 36 dummy-channel entries
+        # would be held at once; the count is checked before any solve
+        chan = random_relay_channel(np.random.default_rng(0), (3, 2, 2, 3))
+        path = tmp_path / "chan.json"
+        write_channel(chan, str(path))
+        flags = ["pdf", "--channel", str(path), "--form", "primal",
+                 "--u-size", "2", "--split", "auto", "--b", "2,3,4,5"]
+        tracemalloc.start()
+        try:
+            code = main(flags + ["--reff", "0:1:0.001",
+                                 "--out", str(tmp_path / "big")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 4
+        assert 4004 * SPLIT_GRID * 36 > STATE_ENTRY_BUDGET
+        assert err.startswith("error:") and "budget" in err
+        assert "164164 dummy channels of 36 entries" in err
+        assert peak < 2**20
+        assert not (tmp_path / "big").exists()
+        # 404 points x 41 x 36 entries are within the budget and run
+        assert main(flags + ["--reff", "0:1:0.01",
+                             "--out", str(tmp_path / "ok")]) == 0
+        rows = (tmp_path / "ok" / "pdf.csv").read_text().splitlines()
+        assert len(rows) == 1 + 404
 
     @pytest.mark.parametrize("command", ["cutset", "types-verify"])
     def test_unwritable_out_exits_3(self, tmp_path, capsys, command):

@@ -108,6 +108,29 @@ class TestDualForm:
             mi = _kind_mi(kind, chan, q)
             assert pdf_dual_exponent(kind, chan, q, mi + 0.05).value == 0.0
 
+    def test_exactly_zero_at_and_above_mutual_information(self):
+        # E0'(0) = I(Q,W), so the exponent is 0 at every R >= I(Q,W); on
+        # these channels -log2 S(0) rounds to about 1e-16, which a golden
+        # section over rho would report
+        for seed in (2, 7):
+            chan = random_relay_channel(np.random.default_rng(seed),
+                                        (3, 2, 2, 3))
+            q = _uniform_pdf_input(3, 2, 2)
+            for kind in KINDS:
+                mi = _kind_mi(kind, chan, q)
+                rates = np.array([mi, mi + 0.05, 2 * mi])
+                dual = pdf_dual_exponent(kind, chan, q, rates)
+                assert dual.value.tolist() == [0.0, 0.0, 0.0]
+                assert not np.any(np.signbit(dual.value))
+                assert dual.witness.tolist() == [0.0, 0.0, 0.0]
+                assert dual.diagnostics["curve_points"] == 0
+                primal = pdf_primal_exponent(kind, chan, q, rates)
+                assert np.all(dual.value <= primal.value)
+                assert np.array_equal(primal.diagnostics["dual"], dual.value)
+                for rate in rates:
+                    one = pdf_dual_exponent(kind, chan, q, float(rate))
+                    assert (one.value, one.witness) == (0.0, 0.0)
+
     def test_positive_below_mutual_information(self, rng):
         chan = random_relay_channel(rng, (2, 2, 2, 2))
         q = df_input(chan, Dist(np.array([0.3, 0.2, 0.25, 0.25])))
@@ -126,10 +149,8 @@ class TestDualForm:
 
     def test_rate_array_matches_scalar_calls(self):
         # one batched solve over a rate array equals the per-rate solves:
-        # the dual bit for bit, including rates above the mutual
-        # information, where rho is 0 and the value is +0.0 up to the
-        # rounding of -log2 S(0), which is not exactly 0; the primal within
-        # 1e-12, and exactly 0 with V = chan above the mutual information
+        # the dual bit for bit, the primal within 1e-12; above the mutual
+        # information both are exactly 0, with rho = 0 and V = chan
         for seed in range(4):
             rng = np.random.default_rng(seed)
             chan = random_relay_channel(rng, (3, 2, 2, 3))
@@ -150,7 +171,7 @@ class TestDualForm:
                     assert not np.any(np.signbit(batch.value))
                     chan_s = _state_channel(kind, chan, q)[2]
                     for above in (1, 2):
-                        assert batch.value[above] <= 1e-15
+                        assert batch.value[above] == 0.0
                         assert batch.witness[above] == 0.0
                         assert primal.value[above] == 0.0
                         assert np.array_equal(primal.witness[above], chan_s)
