@@ -15,6 +15,8 @@ the objective at its dummy channel, so [dual, primal] brackets the exponent.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -341,19 +343,44 @@ def pdf_primal_exponent(kind, w: RelayChannelSpec, q: PdfInput,
                          "curve_points": points})
 
 
+def _solve(kind, form, chan, rate, below, stats):
+    """(value, witness) of one kind's state channel `chan` = (q_s, q_xs,
+    chan) at the 1-D `rate`, in dual or primal form; `below` is
+    `_below_mi` at `rate`, or None to compute it.  If `stats` is a dict,
+    the rates handed to the solver and its curve points are added to its
+    {kind: {"problems": n, "curve_points": n}}."""
+    if form == "dual":
+        value, witness, points = gallager_dual(*chan, rate, below)
+    else:
+        value, witness, _, _, points = alternating_primal(*chan, rate, below)
+    if stats is not None and rate.size:
+        work = stats.setdefault(kind, {"problems": 0, "curve_points": 0})
+        work["problems"] += int(rate.size)
+        work["curve_points"] += int(points)
+    return value, witness
+
+
 def _best_splits(w, q, r_b, fraction, form, stats=None):
     """Best split value at every per-block rate in `r_b`, and where it is.
 
     `fraction` fixes the split, or None scans `SPLIT_GRID` points over
     [0, 1] and then `SPLIT_REFINE` points within `SPLIT_WINDOW` of the
-    scan's first maximum.  Each kind is solved once per stage, at all of
-    its active rates; if `stats` is a dict, the solve's problems and curve
-    points are added to its {kind: {"problems": n, "curve_points": n}}.
+    scan's first maximum.  A kind is exactly 0 at every rate at or above
+    its I(Q,W), and then so is the min, so each stage solves a kind, in
+    one call per kind, only at the (point, split) cells where every active
+    constituent is below its own I(Q,W) (the live cells) and at the cells
+    where the kind itself is not below, which cost no curve work.  The
+    other active cells are skipped: their values are >= the exact 0
+    already in the min, so no minimum or split depends on them.  The
+    solves are tallied in `stats` as `_solve` says.
+
     Returns the (n,) best minima over the active constituents, the (n,)
-    splits attaining them and, per kind, its (active, rate, value,
-    witness) at those splits.
+    splits attaining them and a function that returns, per kind, its
+    (active, rate, value, witness) at those splits.  That function solves
+    the cells skipped at the chosen splits, tallied in the same `stats`,
+    so it is to be called once.
     """
-    solve = pdf_dual_exponent if form == "dual" else pdf_primal_exponent
+    chans = {kind: _state_channel(kind, w, q) for kind in KINDS}
     rows = np.arange(r_b.size)
 
     def stage(splits):
@@ -364,39 +391,50 @@ def _best_splits(w, q, r_b, fraction, form, stats=None):
         idle = ~(r1 > 0.0) & ~(r2 > 0.0)
         r1, r2 = np.where(idle, 0.0, r1), np.where(idle, 0.0, r2)
         on1, on2 = (r1 > 0.0) | idle, (r2 > 0.0) | idle
+        kinds = (("relay_F", on1, r1), ("decoder_G", on1, r1),
+                 ("decoder_Gtilde", on2, r2))
+        below = {k: _below_mi(*chans[k], rate) for k, _, rate in kinds}
+        live = np.logical_and.reduce([below[k] | ~on for k, on, _ in kinds])
         mins, parts = np.full(splits.shape, np.inf), {}
-        for kind, active, rate in (("relay_F", on1, r1), ("decoder_G", on1, r1),
-                                   ("decoder_Gtilde", on2, r2)):
+        for kind, active, rate in kinds:
+            solved = active & (live | ~below[kind])
             # an empty solve still gives the witness its trailing axes
-            ev = solve(kind, w, q, rate[active])
-            if stats is not None and active.any():
-                work = stats.setdefault(kind, {"problems": 0,
-                                               "curve_points": 0})
-                work["problems"] += int(active.sum())
-                work["curve_points"] += int(ev.diagnostics["curve_points"])
+            val, wit = _solve(kind, form, chans[kind], rate[solved],
+                              below[kind][solved], stats)
             value = np.zeros(splits.shape)
-            witness = np.zeros(splits.shape + np.shape(ev.witness)[1:])
-            value[active], witness[active] = ev.value, ev.witness
+            witness = np.zeros(splits.shape + np.shape(wit)[1:])
+            value[solved], witness[solved] = val, wit
             mins = np.where(active, np.minimum(mins, value), mins)
-            parts[kind] = (active, rate, value, witness)
+            parts[kind] = (active, rate, value, witness, active & ~solved)
         # the first maximum over the grid wins, as in a strict > scan
         cols = np.argmax(mins, axis=1)
         return (mins[rows, cols], splits[rows, cols],
                 {k: [a[rows, cols] for a in p] for k, p in parts.items()})
 
     if fraction is not None:
-        return stage(np.full((r_b.size, 1), fraction))
-    best, split, at = stage(np.tile(np.linspace(0.0, 1.0, SPLIT_GRID),
-                                    (r_b.size, 1)))
-    fine_best, fine_split, fine_at = stage(np.linspace(
-        np.maximum(split - SPLIT_WINDOW, 0.0),
-        np.minimum(split + SPLIT_WINDOW, 1.0), SPLIT_REFINE, axis=1))
-    # a refined split wins only where it is strictly better
-    better = fine_best > best
-    at = {k: [np.where(better.reshape((-1,) + (1,) * (new.ndim - 1)), new, old)
-              for new, old in zip(fine_at[k], at[k])] for k in at}
-    return (np.where(better, fine_best, best),
-            np.where(better, fine_split, split), at)
+        best, split, at = stage(np.full((r_b.size, 1), fraction))
+    else:
+        best, split, at = stage(np.tile(np.linspace(0.0, 1.0, SPLIT_GRID),
+                                        (r_b.size, 1)))
+        fine_best, fine_split, fine_at = stage(np.linspace(
+            np.maximum(split - SPLIT_WINDOW, 0.0),
+            np.minimum(split + SPLIT_WINDOW, 1.0), SPLIT_REFINE, axis=1))
+        # a refined split wins only where it is strictly better
+        better = fine_best > best
+        at = {k: [np.where(better.reshape((-1,) + (1,) * (new.ndim - 1)),
+                           new, old)
+                  for new, old in zip(fine_at[k], at[k])] for k in at}
+        best, split = (np.where(better, fine_best, best),
+                       np.where(better, fine_split, split))
+
+    def parts():
+        for kind, (_, rate, value, witness, skipped) in at.items():
+            if skipped.any():
+                value[skipped], witness[skipped] = _solve(
+                    kind, form, chans[kind], rate[skipped], None, stats)
+        return {k: p[:4] for k, p in at.items()}
+
+    return best, split, parts
 
 
 @dataclass
@@ -404,12 +442,19 @@ class PdfSweep:
     """`pdf_sweep` results on a block-count x rate grid: `r_b`, `value` and
     `split` have shape (len(bs), len(r_effs)), and `parts` maps each kind
     to its (active, rate, value, witness) grids at `split`, a primal
-    witness adding the dummy channel's axes."""
+    witness adding the dummy channel's axes.  Every active entry of
+    `parts` is the kind's exact solve at that rate.  `solve_parts` returns
+    `parts`; it solves the cells the sweep skipped (see `_best_splits`),
+    so it runs the first time `parts` is read, and only then."""
 
     r_b: np.ndarray
     value: np.ndarray
     split: np.ndarray
-    parts: dict
+    solve_parts: Callable[[], dict]
+
+    @cached_property
+    def parts(self):
+        return self.solve_parts()
 
     def best_blocks(self):
         """Per rate, the index of the first block count whose value beats
@@ -432,7 +477,10 @@ def pdf_sweep(w: RelayChannelSpec, q: PdfInput, bs, r_effs,
     dropped from the min (with U = X1 and split 1 this is exactly
     decode-forward, where only F and G remain).  `split_fraction` fixes
     the split, or None scans it as `_best_splits` does.  All points are
-    solved in one batch and tallied in `stats` as `_best_splits` says.
+    solved in one batch, a kind only where the min can still be positive
+    or the kind itself is at or above its I(Q,W), and tallied in `stats`;
+    the other parts at the chosen split are solved, and added to `stats`,
+    when `PdfSweep.parts` is first read.
     """
     bs = np.asarray(bs, dtype=np.float64).reshape(-1, 1)
     r_effs = np.asarray(r_effs, dtype=np.float64).reshape(-1)
@@ -443,8 +491,9 @@ def pdf_sweep(w: RelayChannelSpec, q: PdfInput, bs, r_effs,
     value = best.reshape(r_b.shape) / bs
     return PdfSweep(r_b, np.where(value > 0.0, value, 0.0),
                     split.reshape(r_b.shape),
-                    {k: tuple(a.reshape(r_b.shape + a.shape[1:]) for a in p)
-                     for k, p in parts.items()})
+                    lambda: {k: tuple(a.reshape(r_b.shape + a.shape[1:])
+                                      for a in p)
+                             for k, p in parts().items()})
 
 
 def pdf_overall(w: RelayChannelSpec, q: PdfInput, bm: BlockMarkovConfig,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from relayexp import RelayChannelSpec
+from relayexp import RelayChannelSpec, pdf_exponents
 
 
 def random_relay_channel(rng, sizes=(2, 2, 2, 2), full_support=True):
@@ -15,6 +15,22 @@ def random_relay_channel(rng, sizes=(2, 2, 2, 2), full_support=True):
         w = 0.95 * w + 0.05 / (n_y2 * n_y3)
         w = w / w.sum(axis=(2, 3), keepdims=True)
     return RelayChannelSpec(w)
+
+
+def count_solver_calls(monkeypatch):
+    """Count the calls of both pdf solvers, `gallager_dual` and
+    `alternating_primal`; returns the list of the rate counts handed to
+    them, one entry per call."""
+    calls = []
+    for name in ("gallager_dual", "alternating_primal"):
+        real = getattr(pdf_exponents, name)
+
+        def counted(q_s, q_xs, chan, rate, below=None, real=real):
+            calls.append(np.size(rate))
+            return real(q_s, q_xs, chan, rate, below)
+
+        monkeypatch.setattr(pdf_exponents, name, counted)
+    return calls
 
 
 @pytest.fixture

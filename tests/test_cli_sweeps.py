@@ -17,7 +17,7 @@ from relayexp.cli_sweeps import (CSV_HEADER, STATE_ENTRY_BUDGET, CliError,
                                  parse_channel, run, write_channel,
                                  write_outputs)
 from relayexp.pdf_exponents import SPLIT_GRID, df_input
-from conftest import random_relay_channel
+from conftest import count_solver_calls, random_relay_channel
 
 
 def _write_doc(path, doc):
@@ -292,8 +292,10 @@ class TestDeterminism:
         # SHA-256 of two split-scanning pdf CSVs as written before the three
         # pdf paths became one sweep (numpy 2.4, x86-64 Linux), and the work
         # of the first, which pins the refinement grid that the printed
-        # values do not show (decoder_Gtilde's I(Q,W) is 0 with U = X1, so
-        # its curve is never evaluated)
+        # values do not show.  decoder_Gtilde's I(Q,W) is 0 with U = X1, so
+        # its curve is never evaluated and it is exactly 0 wherever it is
+        # active; F and G are then solved only where Gtilde is inactive
+        # (split 1), 37 of the 759 cells where they are active
         chan = random_relay_channel(np.random.default_rng(0), (3, 2, 2, 3))
         write_channel(chan, str(tmp_path / "chan.json"))
         runs = {
@@ -314,10 +316,48 @@ class TestDeterminism:
             assert hashlib.sha256(got).hexdigest() == want
         meta = json.loads((tmp_path / "0" / "pdf.meta.json").read_text())
         assert meta["grids"]["exponent_work"] == {
-            "relay_F": {"problems": 759, "curve_points": 9255},
-            "decoder_G": {"problems": 759, "curve_points": 1783},
+            "relay_F": {"problems": 37, "curve_points": 666},
+            "decoder_G": {"problems": 37, "curve_points": 318},
             "decoder_Gtilde": {"problems": 756, "curve_points": 0},
         }
+
+    def test_pdf_and_df_never_solve_skipped_cells(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # the seed-0 3x2x2x3 channel of the benchmark's rand3223 workload.
+        # Its fixed-split pdf command has F and G at or above their I(Q,W)
+        # (4.4e-16 and 0.0084) at both rates, so both values are 0 and
+        # decoder_Gtilde, which evaluated its curve at 44 multipliers, is
+        # solved only at the rate above its own I(Q,W).  Under df, F is
+        # above its I(Q,W) at every positive rate and G is skipped there.
+        # Each command makes one solver call per kind and never solves the
+        # cells it skipped, which reading `PdfSweep.parts` would
+        chan = random_relay_channel(np.random.default_rng(0), (3, 2, 2, 3))
+        path = str(tmp_path / "chan.json")
+        write_channel(chan, path)
+        calls = count_solver_calls(monkeypatch)
+        commands = (
+            (["pdf", "--form", "primal", "--u-size", "2", "--split", "0.5"],
+             "primal", 2, 0.5, (0.1, 0.2, 0.1), {
+                 "relay_F": {"problems": 2, "curve_points": 0},
+                 "decoder_G": {"problems": 2, "curve_points": 0},
+                 "decoder_Gtilde": {"problems": 1, "curve_points": 0}}),
+            (["df"], "dual", None, 1.0, (0.0, 0.1, 0.02), None))
+        for argv, form, u_size, split, grid, want in commands:
+            del calls[:]
+            reff = ":".join(str(r) for r in grid)
+            assert main(argv + ["--channel", path, "--b", "10", "--reff", reff,
+                                "--out", str(tmp_path)]) == 0
+            meta = json.loads((tmp_path / f"{argv[0]}.meta.json").read_text())
+            work = meta["grids"]["exponent_work"]
+            assert want is None or work == want
+            assert len(calls) == 3
+            assert sum(calls) == sum(w["problems"] for w in work.values())
+            sweep = pdf_exponents.pdf_sweep(chan, _pdf_q(chan, None, u_size),
+                                            [10], _rate_points(grid), form,
+                                            split)
+            del calls[:]
+            assert sweep.parts and sum(calls) > 0
+        capsys.readouterr()
 
     def test_sato_figures_work_is_pinned(self, tmp_path, monkeypatch):
         # a timing-free guard on the figure sweep: the curve points per kind

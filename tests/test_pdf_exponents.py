@@ -12,10 +12,11 @@ from relayexp import (BlockMarkovConfig, CondDist, Dist, PdfInput, PdfSweep,
                       pdf_overall, pdf_primal_exponent, pdf_sweep,
                       sato_channel)
 from relayexp._kernels import e0_sum
-from relayexp.pdf_exponents import (_GOLDEN, KINDS, _lagrange_max,
+from relayexp.pdf_exponents import (_GOLDEN, KINDS, SPLIT_GRID, SPLIT_REFINE,
+                                    SPLIT_WINDOW, _lagrange_max,
                                     _state_channel, golden_max)
 from relayexp.prob_core import cond_mi_from_joint, entropy_vec, kl_div_vec
-from conftest import random_relay_channel
+from conftest import count_solver_calls, random_relay_channel
 
 
 def _uniform_pdf_input(n_x1, n_x2, n_u):
@@ -485,7 +486,7 @@ class TestBlockMarkov:
         value = np.array([[0.3, 0.0, 0.1],
                           [0.3 + 4e-16, 0.0, 0.1 + 2e-15],
                           [0.2, 0.0, 0.1 + 2e-15]])
-        sweep = PdfSweep(value, value, value, {})
+        sweep = PdfSweep(value, value, value, dict)
         assert sweep.best_blocks().tolist() == [0, 0, 1]
 
     def test_sweep_checks_every_block_count(self, rng):
@@ -499,6 +500,137 @@ class TestBlockMarkov:
         q = _uniform_pdf_input(2, 2, 2)
         with pytest.raises(ValueError):
             optimize_blocks(chan, q, 0.1, (5, 3))
+
+
+def _random_pdf_input(rng, n_x1, n_x2, n_u):
+    """A seeded input under which all three kinds have positive I(Q,W)."""
+    return PdfInput(Dist(rng.dirichlet(np.ones(n_x2))),
+                    CondDist(rng.dirichlet(np.ones(n_u), size=n_x2)),
+                    CondDist(rng.dirichlet(np.ones(n_x1), size=n_u * n_x2)),
+                    n_u)
+
+
+def _reference_sweep(chan, q, bs, r_effs, form, split):
+    """(value, split, cells) of `pdf_sweep` with every active cell of every
+    kind solved by a direct `pdf_dual_exponent` / `pdf_primal_exponent`
+    call, one call per kind and stage; `cells` counts the solved cells."""
+    solve = pdf_dual_exponent if form == "dual" else pdf_primal_exponent
+    bs = np.asarray(bs, dtype=np.float64).reshape(-1, 1)
+    r_b = (bs / (bs - 1) * np.asarray(r_effs, dtype=np.float64)).ravel()
+    rows = np.arange(r_b.size)
+    cells = 0
+
+    def stage(splits):
+        nonlocal cells
+        r1, r2 = splits * r_b[:, None], (1.0 - splits) * r_b[:, None]
+        idle = ~(r1 > 0.0) & ~(r2 > 0.0)
+        r1, r2 = np.where(idle, 0.0, r1), np.where(idle, 0.0, r2)
+        mins = np.full(splits.shape, np.inf)
+        for kind, rate in (("relay_F", r1), ("decoder_G", r1),
+                           ("decoder_Gtilde", r2)):
+            active = (rate > 0.0) | idle
+            value = np.zeros(splits.shape)
+            value[active] = solve(kind, chan, q, rate[active]).value
+            cells += int(active.sum())
+            mins = np.where(active, np.minimum(mins, value), mins)
+        cols = np.argmax(mins, axis=1)
+        return mins[rows, cols], splits[rows, cols]
+
+    if split is not None:
+        best, at = stage(np.full((r_b.size, 1), split))
+    else:
+        best, at = stage(np.tile(np.linspace(0.0, 1.0, SPLIT_GRID),
+                                 (r_b.size, 1)))
+        fine, fine_at = stage(np.linspace(
+            np.maximum(at - SPLIT_WINDOW, 0.0),
+            np.minimum(at + SPLIT_WINDOW, 1.0), SPLIT_REFINE, axis=1))
+        better = fine > best
+        best, at = np.where(better, fine, best), np.where(better, fine_at, at)
+    value = best.reshape(bs.size, -1) / bs
+    return np.where(value > 0.0, value, 0.0), at.reshape(value.shape), cells
+
+
+def _rates_around_mi(chan, q):
+    """0 and effective rates whose per-block rates straddle each kind's
+    I(Q,W) at b = 2 and 5."""
+    mis = [_kind_mi(kind, chan, q) for kind in KINDS]
+    rates = {0.0}
+    for mi in mis:
+        for b in (2, 5):
+            rates.update(f * mi * (b - 1) / b for f in (0.5, 0.97, 1.0, 1.03))
+    return sorted(rates)
+
+
+def _sweep_configs():
+    """(seed, chan, q): seeded 2x2x2x2 channels and the seed-0 3x2x2x3
+    channel, each under its decode-forward input and a seeded input."""
+    for seed, sizes in ((0, (2, 2, 2, 2)), (1, (2, 2, 2, 2)),
+                        (2, (2, 2, 2, 2)), (0, (3, 2, 2, 3))):
+        rng = np.random.default_rng(seed)
+        chan = random_relay_channel(rng, sizes)
+        n_x1, n_x2 = sizes[:2]
+        yield seed, chan, df_input(chan, Dist(np.full(n_x1 * n_x2,
+                                                      1.0 / (n_x1 * n_x2))))
+        yield seed, chan, _random_pdf_input(rng, n_x1, n_x2, 2)
+
+
+class TestSkippedCells:
+    """A kind is not solved where another active kind is already exactly 0;
+    nothing printed or returned may change."""
+
+    def test_sweep_matches_direct_solves_bit_for_bit(self):
+        skipped = 0
+        for seed, chan, q in _sweep_configs():
+            r_effs = _rates_around_mi(chan, q)
+            runs = [("dual", r_effs, (None, 0.0, 0.3, 0.5, 1.0))]
+            if seed == 0:
+                # the primal costs about ten times the dual per rate
+                runs.append(("primal", r_effs[::4], (None, 0.5)))
+            for form, rates, splits in runs:
+                for split in splits:
+                    stats = {}
+                    sweep = pdf_sweep(chan, q, (2, 5), rates, form, split,
+                                      stats)
+                    value, at, cells = _reference_sweep(chan, q, (2, 5),
+                                                        rates, form, split)
+                    assert np.array_equal(sweep.value, value)
+                    assert np.array_equal(sweep.split, at)
+                    assert not np.any(np.signbit(sweep.value))
+                    skipped += cells - sum(w["problems"]
+                                           for w in stats.values())
+        # the sweeps solved fewer cells than the reference
+        assert skipped > 0
+
+    @pytest.mark.parametrize("form", ["dual", "primal"])
+    def test_parts_are_exact_at_skipped_cells(self, form, monkeypatch):
+        rng = np.random.default_rng(0)
+        chan = random_relay_channel(rng, (3, 2, 2, 3))
+        q = _random_pdf_input(rng, 3, 2, 2)
+        assert _kind_mi("relay_F", chan, q) != _kind_mi("decoder_G", chan, q)
+        solve = pdf_dual_exponent if form == "dual" else pdf_primal_exponent
+        rates = _rates_around_mi(chan, q)
+        # at split 0.5, R' = R_b / 2 straddles I(Q,W) at twice these rates
+        rates += [2.0 * r for r in rates]
+        filled = 0
+        for split in (None, 0.5, 1.0):
+            stats = {}
+            sweep = pdf_sweep(chan, q, (2, 5), rates, form, split, stats)
+            swept = {k: dict(w) for k, w in stats.items()}
+            calls = count_solver_calls(monkeypatch)
+            parts = sweep.parts
+            # the first read solves the skipped cells, one call per kind
+            # that has any, and tallies them; a second read solves nothing
+            assert sweep.parts is parts and len(calls) <= len(KINDS)
+            assert sum(calls) == (sum(w["problems"] for w in stats.values())
+                                  - sum(w["problems"] for w in swept.values()))
+            filled += sum(calls)
+            monkeypatch.undo()
+            for kind, (active, rate, value, witness) in parts.items():
+                direct = solve(kind, chan, q, rate[active])
+                assert np.array_equal(value[active], direct.value)
+                assert np.array_equal(witness[active], direct.witness)
+                assert not value[~active].any()
+        assert filled > 0
 
 
 class TestDfInput:
