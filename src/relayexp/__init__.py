@@ -6,12 +6,12 @@ from .prob_core import (CondDist, Dist, OptimizerConfig, cond_entropy,
                         entropy, kl_div_cond, mutual_info)
 from .relay_model import (CfInput, PdfInput, RelayChannelSpec, cf_aux_channels,
                           cutset_bound, pdf_virtual_channels, sato_channel)
-from .pdf_exponents import (BlockMarkovConfig, ExponentEval, PdfSweep,
-                            df_input, optimize_blocks, pdf_dual_exponent,
-                            pdf_overall, pdf_primal_exponent, pdf_sweep)
-from .cf_exponents import CfRates, cf_G1, cf_G2, cf_overall, cf_psi1, cf_psi2
+from .pdf_exponents import (ExponentEval, PdfSweep, df_input,
+                            pdf_dual_exponent, pdf_primal_exponent, pdf_sweep)
+from .cf_exponents import (CfRates, cf_G1, cf_G2, cf_overall_witness, cf_psi1,
+                           cf_psi2)
 from .haroutunian_upper import (UpperBoundResult, ecs_objective, ecs_upper,
                                 ecs_upper_sweep)
-from .types_toolkit import (CondTypeN, TypeN, enum_types, type_class_size,
-                            verify_joint_typicality, verify_lemma1,
+from .types_toolkit import (CondTypeN, TypeN, check_joint_typicality,
+                            check_lemma1, enum_types, type_class_size,
                             vshell_size)

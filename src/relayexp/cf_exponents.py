@@ -34,12 +34,13 @@ CF_PAIR_BUDGET = 10**9
 _ALPHA_SLACK = 1e-9
 # per-row lattice of the estimated laws Qtilde and of the test channels
 _QTILDE_POINTS = 3
+# per-row lattice of the realized relay-observation laws Q_{Y2|X2}
+_QY2_POINTS = 5
 
 
 def cf_config():
     """Default search configuration for the compress-forward grids."""
-    return OptimizerConfig(coarse_grid_points=5, refinement_rounds=2,
-                           restarts=1, seed=0)
+    return OptimizerConfig(refinement_rounds=2, restarts=1, seed=0)
 
 
 @dataclass(frozen=True)
@@ -511,7 +512,7 @@ def cf_G2(w: RelayChannelSpec, c_template: CfInput, r: float, r2: float,
           cfg: OptimizerConfig = None):
     """Outer min over realized Q_{Y2|X2} of divergence + max over test channels of J.
 
-    The realized laws are the `cfg.coarse_grid_points` lattice and the true
+    The realized laws are the `_QY2_POINTS` lattice and the true
     observation marginal; the best one is polished by `_exchange_walk`, and
     J at the final (realized law, test channel) by a refining `_inner_min`.
     Returns (value, witness dict with the realized law and test channel).
@@ -537,7 +538,7 @@ def cf_G2(w: RelayChannelSpec, c_template: CfInput, r: float, r2: float,
                       CondDist(t.reshape(-1, n_yhat)), CondDist(qy2))
         return cf_aux_channels(w, cin)
 
-    qy2_cands = _matrix_grid(n_x2, n_y2, cfg.coarse_grid_points)
+    qy2_cands = _matrix_grid(n_x2, n_y2, _QY2_POINTS)
     qy2_cands.append(true_obs.rows)
     test_cands = []
     seen = set()
@@ -604,7 +605,7 @@ def cf_G2(w: RelayChannelSpec, c_template: CfInput, r: float, r2: float,
             value, info, qy2 = total, cand_info, cand
 
     if cfg.refinement_rounds > 0 and qy2 is not None:
-        step = 0.5 / max(cfg.coarse_grid_points - 1, 1)
+        step = 0.5 / (_QY2_POINTS - 1)
         value, info, (qy2,) = _exchange_walk(
             realized_value, (qy2,), value, info, step, cfg.refinement_rounds,
             1e-12)
@@ -617,7 +618,7 @@ def cf_G2(w: RelayChannelSpec, c_template: CfInput, r: float, r2: float,
 
     witness = {"q_y2_given_x2": qy2, "test_channel": t,
                "inner": wit, "v_grid_points": v_points,
-               "grid_note": (f"qy2:{cfg.coarse_grid_points},"
+               "grid_note": (f"qy2:{_QY2_POINTS},"
                              f"test:{_QTILDE_POINTS},"
                              f"qtilde:{_QTILDE_POINTS},v:{v_points}")}
     return value if value > 1e-12 else 0.0, witness
@@ -626,7 +627,8 @@ def cf_G2(w: RelayChannelSpec, c_template: CfInput, r: float, r2: float,
 def cf_overall_witness(w: RelayChannelSpec, c: CfInput, b: int, r_eff: float,
                        r2: float, cfg: OptimizerConfig = None,
                        g1: float = None):
-    """`cf_overall` together with the witness dict of its G2 term.
+    """(1/b) min{G1(R2), G2(R_b, R2)} with R_b = b/(b-1) * r_eff, and the
+    witness dict of its G2 term.
 
     `g1` optionally supplies `cf_G1(w, c, r2).value`, which does not depend
     on the block rate.  G2 >= 0, so G1 = 0 settles the value: the G2 search
@@ -644,8 +646,3 @@ def cf_overall_witness(w: RelayChannelSpec, c: CfInput, b: int, r_eff: float,
     return (max(0.0, min(g1, g2) / b),
             {**witness, "g1": g1, "g2_skipped": False})
 
-
-def cf_overall(w: RelayChannelSpec, c: CfInput, b: int, r_eff: float,
-               r2: float, cfg: OptimizerConfig = None) -> float:
-    """(1/b) min{G1(R2), G2(R_b, R2)} with R_b = b/(b-1) * r_eff."""
-    return cf_overall_witness(w, c, b, r_eff, r2, cfg)[0]

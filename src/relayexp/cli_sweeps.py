@@ -19,6 +19,7 @@ same flags; wall time lives only in the metadata sidecar.
 """
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -79,6 +80,12 @@ class SweepSpec:
                 raise CliError(3, "rate grid must be finite and nonnegative")
         if any(b < 2 for b in self.blocks):
             raise CliError(3, "all block counts must be >= 2")
+        try:
+            finite = all(map(math.isfinite, self.blocks))
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            raise CliError(3, "--b block counts must convert to finite floats")
         for flag, value in (("--rate", self.rate), ("--r2", self.r2)):
             if value is not None and not (math.isfinite(value) and value >= 0):
                 raise CliError(3, f"{flag} must be finite and nonnegative, "
@@ -520,6 +527,13 @@ def main(argv=None):
         print(",".join(str(c) if not isinstance(c, float) else _fmt(c)
                        for c in row))
     return 0
+
+
+# Everything alive once the package is imported lives as long as the
+# process, so no collection a command triggers needs to traverse it; and
+# the first command's collections then do not depend on how many objects
+# the imports happened to allocate
+gc.freeze()
 
 
 if __name__ == "__main__":

@@ -54,32 +54,6 @@ def _check_rates(rate, name="rate"):
         raise ValueError(f"{name} must be finite and nonnegative")
 
 
-def _check_grid(b, r_eff, split_fraction):
-    """Raise ValueError unless every b >= 2, every r_eff is finite and >= 0
-    and the split is None or lies in [0, 1]."""
-    if np.any(np.asarray(b) < 2):
-        raise ValueError("b must be >= 2")
-    _check_rates(r_eff, "r_eff")
-    if split_fraction is not None and not 0 <= split_fraction <= 1:
-        raise ValueError("split_fraction must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class BlockMarkovConfig:
-    """Block-Markov bookkeeping: R_b = b/(b-1) * r_eff."""
-
-    b: int
-    r_eff: float
-    split_fraction: float = None   # None means scan over the split grid
-
-    def __post_init__(self):
-        _check_grid(self.b, self.r_eff, self.split_fraction)
-
-    @property
-    def r_b(self):
-        return self.b / (self.b - 1) * self.r_eff
-
-
 def golden_max(f, lo, hi, tol=1e-8):
     """Golden-section maximization of unimodal problems run in lockstep.
 
@@ -120,7 +94,7 @@ def _state_channel(kind, w: RelayChannelSpec, q: PdfInput):
         raise ValueError(f"unknown exponent kind {kind!r}")
     n_x1, n_x2, n_y2, n_y3 = w.sizes
     n_u = q.u_size
-    v1, v2, _ = pdf_virtual_channels(w, q)
+    v1, v2 = pdf_virtual_channels(w, q)
     q_u = q.q_u_given_x2.rows                       # (x2, u)
     q_ux2 = (q.q_x2.probs[None, :] * q_u.T)         # (u, x2) joint
 
@@ -480,11 +454,16 @@ def pdf_sweep(w: RelayChannelSpec, q: PdfInput, bs, r_effs,
     solved in one batch, a kind only where the min can still be positive
     or the kind itself is at or above its I(Q,W), and tallied in `stats`;
     the other parts at the chosen split are solved, and added to `stats`,
-    when `PdfSweep.parts` is first read.
+    when `PdfSweep.parts` is first read.  Raises ValueError unless every
+    b >= 2, every r_eff is finite and >= 0 and the split lies in [0, 1].
     """
     bs = np.asarray(bs, dtype=np.float64).reshape(-1, 1)
     r_effs = np.asarray(r_effs, dtype=np.float64).reshape(-1)
-    _check_grid(bs, r_effs, split_fraction)
+    if np.any(bs < 2):
+        raise ValueError("b must be >= 2")
+    _check_rates(r_effs, "r_eff")
+    if split_fraction is not None and not 0 <= split_fraction <= 1:
+        raise ValueError("split_fraction must lie in [0, 1]")
     r_b = bs / (bs - 1) * r_effs
     best, split, parts = _best_splits(w, q, r_b.ravel(), split_fraction, form,
                                       stats)
@@ -494,42 +473,6 @@ def pdf_sweep(w: RelayChannelSpec, q: PdfInput, bs, r_effs,
                     lambda: {k: tuple(a.reshape(r_b.shape + a.shape[1:])
                                       for a in p)
                              for k, p in parts().items()})
-
-
-def pdf_overall(w: RelayChannelSpec, q: PdfInput, bm: BlockMarkovConfig,
-                form: str = "dual"):
-    """`pdf_sweep` at the single point `bm`, as (value, report).
-
-    The report gives the split, R_b, the active constituents as (kind,
-    rate, value) and their witnesses.
-    """
-    sweep = pdf_sweep(w, q, bm.b, bm.r_eff, form, bm.split_fraction)
-    on = {k: p for k, p in sweep.parts.items() if p[0][0, 0]}
-    return sweep.value[0, 0], {
-        "split": sweep.split[0, 0], "r_b": sweep.r_b[0, 0],
-        "constituents": [(k, p[1][0, 0], p[2][0, 0]) for k, p in on.items()],
-        "witnesses": {k: p[3][0, 0] for k, p in on.items()},
-    }
-
-
-def optimize_blocks(w: RelayChannelSpec, q: PdfInput, r_eff, b_range,
-                    form: str = "dual", split_fraction=None, stats=None):
-    """Best block count over an inclusive integer interval and the full curve.
-
-    `r_eff` is one rate, which gives one (best_b, curve) pair, or a sequence
-    of rates, which gives a list of them.  The curve lists (b, value) for
-    every b in the interval from one `pdf_sweep`, and the best b is
-    `PdfSweep.best_blocks`.
-    """
-    lo, hi = int(b_range[0]), int(b_range[1])
-    if not 2 <= lo <= hi <= 10**4:
-        raise ValueError("block range must be a nonempty interval within "
-                         "[2, 10^4]")
-    bs = list(range(lo, hi + 1))
-    sweep = pdf_sweep(w, q, bs, r_eff, form, split_fraction, stats)
-    out = [(bs[i], list(zip(bs, curve.tolist())))
-           for i, curve in zip(sweep.best_blocks(), sweep.value.T)]
-    return out if np.ndim(r_eff) else out[0]
 
 
 def df_input(w: RelayChannelSpec, q_joint: Dist) -> PdfInput:

@@ -82,17 +82,14 @@ class CondDist:
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Seeded search knobs: `restarts` and `seed` drive the dummy-channel
-    restarts of the upper bound, `coarse_grid_points` and
-    `refinement_rounds` the compress-forward grids."""
+    restarts of the upper bound, `refinement_rounds` the compress-forward
+    exchange walks."""
 
-    coarse_grid_points: int = 9
     refinement_rounds: int = 6
     restarts: int = 4
     seed: int = 0
 
     def __post_init__(self):
-        if self.coarse_grid_points < 2:
-            raise ValueError("coarse_grid_points must be >= 2")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.refinement_rounds < 0:

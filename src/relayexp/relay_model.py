@@ -118,13 +118,9 @@ class CfInput:
 
 
 def pdf_virtual_channels(w: RelayChannelSpec, q: PdfInput):
-    """The three virtual channels induced by a partial-decode-forward input.
-
-    Returns (W_{Y2|U,X2}, W_{Y3|U,X2}, W_{Y3|U,X1,X2}) as CondDists with
-    rows indexed by u*|X2|+x2 for the first two and by (u, x1, x2)
-    flattened in that order for the third, which is the Y3-marginal of W
-    and therefore constant in u.
-    """
+    """The virtual channels W_{Y2|U,X2} and W_{Y3|U,X2} induced by a
+    partial-decode-forward input, as CondDists with rows indexed by
+    u*|X2|+x2."""
     n_x1, n_x2, n_y2, n_y3 = w.sizes
     n_u = q.u_size
     qx1 = q.q_x1_given_ux2.rows.reshape(n_u, n_x2, n_x1)
@@ -133,10 +129,7 @@ def pdf_virtual_channels(w: RelayChannelSpec, q: PdfInput):
 
     v1 = np.einsum("uax,xay->uay", qx1, wy2).reshape(n_u * n_x2, n_y2)
     v2 = np.einsum("uax,xay->uay", qx1, wy3).reshape(n_u * n_x2, n_y3)
-    v3 = np.broadcast_to(
-        wy3.transpose(0, 1, 2)[None, :, :, :], (n_u, n_x1, n_x2, n_y3)
-    ).reshape(n_u * n_x1 * n_x2, n_y3).copy()
-    return CondDist(v1), CondDist(v2), CondDist(v3)
+    return CondDist(v1), CondDist(v2)
 
 
 @dataclass(frozen=True)

@@ -187,11 +187,6 @@ def check_lemma1(n, p: TypeN, v: CondTypeN, channels):
     return reports
 
 
-def verify_lemma1(n, p: TypeN, v: CondTypeN, w: CondDist) -> Lemma1Report:
-    """`check_lemma1` for one (P, V, W) instance."""
-    return check_lemma1(n, p, v, [w])[0]
-
-
 @dataclass
 class JointTypicalityReport:
     consistent: bool
@@ -283,7 +278,3 @@ def check_joint_typicality(n, p: TypeN, v: CondTypeN, vprimes):
             mi, details={"num": num, "den": den, "log2_prob": log_prob})
     return reports
 
-
-def verify_joint_typicality(n, p: TypeN, v: CondTypeN, vprime: CondTypeN):
-    """`check_joint_typicality` for one (P, V, V') instance."""
-    return check_joint_typicality(n, p, v, [vprime])[0]

@@ -9,10 +9,10 @@ from itertools import product
 import numpy as np
 
 from relayexp import (CfRates, CondDist, Dist, OptimizerConfig, cf_G1, cf_G2,
-                      cf_aux_channels, cf_psi2, cutset_bound, ecs_upper,
-                      ecs_upper_sweep, enum_types, pdf_dual_exponent,
-                      pdf_primal_exponent, sato_channel, verify_joint_typicality,
-                      verify_lemma1)
+                      cf_aux_channels, cf_psi2, check_joint_typicality,
+                      check_lemma1, cutset_bound, ecs_upper, ecs_upper_sweep,
+                      enum_types, pdf_dual_exponent, pdf_primal_exponent,
+                      sato_channel)
 from relayexp.cli_sweeps import SweepSpec, run, write_outputs
 from relayexp.pdf_exponents import KINDS, _state_channel
 from relayexp.prob_core import cond_mi_from_joint, mi_axes, mutual_info
@@ -21,7 +21,7 @@ from conftest import random_relay_channel
 from test_cf_exponents import (_full_joint, _identity_test_input,
                                _random_cf_input, _skewed_relay_channel)
 
-FAST = OptimizerConfig(coarse_grid_points=5, refinement_rounds=1, restarts=1)
+FAST = OptimizerConfig(refinement_rounds=1, restarts=1)
 TARGET = 1.161878  # Sato-channel capacity in bits
 
 
@@ -139,14 +139,15 @@ def test_criterion_4_types_exhaustive():
     for n in range(1, 7):
         for p in enum_types(n, 2):
             for v in enum_cond_types(p, 2):
-                for w in channels:
-                    if not verify_lemma1(n, p, v, w).all_ok:
+                for rep in check_lemma1(n, p, v, channels):
+                    if not rep.all_ok:
                         ok = False
                     checked += 1
                 if n >= 2:
                     joint_base = TypeN(tuple(c for r in v.counts for c in r), n)
-                    for vp in enum_cond_types(joint_base, 2):
-                        if not verify_joint_typicality(n, p, v, vp).all_ok:
+                    vprimes = enum_cond_types(joint_base, 2)
+                    for rep in check_joint_typicality(n, p, v, vprimes):
+                        if not rep.all_ok:
                             ok = False
                         checked += 1
     dt = time.perf_counter() - t0

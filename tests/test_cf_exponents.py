@@ -7,8 +7,8 @@ import pytest
 
 from relayexp import cf_exponents
 from relayexp import (CfInput, CfRates, CondDist, Dist, OptimizerConfig,
-                      cf_G1, cf_G2, cf_aux_channels, cf_overall, cf_psi1,
-                      cf_psi2)
+                      cf_G1, cf_G2, cf_aux_channels, cf_overall_witness,
+                      cf_psi1, cf_psi2)
 from relayexp.cf_exponents import (_ALPHA_SLACK, _alpha_weights, _check_scale,
                                    _exchange_walk, _inner_min, _matrix_grid,
                                    _row_tables, _true_y3_marginal, _v_stack,
@@ -17,7 +17,7 @@ from relayexp.prob_core import (cond_entropy, cond_mi_from_joint, entropy_vec,
                                 kl_div_cond, kl_div_vec, mi_axes, mutual_info)
 from conftest import random_relay_channel
 
-FAST = OptimizerConfig(coarse_grid_points=5, refinement_rounds=1, restarts=1)
+FAST = OptimizerConfig(refinement_rounds=1, restarts=1)
 
 
 def _random_cf_input(rng, chan, yhat=2):
@@ -334,8 +334,7 @@ def _inner_min_cases():
 class TestInnerMinTables:
     @pytest.mark.parametrize("refine", [False, True])
     def test_matches_reference_loop(self, refine):
-        cfg = OptimizerConfig(coarse_grid_points=5, refinement_rounds=1,
-                              restarts=1)
+        cfg = OptimizerConfig(refinement_rounds=1, restarts=1)
         for aux, rates in _inner_min_cases():
             want, qt, v, ell = _inner_min_reference(aux, rates, cfg, 3, refine)
             got, wit = _inner_min(aux, rates, cfg, refine=refine)
@@ -558,7 +557,7 @@ class TestG2:
         chan = random_relay_channel(rng, (2, 2, 2, 2))
         c = _identity_test_input(chan)
         b, r_eff, r2 = 10, 0.3, 0.2
-        got = cf_overall(chan, c, b, r_eff, r2, FAST)
+        got, _ = cf_overall_witness(chan, c, b, r_eff, r2, FAST)
         g1 = cf_G1(chan, c, r2).value
         g2, _ = cf_G2(chan, c, b / (b - 1) * r_eff, r2, FAST)
         assert got == pytest.approx(max(0.0, min(g1, g2) / b), abs=1e-12)
@@ -571,8 +570,7 @@ class TestG2:
         monkeypatch.setattr(cf_exponents, "cf_G2", refuse)
         chan = _skewed_relay_channel()
         c = _identity_test_input(chan)
-        assert cf_overall(chan, c, 5, 0.3, 0.3, FAST) == 0.0
-        val, wit = cf_exponents.cf_overall_witness(chan, c, 5, 0.3, 0.3, FAST)
+        val, wit = cf_overall_witness(chan, c, 5, 0.3, 0.3, FAST)
         assert val == 0.0
         assert wit == {"g1": 0.0, "g2_skipped": True, "grid_note": None,
                        "v_grid_points": None}
@@ -591,7 +589,7 @@ class TestG2:
             return g2, wit
 
         monkeypatch.setattr(cf_exponents, "cf_G2", recording)
-        val, wit = cf_exponents.cf_overall_witness(chan, c, b, r_eff, r2, FAST)
+        val, wit = cf_overall_witness(chan, c, b, r_eff, r2, FAST)
         assert len(g2_values) == 1
         assert val == pytest.approx(max(0.0, min(g1, g2_values[0]) / b),
                                     abs=1e-12)
@@ -602,7 +600,7 @@ class TestG2:
         chan = random_relay_channel(rng, (2, 2, 2, 2))
         c = _identity_test_input(chan)
         with pytest.raises(ValueError):
-            cf_overall(chan, c, 1, 0.3, 0.2)
+            cf_overall_witness(chan, c, 1, 0.3, 0.2)
 
 
 class TestCfRates:

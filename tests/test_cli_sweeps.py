@@ -10,14 +10,17 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from relayexp import (BlockMarkovConfig, cf_exponents, pdf_exponents,
-                      pdf_overall, sato_channel)
+from relayexp import cf_exponents, pdf_exponents, pdf_sweep, sato_channel
 from relayexp.cli_sweeps import (CSV_HEADER, STATE_ENTRY_BUDGET, CliError,
                                  SweepSpec, _pdf_q, _rate_points, main,
                                  parse_channel, run, write_channel,
                                  write_outputs)
 from relayexp.pdf_exponents import SPLIT_GRID, df_input
 from conftest import count_solver_calls, random_relay_channel
+
+
+# a block count Python parses but no float holds
+_HUGE_B = "1" + "0" * 400
 
 
 def _write_doc(path, doc):
@@ -189,9 +192,8 @@ class TestCommands:
         # [TRIVIAL] the CLI is a thin shell over the library call
         res = run(SweepSpec("df", preset="sato", blocks=(50,), rate=1.05))
         chan, caid = sato_channel()
-        bm = BlockMarkovConfig(50, 1.05, 1.0)
-        val, _ = pdf_overall(chan, df_input(chan, caid), bm, "dual")
-        assert res.rows[0][4] == val
+        sweep = pdf_sweep(chan, df_input(chan, caid), [50], [1.05], "dual", 1.0)
+        assert res.rows[0][4] == sweep.value[0, 0]
         # every row of a pdf grid is the library value at its (b, r_eff)
         chan = random_relay_channel(np.random.default_rng(0), (3, 2, 2, 3))
         path = tmp_path / "chan.json"
@@ -204,10 +206,9 @@ class TestCommands:
             assert [row[:2] for row in res.rows] == [
                 (b, r) for b in (2, 7) for r in (0.0, 0.1, 0.2)]
             for b, r_eff, r_b, _, value, split, note in res.rows:
-                val, rep = pdf_overall(chan, q, BlockMarkovConfig(b, r_eff),
-                                       form)
-                assert (r_b, value) == (rep["r_b"], val)
-                assert split == f"split={rep['split']:.9g}"
+                one = pdf_sweep(chan, q, [b], [r_eff], form)
+                assert (r_b, value) == (one.r_b[0, 0], one.value[0, 0])
+                assert split == f"split={one.split[0, 0]:.9g}"
                 assert note == "splits:41"
 
     def test_upper_single_rate(self, tmp_path, rng):
@@ -427,6 +428,8 @@ class TestMain:
         ["pdf", "--preset", "sato", "--split", "2"],
         ["pdf", "--preset", "sato", "--split", "nan"],
         ["cutset", "--preset", "sato", "--seed", "-1"],
+        ["pdf", "--preset", "sato", "--b", _HUGE_B, "--rate", "1.05"],
+        ["cf", "--preset", "sato", "--b", _HUGE_B, "--rate", "1.05"],
     ])
     def test_bad_flag_value_exit_code(self, tmp_path, capsys, flags):
         code = main(flags + ["--out", str(tmp_path)])
@@ -704,7 +707,7 @@ _COMMANDS = ("pdf", "df", "cf", "cutset", "upper", "types-verify",
              "sato-figures")
 _EDGE = ("nan", "inf", "-inf", "-1", "0", "1e308", "", "x")
 # (flag, values a run accepts, edge values); valid grids have <= 3 points
-_FLAGS = (("--b", ("2", "2,3", "5"), _EDGE + ("1", "2,,3")),
+_FLAGS = (("--b", ("2", "2,3", "5"), _EDGE + ("1", "2,,3", _HUGE_B)),
           ("--reff", ("0.1:0.3:0.1", "0:1:0.5", "0.2"),
            _EDGE + ("0:1e308:1e-10", "0:1:1e-300", "0:1e9:1e-9", "1:0:0.1",
                     "0:1", "a:b", "0:1:0", "::")),
@@ -742,6 +745,8 @@ class TestArgumentFuzz:
     @example(argv=["df", "--preset", "sato", "--reff=0:1e308:1e-10",
                    "--out", "@out"])
     @example(argv=["types-verify", "--out", "@blocked"])
+    @example(argv=["pdf", "--preset", "sato", f"--b={_HUGE_B}", "--rate=1.05",
+                   "--out", "@out"])
     def test_exit_code_without_traceback(self, tmp_path, capsys, argv):
         (tmp_path / "garbage.json").write_text("{broken")
         paths = {"@missing": str(tmp_path / "none.json"),

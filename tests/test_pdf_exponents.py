@@ -7,9 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relayexp import (BlockMarkovConfig, CondDist, Dist, PdfInput, PdfSweep,
-                      df_input, optimize_blocks, pdf_dual_exponent,
-                      pdf_overall, pdf_primal_exponent, pdf_sweep,
+from relayexp import (CondDist, Dist, PdfInput, PdfSweep, df_input,
+                      pdf_dual_exponent, pdf_primal_exponent, pdf_sweep,
                       sato_channel)
 from relayexp._kernels import e0_sum
 from relayexp.pdf_exponents import (_GOLDEN, KINDS, SPLIT_GRID, SPLIT_REFINE,
@@ -369,91 +368,91 @@ class TestPrimalForm:
 
 
 class TestBlockMarkov:
-    def test_r_b_formula(self):
+    def test_r_b_formula(self, rng):
         # [TRIVIAL] R_b = b/(b-1) * r_eff
-        bm = BlockMarkovConfig(10, 0.9)
-        assert bm.r_b == pytest.approx(10.0 / 9.0 * 0.9, abs=1e-15)
+        chan = random_relay_channel(rng)
+        sweep = pdf_sweep(chan, _uniform_pdf_input(2, 2, 2), [10], [0.9],
+                          split_fraction=1.0)
+        assert sweep.r_b[0, 0] == pytest.approx(10.0 / 9.0 * 0.9, abs=1e-15)
 
-    def test_rejects_non_finite_rate(self):
+    def test_rejects_non_finite_rate(self, rng):
+        chan = random_relay_channel(rng)
+        q = _uniform_pdf_input(2, 2, 2)
         for r_eff in (np.nan, np.inf, -0.1):
             with pytest.raises(ValueError):
-                BlockMarkovConfig(5, r_eff)
+                pdf_sweep(chan, q, [5], r_eff)
 
-    def test_rejects_small_b(self):
+    def test_rejects_small_b(self, rng):
+        chan = random_relay_channel(rng)
         with pytest.raises(ValueError):
-            BlockMarkovConfig(1, 0.5)
+            pdf_sweep(chan, _uniform_pdf_input(2, 2, 2), [1], [0.5])
 
     def test_overall_nonnegative_and_split_reported(self, rng):
         chan = random_relay_channel(rng, (2, 2, 2, 2))
         q = _uniform_pdf_input(2, 2, 2)
-        val, rep = pdf_overall(chan, q, BlockMarkovConfig(10, 0.1, 1.0))
-        assert val >= 0.0
-        assert rep["split"] == 1.0
-        assert "constituents" in rep
+        sweep = pdf_sweep(chan, q, [10], [0.1], split_fraction=1.0)
+        assert sweep.value[0, 0] >= 0.0
+        assert sweep.split[0, 0] == 1.0
+        assert set(sweep.parts) == set(KINDS)
 
     def test_fixed_split_never_beats_scan(self, rng):
         chan = random_relay_channel(rng, (2, 2, 2, 2))
         q = _uniform_pdf_input(2, 2, 2)
-        scan, _ = pdf_overall(chan, q, BlockMarkovConfig(10, 0.05))
-        fixed, _ = pdf_overall(chan, q, BlockMarkovConfig(10, 0.05, 0.5))
+        scan = pdf_sweep(chan, q, [10], [0.05]).value[0, 0]
+        fixed = pdf_sweep(chan, q, [10], [0.05], split_fraction=0.5).value[0, 0]
         assert fixed <= scan + 1e-9
 
-    def test_optimize_blocks_consistent(self, rng):
+    def test_block_curve_consistent(self, rng):
         chan = random_relay_channel(rng, (2, 2, 2, 2))
         q = df_input(chan, Dist(np.full(4, 0.25)))
         for split in (1.0, None):
-            best_b, curve = optimize_blocks(chan, q, 0.05, (2, 6), "dual",
-                                            split_fraction=split)
-            assert 2 <= best_b <= 6
-            assert len(curve) == 5
-            vals = dict(curve)
-            # the reported best block count attains the maximum of the curve
-            assert vals[best_b] == max(vals.values())
+            sweep = pdf_sweep(chan, q, range(2, 7), [0.05], "dual", split)
+            assert sweep.value.shape == (5, 1)
+            curve = sweep.value[:, 0]
+            # the best block count attains the maximum of the curve
+            assert curve[sweep.best_blocks()[0]] == curve.max()
             # every point of the batched curve is the direct evaluation
-            for b, val in curve:
-                direct, _ = pdf_overall(chan, q,
-                                        BlockMarkovConfig(b, 0.05, split))
-                assert val == direct
+            for i, b in enumerate(range(2, 7)):
+                direct = pdf_sweep(chan, q, [b], [0.05], "dual", split)
+                assert curve[i] == direct.value[0, 0]
 
-    def test_optimize_blocks_rate_sequence_matches_single_rates(self, rng):
+    def test_rate_sequence_matches_single_rates(self, rng):
         chan = random_relay_channel(rng, (2, 2, 2, 2))
         q = df_input(chan, Dist(np.full(4, 0.25)))
         rates = [0.0, 0.05, 0.02, 0.05, 0.3, 5.0]
         for split in (1.0, None):
-            many = optimize_blocks(chan, q, rates, (2, 9), "dual",
-                                   split_fraction=split)
-            assert len(many) == len(rates)
-            for rate, (best_b, curve) in zip(rates, many):
-                assert (best_b, curve) == optimize_blocks(
-                    chan, q, rate, (2, 9), "dual", split_fraction=split)
-                assert [b for b, _ in curve] == list(range(2, 10))
-                assert all(isinstance(v, float) for _, v in curve)
+            many = pdf_sweep(chan, q, range(2, 10), rates, "dual", split)
+            assert many.value.shape == (8, len(rates))
+            best = many.best_blocks()
+            for j, rate in enumerate(rates):
+                one = pdf_sweep(chan, q, range(2, 10), [rate], "dual", split)
+                np.testing.assert_array_equal(many.value[:, j], one.value[:, 0])
+                np.testing.assert_array_equal(many.split[:, j], one.split[:, 0])
+                assert best[j] == one.best_blocks()[0]
 
-    def test_optimize_blocks_sato_matches_configs(self):
+    def test_sato_block_curve_matches_single_points(self):
         chan, caid = sato_channel()
         q = df_input(chan, caid)
         rates = [1.0, 1.1, 1.2]
         stats = {}
-        many = optimize_blocks(chan, q, rates, (2, 40), "dual",
-                               split_fraction=1.0, stats=stats)
+        sweep = pdf_sweep(chan, q, range(2, 41), rates, "dual", 1.0, stats)
         assert set(stats) == {"relay_F", "decoder_G"}
         assert stats["relay_F"]["problems"] == 3 * 39
-        for rate, (best_b, curve) in zip(rates, many):
-            for b, val in curve[::7]:
-                direct, _ = pdf_overall(chan, q,
-                                        BlockMarkovConfig(b, rate, 1.0))
-                assert val == direct
-            vals = [v for _, v in curve]
-            assert dict(curve)[best_b] == max(vals)
+        for j, rate in enumerate(rates):
+            for i in range(0, 39, 7):
+                direct = pdf_sweep(chan, q, [i + 2], [rate], "dual", 1.0)
+                assert sweep.value[i, j] == direct.value[0, 0]
+            curve = sweep.value[:, j]
+            assert curve[sweep.best_blocks()[j]] == curve.max()
 
-    def test_optimize_blocks_validates_rates(self, rng):
+    def test_sweep_validates_rate_arrays_and_split(self, rng):
         chan = random_relay_channel(rng)
         q = _uniform_pdf_input(2, 2, 2)
         for rates in ([0.1, -0.1], np.nan, [0.1, np.inf]):
             with pytest.raises(ValueError):
-                optimize_blocks(chan, q, rates, (2, 5))
+                pdf_sweep(chan, q, range(2, 6), rates)
         with pytest.raises(ValueError):
-            optimize_blocks(chan, q, 0.1, (2, 5), split_fraction=1.5)
+            pdf_sweep(chan, q, range(2, 6), 0.1, split_fraction=1.5)
 
     def test_batch_matches_single_configs(self, rng):
         # one sweep over the grid gives what one point at a time gives; at
@@ -468,17 +467,17 @@ class TestBlockMarkov:
             assert sweep.value.shape == sweep.split.shape == (2, len(rates))
             for (i, b), (j, r) in itertools.product(enumerate(bs),
                                                     enumerate(rates)):
-                bm = BlockMarkovConfig(b, r)
-                val, rep = pdf_overall(chan, q, bm, form)
-                assert sweep.value[i, j] == val
-                assert sweep.split[i, j] == rep["split"]
-                assert sweep.r_b[i, j] == bm.r_b == rep["r_b"]
-                on = {k: p for k, p in sweep.parts.items() if p[0][i, j]}
-                assert [(k, p[1][i, j], p[2][i, j]) for k, p in on.items()] \
-                    == rep["constituents"]
-                for k, p in on.items():
-                    np.testing.assert_array_equal(p[3][i, j],
-                                                  rep["witnesses"][k])
+                one = pdf_sweep(chan, q, [b], [r], form)
+                assert sweep.value[i, j] == one.value[0, 0]
+                assert sweep.split[i, j] == one.split[0, 0]
+                assert sweep.r_b[i, j] == one.r_b[0, 0] == b / (b - 1) * r
+                on = [k for k, p in sweep.parts.items() if p[0][i, j]]
+                assert on == [k for k, p in one.parts.items() if p[0][0, 0]]
+                for k in on:
+                    got, want = sweep.parts[k], one.parts[k]
+                    assert (got[1][i, j], got[2][i, j]) \
+                        == (want[1][0, 0], want[2][0, 0])
+                    np.testing.assert_array_equal(got[3][i, j], want[3][0, 0])
 
     def test_best_blocks_keeps_first_within_tolerance(self):
         # per rate (column), the first b that beats the best so far by more
@@ -494,12 +493,6 @@ class TestBlockMarkov:
         q = _uniform_pdf_input(2, 2, 2)
         with pytest.raises(ValueError):
             pdf_sweep(chan, q, [2, 5, 1], [0.1])
-
-    def test_optimize_blocks_validates_range(self, rng):
-        chan = random_relay_channel(rng)
-        q = _uniform_pdf_input(2, 2, 2)
-        with pytest.raises(ValueError):
-            optimize_blocks(chan, q, 0.1, (5, 3))
 
 
 def _random_pdf_input(rng, n_x1, n_x2, n_u):

@@ -68,14 +68,14 @@ def _scalar_descent(x, objective, init_step, rounds):
     return x, best
 
 
-def _scalar_search(objective, dim, cfg):
+def _scalar_search(objective, dim, cfg, points):
     bary = np.full(dim, 1.0 / dim)
     best_x, best_val = bary, float(objective(bary))
-    for x in _scalar_lattice(dim, cfg.coarse_grid_points):
+    for x in _scalar_lattice(dim, points):
         val = float(objective(x))
         if val > best_val:
             best_x, best_val = x, val
-    init_step = 1.0 / (cfg.coarse_grid_points - 1)
+    init_step = 1.0 / (points - 1)
     starts = [best_x]
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.restarts - 1):
@@ -221,11 +221,12 @@ class TestBatchedCutset:
         # the bracket holds every value the old search achieved, and its
         # lower side is no worse
         chan = _reference_channels()[idx]
-        cfg = (OptimizerConfig(coarse_grid_points=5, refinement_rounds=4,
-                               restarts=1, seed=0)
-               if cheap else OptimizerConfig())
+        cfg, points = ((OptimizerConfig(refinement_rounds=4, restarts=1,
+                                        seed=0), 5)
+                       if cheap else (OptimizerConfig(), 9))
         _, want_val = _scalar_search(lambda p: _cutset_at(chan, p),
-                                     chan.sizes[0] * chan.sizes[1], cfg)
+                                     chan.sizes[0] * chan.sizes[1], cfg,
+                                     points)
         lo, hi, _ = cutset_bound(chan)
         assert want_val <= hi
         assert lo >= want_val - 1e-9
@@ -332,8 +333,8 @@ class TestDerivedChannels:
         q = PdfInput(Dist(np.array([0.5, 0.5])),
                      CondDist(np.full((2, 2), 0.5)),
                      CondDist(np.full((4, 2), 0.5)), 2)
-        v1, v2, v3 = pdf_virtual_channels(chan, q)
-        for v in (v1, v2, v3):
+        v1, v2 = pdf_virtual_channels(chan, q)
+        for v in (v1, v2):
             np.testing.assert_allclose(v.rows.sum(axis=1), 1.0)
 
     def test_virtual_channel_oracle(self, rng):
@@ -342,7 +343,7 @@ class TestDerivedChannels:
         qrows = rng.dirichlet(np.ones(2), size=4)
         q = PdfInput(Dist(np.array([0.5, 0.5])),
                      CondDist(np.full((2, 2), 0.5)), CondDist(qrows), 2)
-        v1, _, _ = pdf_virtual_channels(chan, q)
+        v1, _ = pdf_virtual_channels(chan, q)
         wy2 = chan.y2_marginal()
         for u in range(2):
             for x2 in range(2):

@@ -6,11 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from relayexp import (CondTypeN, TypeN, enum_types, type_class_size,
-                      verify_joint_typicality, verify_lemma1, vshell_size)
+from relayexp import (CondTypeN, TypeN, check_joint_typicality, check_lemma1,
+                      enum_types, type_class_size, vshell_size)
 from relayexp.prob_core import CondDist
-from relayexp.types_toolkit import (EnumBudgetError, check_joint_typicality,
-                                    check_lemma1, enum_cond_types)
+from relayexp.types_toolkit import EnumBudgetError, enum_cond_types
 
 BSC01 = CondDist(np.array([[0.9, 0.1], [0.1, 0.9]]))
 IDENTITY = CondDist(np.eye(2))
@@ -87,14 +86,14 @@ class TestLemma1:
         for n in (3, 5):
             for p in enum_types(n, 2):
                 for v in enum_cond_types(p, 2):
-                    for w in (BSC01, IDENTITY):
-                        assert verify_lemma1(n, p, v, w).all_ok
+                    reports = check_lemma1(n, p, v, (BSC01, IDENTITY))
+                    assert all(rep.all_ok for rep in reports)
 
     def test_sequence_prob_exact(self):
         # [DERIVED] hand computation: n=2, x = (0,0), y = (0,1) through BSC(0.1)
         p = TypeN((2, 0), 2)
         v = CondTypeN(((1, 1), (0, 0)), p)
-        rep = verify_lemma1(2, p, v, BSC01)
+        (rep,) = check_lemma1(2, p, v, [BSC01])
         assert rep.all_ok
         assert rep.details["log2_seq_prob"] == pytest.approx(
             math.log2(0.9 * 0.1), abs=1e-12)
@@ -104,7 +103,7 @@ class TestLemma1:
         # probability exactly zero; the sandwich is then vacuous
         p = TypeN((2, 0), 2)
         v = CondTypeN(((0, 2), (0, 0)), p)
-        rep = verify_lemma1(2, p, v, IDENTITY)
+        (rep,) = check_lemma1(2, p, v, [IDENTITY])
         assert rep.all_ok
         assert np.isneginf(rep.details["log2_seq_prob"])
 
@@ -112,7 +111,7 @@ class TestLemma1:
         p = TypeN((2, 1), 3)
         v = CondTypeN(((2, 0), (1, 0)), p)
         with pytest.raises(ValueError):
-            verify_lemma1(4, p, v, BSC01)
+            check_lemma1(4, p, v, [BSC01])
 
 
 class TestJointTypicality:
@@ -125,7 +124,7 @@ class TestJointTypicality:
 
     def test_probability_is_exact_fraction(self):
         p, v, vp = self._instance()
-        rep = verify_joint_typicality(4, p, v, vp)
+        (rep,) = check_joint_typicality(4, p, v, [vp])
         assert isinstance(rep.probability, Fraction)
         assert rep.all_ok
 
@@ -152,7 +151,7 @@ class TestJointTypicality:
                 jc[a * 2 + b][yy] += 1
             if tuple(map(tuple, jc)) == vp.counts:
                 num += 1
-        rep = verify_joint_typicality(n, p, v, vp)
+        (rep,) = check_joint_typicality(n, p, v, [vp])
         assert rep.probability == Fraction(num, den)
 
     def test_marginal_inconsistency_detected(self):
@@ -160,7 +159,7 @@ class TestJointTypicality:
         v = CondTypeN(((1, 1), (2, 0)), p)
         wrong_base = TypeN((2, 0, 2, 0), 4)
         vp = CondTypeN(((1, 1), (0, 0), (1, 1), (0, 0)), wrong_base)
-        rep = verify_joint_typicality(4, p, v, vp)
+        (rep,) = check_joint_typicality(4, p, v, [vp])
         assert not rep.consistent
 
     def test_exhaustive_small_n(self):
@@ -168,8 +167,9 @@ class TestJointTypicality:
             for p in enum_types(n, 2):
                 for v in enum_cond_types(p, 2):
                     base = TypeN(tuple(c for r in v.counts for c in r), n)
-                    for vp in enum_cond_types(base, 2):
-                        assert verify_joint_typicality(n, p, v, vp).all_ok
+                    reports = check_joint_typicality(
+                        n, p, v, enum_cond_types(base, 2))
+                    assert all(rep.all_ok for rep in reports)
 
 
 class TestBatchedCores:
@@ -200,13 +200,13 @@ class TestBatchedCores:
         for n in range(1, 7):
             for p, v, vps in _joint_cases(n):
                 batch = check_lemma1(n, p, v, CHANNELS)
-                single = [verify_lemma1(n, p, v, w) for w in CHANNELS]
+                single = [check_lemma1(n, p, v, [w])[0] for w in CHANNELS]
                 assert [_fields(r) for r in batch] == [_fields(r) for r in single]
                 if n < 2:
                     continue
                 wrong = enum_cond_types(TypeN((n, 0, 0, 0), n), 2)[0]
                 batch = check_joint_typicality(n, p, v, [wrong] + vps)
-                single = [verify_joint_typicality(n, p, v, vp)
+                single = [check_joint_typicality(n, p, v, [vp])[0]
                           for vp in [wrong] + vps]
                 assert [_fields(r) for r in batch] == [_fields(r) for r in single]
                 assert all(r.consistent for r in batch[1:])
@@ -222,13 +222,13 @@ class TestBatchedCores:
         vp = CondTypeN(((15, 0), (0, 0), (0, 0), (0, 15)),
                        TypeN((15, 0, 0, 15), n))
         with pytest.raises(EnumBudgetError):
-            verify_joint_typicality(n, p, v, vp)
+            check_joint_typicality(n, p, v, [vp])
         wrong = CondTypeN(((30, 0), (0, 0), (0, 0), (0, 0)),
                           TypeN((30, 0, 0, 0), n))
-        assert not verify_joint_typicality(n, p, v, wrong).consistent
+        assert not check_joint_typicality(n, p, v, [wrong])[0].consistent
 
     def test_lemma1_rejects_mismatched_channel(self):
         p = TypeN((2, 1), 3)
         v = CondTypeN(((2, 0), (1, 0)), p)
         with pytest.raises(ValueError):
-            verify_lemma1(3, p, v, CondDist(np.ones((2, 1))))
+            check_lemma1(3, p, v, [CondDist(np.ones((2, 1)))])
