@@ -192,7 +192,8 @@ class TestCommands:
         # [TRIVIAL] the CLI is a thin shell over the library call
         res = run(SweepSpec("df", preset="sato", blocks=(50,), rate=1.05))
         chan, caid = sato_channel()
-        sweep = pdf_sweep(chan, df_input(chan, caid), [50], [1.05], "dual", 1.0)
+        sweep = pdf_sweep(chan, df_input(chan, caid), [50], [1.05], "dual",
+                          1.0)
         assert res.rows[0][4] == sweep.value[0, 0]
         # every row of a pdf grid is the library value at its (b, r_eff)
         chan = random_relay_channel(np.random.default_rng(0), (3, 2, 2, 3))

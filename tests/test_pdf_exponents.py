@@ -399,8 +399,8 @@ class TestBlockMarkov:
         chan = random_relay_channel(rng, (2, 2, 2, 2))
         q = _uniform_pdf_input(2, 2, 2)
         scan = pdf_sweep(chan, q, [10], [0.05]).value[0, 0]
-        fixed = pdf_sweep(chan, q, [10], [0.05], split_fraction=0.5).value[0, 0]
-        assert fixed <= scan + 1e-9
+        fixed = pdf_sweep(chan, q, [10], [0.05], split_fraction=0.5)
+        assert fixed.value[0, 0] <= scan + 1e-9
 
     def test_block_curve_consistent(self, rng):
         chan = random_relay_channel(rng, (2, 2, 2, 2))
@@ -426,8 +426,10 @@ class TestBlockMarkov:
             best = many.best_blocks()
             for j, rate in enumerate(rates):
                 one = pdf_sweep(chan, q, range(2, 10), [rate], "dual", split)
-                np.testing.assert_array_equal(many.value[:, j], one.value[:, 0])
-                np.testing.assert_array_equal(many.split[:, j], one.split[:, 0])
+                np.testing.assert_array_equal(many.value[:, j],
+                                              one.value[:, 0])
+                np.testing.assert_array_equal(many.split[:, j],
+                                              one.split[:, 0])
                 assert best[j] == one.best_blocks()[0]
 
     def test_sato_block_curve_matches_single_points(self):
