@@ -13,5 +13,5 @@ from .cf_exponents import (CfRates, cf_G1, cf_G2, cf_overall_witness, cf_psi1,
 from .haroutunian_upper import (UpperBoundResult, ecs_objective, ecs_upper,
                                 ecs_upper_sweep)
 from .types_toolkit import (CondTypeN, TypeN, check_joint_typicality,
-                            check_lemma1, enum_types, type_class_size,
-                            vshell_size)
+                            check_lemma1, enum_types, joint_typicality_batch,
+                            lemma1_batch, type_class_size, vshell_size)

@@ -35,8 +35,8 @@ from .pdf_exponents import SPLIT_GRID, df_input, pdf_sweep
 from .prob_core import CondDist, Dist, OptimizerConfig
 from .relay_model import (CfInput, PdfInput, RelayChannelSpec, cutset_bound,
                           sato_channel)
-from .types_toolkit import (EnumBudgetError, TypeN, check_joint_typicality,
-                            check_lemma1, enum_cond_types, enum_types)
+from .types_toolkit import (EnumBudgetError, TypeN, enum_cond_types,
+                            enum_types, joint_typicality_batch, lemma1_batch)
 
 CSV_HEADER = "b,r_eff,r_b,kind,value_bits,witness,grid_note"
 #: points a --reff grid, or the (b, r_eff) grid of pdf, df and cf, may hold;
@@ -376,33 +376,26 @@ def run(spec: SweepSpec) -> SweepResult:
 
 
 def _types_sweep(rows, n_max=4):
-    """Check every binary type-lemma instance up to n_max, one row per
-    lemma and n; returns (failed rows, per-n instance counts)."""
-    channels = [CondDist(np.array([[0.9, 0.1], [0.1, 0.9]])),
-                CondDist(np.array([[0.7, 0.3], [0.3, 0.7]])),
-                CondDist(np.eye(2))]
+    """Check every binary type-lemma instance up to n_max against BSC(0.1),
+    BSC(0.3) and the identity; returns (failed rows, per-n counts)."""
+    channels = [CondDist(np.array([[1 - e, e], [e, 1 - e]]))
+                for e in (0.1, 0.3, 0.0)]
     failures, checks = 0, []
     for n in range(1, n_max + 1):
-        ok = {"lemma1": True, "lemma23": True} if n >= 2 else {"lemma1": True}
-        count = {"n": n, "lemma1": 0, "joint_typicality": 0,
-                 "x2_enumerations": 0}
-        for p in enum_types(n, 2):
-            for v in enum_cond_types(p, 2):
-                lemma1 = check_lemma1(n, p, v, channels)
-                ok["lemma1"] &= all(rep.all_ok for rep in lemma1)
-                count["lemma1"] += len(lemma1)
-                if n < 2:
-                    continue
-                vprimes = enum_cond_types(TypeN(sum(v.counts, ()), n), 2)
-                joint = check_joint_typicality(n, p, v, vprimes)
-                ok["lemma23"] &= all(rep.all_ok for rep in joint)
-                count["joint_typicality"] += len(joint)
-                count["x2_enumerations"] += 1
-        checks.append(count)
-        for kind, passed in ok.items():
-            rows.append((0, float(n), float(n), kind, 1.0 if passed else 0.0,
-                         "exhaustive", f"n:{n}"))
-            failures += 0 if passed else 1
+        pvs = [(p, v) for p in enum_types(n, 2) for v in enum_cond_types(p, 2)]
+        cases = [(p, v, enum_cond_types(TypeN(sum(v.counts, ()), n), 2))
+                 for p, v in pvs if n >= 2]
+        lemma1 = lemma1_batch(n, pvs, channels)
+        joint = joint_typicality_batch(n, cases)
+        checks.append({"n": n, "lemma1": sum(map(len, lemma1)),
+                       "joint_typicality": sum(map(len, joint)),
+                       "x2_enumerations": len(cases)})
+        for kind, batch in (("lemma1", lemma1), ("lemma23", joint)):
+            if batch:
+                passed = all(rep.all_ok for reps in batch for rep in reps)
+                rows.append((0, float(n), float(n), kind, float(passed),
+                             "exhaustive", f"n:{n}"))
+                failures += 0 if passed else 1
     return failures, checks
 
 

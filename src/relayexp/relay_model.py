@@ -209,10 +209,10 @@ _DECIDE_ITERATIONS = 30
 _ENVELOPE_EVERY = 8
 
 
-def _cross_entropy(rows, law):
-    """-sum_y rows[..., y] log2 law[..., y] over the last axis; +inf where a
-    row puts mass on a zero of its law (0 log 0 is 0)."""
-    return -np.where(rows > 0.0, rows * np.log2(law), 0.0).sum(axis=-1)
+def _cross_entropy(rows, law, on):
+    """-sum_y rows[..., y] log2 law[..., y] over the last axis where `on`
+    (rows > 0); +inf where a row puts mass on a zero of its law."""
+    return -np.where(on, rows * np.log2(law), 0.0).sum(axis=-1)
 
 
 def _envelope(a, b):
@@ -273,8 +273,8 @@ def cutset_bound(v: RelayChannelSpec, *, candidate: Dist = None,
     n_x1, n_x2, n_y2, n_y3 = v.sizes
     w3 = v.y3_marginal().reshape(-1, n_y3)
     w23 = v.w.reshape(n_x1, n_x2, n_y2 * n_y3)
-    h3 = _neg_plogp(w3).sum(axis=1)
-    h23 = _neg_plogp(w23).sum(axis=2)
+    h3, h23 = _neg_plogp(w3).sum(axis=1), _neg_plogp(w23).sum(axis=2)
+    on3, on23 = w3 > 0.0, w23 > 0.0
     # the law of an empty block: any distribution keeps hi valid
     fill = w23.mean(axis=0)
     n = n_x1 * n_x2
@@ -283,13 +283,13 @@ def cutset_bound(v: RelayChannelSpec, *, candidate: Dist = None,
     cap = _ITERATIONS if decide_at is None else _DECIDE_ITERATIONS
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(1, cap + 1):
-            a = _cross_entropy(w3, p @ w3) - h3
+            a = _cross_entropy(w3, p @ w3, on3) - h3
             mass = np.einsum("xa,xaz->az", p.reshape(n_x1, n_x2), w23)
             total = mass.sum(axis=1, keepdims=True)
             # normalised by its own total, m stays a distribution when a
             # block's mass underflows
             m = np.where(total > 0.0, mass / total, fill)
-            b = (_cross_entropy(w23, m) - h23).reshape(n)
+            b = (_cross_entropy(w23, m, on23) - h23).reshape(n)
             live = p > 0.0
             i1 = float(p @ np.where(live, a, 0.0))
             i2 = float(p @ np.where(live, b, 0.0))

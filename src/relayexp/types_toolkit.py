@@ -13,8 +13,7 @@ from itertools import accumulate, chain, pairwise, product
 
 import numpy as np
 
-from .prob_core import (CondDist, Dist, EnumBudgetError, cond_entropy,
-                        cond_mi_from_joint, kl_div_cond)
+from .prob_core import EnumBudgetError, _neg_plogp, cond_mi_from_joint
 
 ENUM_BUDGET = 10**7
 _LOG_SLACK = 1e-9
@@ -28,16 +27,12 @@ class TypeN:
     n: int
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        if any(c < 0 for c in counts):
+        counts = tuple(map(int, self.counts))
+        if min(counts, default=0) < 0:
             raise ValueError("type counts must be nonnegative")
         if sum(counts) != self.n:
             raise ValueError("type counts must sum to n")
         object.__setattr__(self, "counts", counts)
-
-    @property
-    def probs(self):
-        return np.array(self.counts, dtype=np.float64) / self.n
 
 
 @dataclass(frozen=True)
@@ -48,14 +43,13 @@ class CondTypeN:
     base: TypeN
 
     def __post_init__(self):
-        counts = tuple(tuple(int(c) for c in row) for row in self.counts)
+        counts = tuple([tuple(map(int, row)) for row in self.counts])
         if len(counts) != len(self.base.counts):
             raise ValueError("conditional type must have one row per base symbol")
-        for row, total in zip(counts, self.base.counts):
-            if any(c < 0 for c in row):
-                raise ValueError("conditional type counts must be nonnegative")
-            if sum(row) != total:
-                raise ValueError("conditional type row sums must match the base type")
+        if min(chain.from_iterable(counts), default=0) < 0:
+            raise ValueError("conditional type counts must be nonnegative")
+        if tuple(map(sum, counts)) != self.base.counts:
+            raise ValueError("conditional type row sums must match the base type")
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -98,24 +92,16 @@ def _cond_type_count(base: TypeN, out_size):
                      for c in base.counts)
 
 
-def _multinomial(total, parts):
-    num = math.factorial(total)
-    for p in parts:
-        num //= math.factorial(p)
-    return num
-
-
 def type_class_size(t: TypeN):
     """Number of sequences with type t (exact multinomial coefficient)."""
-    return _multinomial(t.n, t.counts)
+    return math.factorial(t.n) // math.prod(map(math.factorial, t.counts))
 
 
 def vshell_size(ct: CondTypeN):
-    """Size of the conditional-type shell relative to any base-type sequence."""
-    size = 1
-    for row, total in zip(ct.counts, ct.base.counts):
-        size *= _multinomial(total, row)
-    return size
+    """Size of the conditional-type shell relative to any base-type sequence:
+    the product of one multinomial coefficient per row."""
+    return (math.prod(map(math.factorial, ct.base.counts))
+            // math.prod(math.factorial(c) for row in ct.counts for c in row))
 
 
 @dataclass
@@ -132,8 +118,9 @@ class Lemma1Report:
                 and self.sequence_prob and self.shell_prob_sandwich)
 
 
-def check_lemma1(n, p: TypeN, v: CondTypeN, channels):
-    """Lemma 1 for one (P, V) against each channel W; one report per W.
+def lemma1_batch(n, pvs, channels):
+    """Lemma 1 for each (P, V) of `pvs`, all of blocklength n and one shape,
+    against each channel W; one list of reports per (P, V), one per W.
 
     1. number of conditional types compatible with P is <= (n+1)^(|X||Y|)
     2. (n+1)^(-|X||Y|) * 2^(nH(V|P)) <= |shell| <= 2^(nH(V|P))
@@ -141,50 +128,61 @@ def check_lemma1(n, p: TypeN, v: CondTypeN, channels):
        2^(-n(D(V||W|P)+H(V|P))) exactly
     4. (n+1)^(-|X||Y|) * 2^(-nD) <= W^n(shell) <= 2^(-nD)
 
-    Properties 1 and 2 are computed once; only D(V||W|P) and the
-    per-sequence probability depend on W.
+    H(V|P), D(V||W|P) and the per-sequence probabilities of the batch
+    come from a few array operations, each instance's from its own entries.
     """
-    if p.n != n or v.base != p:
+    if any(p.n != n or v.base != p for p, v in pvs):
         raise ValueError("type and conditional type must share blocklength n")
-    exp_poly = len(p.counts) * v.n_outputs
+    if not pvs:
+        return []
+    counts = np.array([v.counts for _, v in pvs], dtype=np.float64)
+    if any(w.rows.shape != counts.shape[1:] for w in channels):
+        raise ValueError("each channel must match the conditional types' shape")
+    w = np.array([w.rows for w in channels]).reshape(-1, *counts.shape[1:])
+    exp_poly = counts[0].size
     log_poly = exp_poly * math.log2(n + 1)
-    n_cond = _cond_type_count(p, v.n_outputs)
-    counts = np.array(v.counts, dtype=np.float64)
-    # a zero-count row has weight 0 under P, so any fill row will do
-    counts[counts.sum(axis=1) == 0.0] = 1.0
-    v_dist = CondDist(counts / counts.sum(axis=1, keepdims=True))
-    p_dist = Dist(p.probs)
-    h = cond_entropy(v_dist, p_dist)
-    log_shell = float(math.log2(vshell_size(v)))
-    shell_sandwich = (n * h - log_poly - _LOG_SLACK <= log_shell
-                      <= n * h + _LOG_SLACK)
+    weights = counts.sum(axis=2)  # n P(x): rows with P(x) = 0 add 0 to H, D
+    v_rows = counts / np.maximum(weights, 1.0)[..., None]
+    h_all = (weights / n * _neg_plogp(v_rows).sum(axis=2)).sum(axis=1)
+    pos = counts[:, None] > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vw = v_rows[:, None]
+        d_rows = np.where(pos, vw * np.log2(vw / w), 0.0).sum(axis=3)
+        d_all = np.where((pos & (w <= 0.0)).any(axis=(2, 3)), np.inf,
+                         (weights[:, None] / n * d_rows).sum(axis=2))
+        # log2 W^n(y^n | x^n) of a shell member; -inf on a zero of W
+        log_seqs = np.where(pos, counts[:, None] * np.log2(w), 0.0).sum((2, 3))
+    out = []
+    for (p, v), h, ds, seqs in zip(pvs, h_all.tolist(), d_all.tolist(),
+                                   log_seqs.tolist()):
+        n_cond = _cond_type_count(p, v.n_outputs)
+        log_shell = float(math.log2(vshell_size(v)))
+        shell_sandwich = (n * h - log_poly - _LOG_SLACK <= log_shell
+                          <= n * h + _LOG_SLACK)
+        reports = []
+        for d, log_seq in zip(ds, seqs):
+            rhs = -n * (d + h)
+            if math.isinf(d):
+                sequence_prob = log_seq == -math.inf
+                shell_prob_sandwich = True  # probability exactly 0, bounds vacuous
+            else:
+                sequence_prob = abs(log_seq - rhs) <= 1e-10 * max(1.0, abs(rhs))
+                shell_prob_sandwich = (-n * d - log_poly - _LOG_SLACK
+                                       <= log_shell + log_seq
+                                       <= -n * d + _LOG_SLACK)
+            reports.append(Lemma1Report(
+                n_cond <= (n + 1) ** exp_poly, shell_sandwich, sequence_prob,
+                shell_prob_sandwich,
+                {"n_cond_types": n_cond, "log2_shell": log_shell,
+                 "n_times_H": n * h, "log2_seq_prob": log_seq,
+                 "minus_n_D_plus_H": rhs}))
+        out.append(reports)
+    return out
 
-    reports = []
-    for w in channels:
-        d = kl_div_cond(v_dist, w, p_dist)
-        # log2 of the per-sequence probability W^n(y^n | x^n) for a shell member
-        log_seq = 0.0
-        for row, w_row in zip(v.counts, w.rows.tolist()):
-            for c, wxy in zip(row, w_row):
-                if c:
-                    log_seq = (-math.inf if wxy <= 0.0
-                               else log_seq + c * math.log2(wxy))
-        rhs = -n * (d + h)
-        if math.isinf(d):
-            sequence_prob = log_seq == -math.inf
-            shell_prob_sandwich = True  # probability exactly 0, bounds vacuous
-        else:
-            sequence_prob = abs(log_seq - rhs) <= 1e-10 * max(1.0, abs(rhs))
-            shell_prob_sandwich = (-n * d - log_poly - _LOG_SLACK
-                                   <= log_shell + log_seq
-                                   <= -n * d + _LOG_SLACK)
-        reports.append(Lemma1Report(
-            n_cond <= (n + 1) ** exp_poly, shell_sandwich, sequence_prob,
-            shell_prob_sandwich,
-            {"n_cond_types": n_cond, "log2_shell": log_shell,
-             "n_times_H": n * h, "log2_seq_prob": log_seq,
-             "minus_n_D_plus_H": rhs}))
-    return reports
+
+def check_lemma1(n, p: TypeN, v: CondTypeN, channels):
+    """Lemma 1 for one (P, V): `lemma1_batch` of one instance."""
+    return lemma1_batch(n, [(p, v)], channels)[0]
 
 
 @dataclass
@@ -208,9 +206,9 @@ def _block_counts(seq, spans, size):
     return tuple([seq[lo:hi].count(s) for lo, hi in spans for s in range(size)])
 
 
-def check_joint_typicality(n, p: TypeN, v: CondTypeN, vprimes):
+def joint_typicality_batch(n, cases):
     """Exact shell-intersection probabilities against their polynomial
-    envelope for one (P, V) and each V' of `vprimes`; one report per V'.
+    envelope; per (P, V, vprimes) of `cases`, a list of one report per V'.
 
     P is the type of x1^n, V the conditional type of x2^n given x1^n and
     V' that of y^n given (x1^n, x2^n) (rows indexed by x1*|X2|+x2).
@@ -221,53 +219,58 @@ def check_joint_typicality(n, p: TypeN, v: CondTypeN, vprimes):
     where I = I(X2;Y|X1) and p1, p2, p3 are polynomial factors (n+1)^e
     with exponents |X1||X2|(|Y|+1), |X1||X2||Y| and |X1||X2|.
 
-    X2^n is enumerated once and the shell's joint types tallied once per
-    distinct (x1 -> y) marginal.  The mutual informations come from one
-    `cond_mi_from_joint` call, so the V' must share an output alphabet.
+    X2^n is enumerated once per (P, V), its joint types tallied once per
+    distinct (x1 -> y) marginal, and every I(X2;Y|X1) of the batch taken from
+    one `cond_mi_from_joint` call, so the cases share their alphabets.
     """
-    if p.n != n or v.base != p:
-        raise ValueError("blocklength mismatch")
-    n_x1, n_x2 = len(p.counts), v.n_outputs
-    joint_base = tuple(c for row in v.counts for c in row)
-    reports, pending, joints = [], [], []
-    shell = None
-    for vp in vprimes:
-        # marginal consistency: V''s base must be the joint (x1,x2) type
-        if vp.base.counts != joint_base or vp.base.n != n:
-            reports.append(JointTypicalityReport(
-                False, False, False, False,
-                details={"reason": "marginal inconsistency"}))
-            continue
-        if shell is None:
-            if n_x2 ** n > ENUM_BUDGET:
-                raise EnumBudgetError("shell enumeration exceeds the budget")
-            # x1^n is the sorted sequence of type P; the number of zeros
-            # in x2^n is a cheap necessary condition
-            x1_spans = list(pairwise(accumulate(p.counts, initial=0)))
-            zeros = sum(row[0] for row in v.counts)
-            shell = [x2 for x2 in product(range(n_x2), repeat=n)
-                     if x2.count(0) == zeros
-                     and _block_counts(x2, x1_spans, n_x2) == joint_base]
-            tallies = {}
-        per_x1 = [vp.counts[a * n_x2:(a + 1) * n_x2] for a in range(n_x1)]
-        # the x2 counts of each (x1, y) pair: y^n is sorted within each x1
-        # block, so each pair is one block of positions
-        cols = [col for rows in per_x1 for col in zip(*rows)]
-        ymarg = tuple(map(sum, cols))
+    out, pending, sizes = [], [], set()
+    for p, v, vprimes in cases:
+        if p.n != n or v.base != p:
+            raise ValueError("blocklength mismatch")
+        n_x1, n_x2 = len(p.counts), v.n_outputs
+        sizes.add((n_x1, n_x2))
+        joint_base = tuple(c for row in v.counts for c in row)
+        reports, shell = [], None
+        for vp in vprimes:
+            # marginal consistency: V''s base must be the joint (x1,x2) type
+            if vp.base.counts != joint_base or vp.base.n != n:
+                reports.append(JointTypicalityReport(
+                    False, False, False, False,
+                    details={"reason": "marginal inconsistency"}))
+                continue
+            if shell is None:
+                if n_x2 ** n > ENUM_BUDGET:
+                    raise EnumBudgetError("shell enumeration exceeds the budget")
+                # x1^n is the sorted sequence of type P; the number of zeros
+                # in x2^n is a cheap necessary condition
+                x1_spans = list(pairwise(accumulate(p.counts, initial=0)))
+                zeros = sum(row[0] for row in v.counts)
+                shell = [x2 for x2 in product(range(n_x2), repeat=n)
+                         if x2.count(0) == zeros
+                         and _block_counts(x2, x1_spans, n_x2) == joint_base]
+            pending.append((reports, len(reports), shell, vp.counts))
+            reports.append(None)
+        out.append(reports)
+    if not pending:
+        return out
+    (n_x1, n_x2), = sizes  # a ValueError unless the cases share alphabets
+    m = len(pending)
+    counts = np.array([c for *_, c in pending]).reshape(m, n_x1, n_x2, -1)
+    # the x2 counts of each (x1, y) pair, and the (x1 -> y) marginal: y^n
+    # is sorted within each x1 block, so each pair is one block of positions
+    keys = counts.transpose(0, 1, 3, 2).reshape(m, -1).tolist()
+    ymargs = list(map(tuple, counts.sum(axis=2).reshape(m, -1).tolist()))
+    n_x12, n_y, logn1 = n_x1 * n_x2, counts.shape[3], math.log2(n + 1)
+    tallied = None  # the shell whose tallies `tallies` holds
+    for (reports, i, shell, _), key, ymarg, mi in zip(  # mi = I(X2;Y|X1)
+            pending, keys, ymargs, cond_mi_from_joint(counts / n).tolist()):
+        if shell is not tallied:
+            tallied, tallies = shell, {}
         if ymarg not in tallies:
             y_spans = list(pairwise(accumulate(ymarg, initial=0)))
             tallies[ymarg] = Counter(_block_counts(x2, y_spans, n_x2)
                                      for x2 in shell)
-        pending.append((len(reports), tallies[ymarg][tuple(chain(*cols))]))
-        joints.append(per_x1)
-        reports.append(None)
-    if not joints:
-        return reports
-    joints = np.array(joints, dtype=np.float64) / n
-    mis = cond_mi_from_joint(joints)  # I(X2;Y|X1)
-    n_x12, n_y, den = n_x1 * n_x2, joints.shape[-1], len(shell)
-    logn1 = math.log2(n + 1)
-    for (i, num), mi in zip(pending, mis.tolist()):
+        num, den = tallies[ymarg][tuple(key)], len(shell)
         log_prob = -np.inf if num == 0 else math.log2(num) - math.log2(den)
         lower = -n * mi - n_x12 * (n_y + 1) * logn1
         lemma2_lower = log_prob >= lower - _LOG_SLACK
@@ -276,5 +279,9 @@ def check_joint_typicality(n, p: TypeN, v: CondTypeN, vprimes):
         reports[i] = JointTypicalityReport(
             True, lemma2_lower, lemma2_upper, lemma3_upper, Fraction(num, den),
             mi, details={"num": num, "den": den, "log2_prob": log_prob})
-    return reports
+    return out
 
+
+def check_joint_typicality(n, p: TypeN, v: CondTypeN, vprimes):
+    """Lemmas 2 and 3 for one (P, V): `joint_typicality_batch` of one case."""
+    return joint_typicality_batch(n, [(p, v, vprimes)])[0]

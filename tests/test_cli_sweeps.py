@@ -250,6 +250,21 @@ class TestCommands:
                          "x2_enumerations": pv if n >= 2 else 0})
         assert meta["grids"]["types_checks"] == want
 
+    def test_types_verify_output_bytes(self, tmp_path):
+        # the CSV and the sidecar counts as written before the lemma cores
+        # were batched per blocklength
+        spec = SweepSpec("types-verify", out_dir=str(tmp_path))
+        write_outputs(spec, run(spec))
+        rows = [f"0,{n},{n},{kind},1,exhaustive,n:{n}"
+                for n in range(1, 5) for kind in ("lemma1", "lemma23")
+                if n >= 2 or kind == "lemma1"]
+        assert ((tmp_path / "types_verify.csv").read_bytes()
+                == "\n".join([CSV_HEADER] + rows + [""]).encode())
+        meta = json.loads((tmp_path / "types_verify.meta.json").read_text())
+        assert [tuple(c.values()) for c in meta["grids"]["types_checks"]] == [
+            (1, 12, 0, 0), (2, 30, 36, 10), (3, 60, 120, 20),
+            (4, 105, 330, 35)]
+
     def test_pdf_grid_rows_sorted(self, tmp_path, rng):
         path, _ = _small_channel_file(tmp_path, rng)
         res = run(SweepSpec("pdf", channel_path=path, blocks=(10, 5),

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from relayexp import (CondTypeN, TypeN, check_joint_typicality, check_lemma1,
-                      enum_types, type_class_size, vshell_size)
+                      enum_types, joint_typicality_batch, lemma1_batch,
+                      type_class_size, vshell_size)
 from relayexp.prob_core import CondDist
 from relayexp.types_toolkit import EnumBudgetError, enum_cond_types
 
@@ -212,6 +213,51 @@ class TestBatchedCores:
                 assert all(r.consistent for r in batch[1:])
                 assert (batch[0].consistent
                         == (sum(v.counts, ()) == (n, 0, 0, 0)))
+
+    def test_blocklength_cores_equal_one_instance_calls(self):
+        # every (P, V) of one n in one call of each core, against one call
+        # per (P, V); the fourth channel's zero gives D = +inf and a log2
+        # sequence probability of -inf, and one V' off the joint type
+        # gives an inconsistent report in every case
+        for n in range(1, 5):
+            cases = _joint_cases(n)
+            pvs = [(p, v) for p, v, _ in cases]
+            batch = lemma1_batch(n, pvs, CHANNELS)
+            single = [check_lemma1(n, p, v, CHANNELS) for p, v in pvs]
+            assert ([[_fields(r) for r in reps] for reps in batch]
+                    == [[_fields(r) for r in reps] for reps in single])
+            details = [r.details for reps in batch for r in reps]
+            assert any(math.isinf(d["minus_n_D_plus_H"]) for d in details)
+            assert any(d["log2_seq_prob"] == -math.inf for d in details)
+            if n < 2:
+                continue
+            wrong = CondTypeN(((n, 0), (0, 0), (0, 0), (0, 0)),
+                              TypeN((n, 0, 0, 0), n))
+            cases = [(p, v, vps[:1] + [wrong] + vps[1:])
+                     for p, v, vps in cases]
+            batch = joint_typicality_batch(n, cases)
+            single = [check_joint_typicality(n, *case) for case in cases]
+            assert ([[_fields(r) for r in reps] for reps in batch]
+                    == [[_fields(r) for r in reps] for reps in single])
+            assert sum(not r.consistent for reps in batch for r in reps) == (
+                len(cases) - 1)
+
+    def test_cores_reject_mixed_blocklengths_and_alphabets(self):
+        p2, p3 = TypeN((1, 1), 2), TypeN((2, 1), 3)
+        v2, v3 = enum_cond_types(p2, 2)[0], enum_cond_types(p3, 2)[0]
+        with pytest.raises(ValueError):
+            lemma1_batch(2, [(p2, v2), (p3, v3)], [BSC01])
+        with pytest.raises(ValueError):
+            joint_typicality_batch(2, [(p2, v2, []), (p3, v3, [])])
+        # |X1| = 2, |X2| = 2 against |X1| = 1, |X2| = 4: the same four
+        # rows per V', which one stacked array would split wrongly
+        p1 = TypeN((2,), 2)
+        v4 = CondTypeN(((1, 1, 0, 0),), p1)
+        cases = [(p, v, enum_cond_types(TypeN(sum(v.counts, ()), 2), 2))
+                 for p, v in ((p2, v2), (p1, v4))]
+        assert all(vps for _, _, vps in cases)
+        with pytest.raises(ValueError):
+            joint_typicality_batch(2, cases)
 
     def test_shell_budget_checked_only_for_consistent_instances(self):
         # 2^30 x2 sequences are over the budget: refused before any is
