@@ -410,13 +410,15 @@ def _sato_figures(grids):
                       "dual", 1.0, work)
     grids["exponent_work"] = work
     tables = {"fig_relay": [], "fig_decoder": []}
+    blocks = (10, 50, 100)
+    parts = sweep.parts([b - 2 for b in blocks])
     for name, kind in zip(tables, ("relay_F", "decoder_G")):
-        _, _, value, rho = sweep.parts[kind]
-        for b in (10, 50, 100):
+        _, _, value, rho = parts[kind]
+        for i, b in enumerate(blocks):
             for j, r_eff in enumerate(points):
                 tables[name].append((b, r_eff, sweep.r_b[b - 2, j],
-                                     f"{kind}_over_b", value[b - 2, j] / b,
-                                     f"rho={_fmt(rho[b - 2, j])}", "dual"))
+                                     f"{kind}_over_b", value[i, j] / b,
+                                     f"rho={_fmt(rho[i, j])}", "dual"))
     tables["fig_blocks"] = [
         (i + 2, r_eff, sweep.r_b[i, j], "df_opt_b", sweep.value[i, j],
          f"best_b={i + 2}", "b:2..200")

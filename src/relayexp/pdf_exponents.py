@@ -15,7 +15,6 @@ the objective at its dummy channel, so [dual, primal] brackets the exponent.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -37,6 +36,15 @@ _CURVE_ELEMENTS = 1 << 16
 SPLIT_GRID = 41
 SPLIT_REFINE = 11
 SPLIT_WINDOW = 0.025
+# the multipliers of each kind's certified lower end E0(rho) - rho*R, which
+# is below both forms of the exponent (Gallager 1968, section 5.6)
+_BOUND_RHO = np.linspace(0.0, 1.0, 32)
+# a kind is skipped where its lower end exceeds the min by more than this.
+# A dual value is below its exponent only by golden_max's error: endpoints
+# are checked exactly, and at an interior maximum the slope is 0, so the
+# 1e-8 bracket costs about |E0''|/2 * (5e-9)^2 < 1e-15 bits; the rest is
+# rounding of values of order 1.  A primal value is at or above its exponent
+_BOUND_MARGIN = 1e-9
 
 
 @dataclass
@@ -235,14 +243,23 @@ def _alternate(q_s, q_xs, chan, lam):
     expo = (1.0 / (1.0 + lam))[..., None, None, None]
     weights = q_s[:, None] * q_xs
     live = (weights > 0.0)[..., None]
-    chan_pow = np.power(chan, expo)
+    # numpy raises by a broadcast exponent 1/2 with an exact square root in
+    # small batches but by pow, which can differ in the last bit, in large
+    # ones; at lam = 1 (both exponents 1/2) every batch takes the root
+    half = (lam == 1.0)[..., None, None, None]
+
+    def power(base, e):
+        raised = np.power(base, e)
+        return np.where(half, np.sqrt(base), raised) if half.any() else raised
+
+    chan_pow = power(chan, expo)
     v = np.broadcast_to(chan, lam.shape + chan.shape)
     q_y = np.einsum("sx,...sxy->...sy", q_xs, v)
     active = lam > 0.0
     steps = 0
 
     def update(q_y):
-        t = chan_pow * np.power(q_y[..., None, :], 1.0 - expo)
+        t = chan_pow * power(q_y[..., None, :], 1.0 - expo)
         return t, np.where(live, t.sum(axis=-1, keepdims=True), 1.0)
 
     while active.any():
@@ -317,21 +334,36 @@ def pdf_primal_exponent(kind, w: RelayChannelSpec, q: PdfInput,
                          "curve_points": points})
 
 
-def _solve(kind, form, chan, rate, below, stats):
+def _solve(kind, form, chan, rate, below, stats, dominated=0):
     """(value, witness) of one kind's state channel `chan` = (q_s, q_xs,
     chan) at the 1-D `rate`, in dual or primal form; `below` is
     `_below_mi` at `rate`, or None to compute it.  If `stats` is a dict,
-    the rates handed to the solver and its curve points are added to its
-    {kind: {"problems": n, "curve_points": n}}."""
+    the rates handed to the solver, its curve points and `dominated`, the
+    cells the caller skipped because the kind's lower end put it above
+    the min, are added to its {kind: {"problems": n, "curve_points": n,
+    "dominated": n}}."""
     if form == "dual":
         value, witness, points = gallager_dual(*chan, rate, below)
     else:
         value, witness, _, _, points = alternating_primal(*chan, rate, below)
-    if stats is not None and rate.size:
-        work = stats.setdefault(kind, {"problems": 0, "curve_points": 0})
+    if stats is not None and (rate.size or dominated):
+        work = stats.setdefault(kind, {"problems": 0, "curve_points": 0,
+                                       "dominated": 0})
         work["problems"] += int(rate.size)
         work["curve_points"] += int(points)
+        work["dominated"] += dominated
     return value, witness
+
+
+def _lower_end(e0, rate):
+    """max_j E0(rho_j) - rho_j*R over `_BOUND_RHO` at each rate, E0 = `e0`
+    on that grid, a lower end of both forms of the exponent.  E0 is
+    concave, so the best rho_j is the one where the chord slope of E0
+    falls to R, and one binary search finds it; if rounding bends the
+    curve, the j found is still a valid lower end."""
+    slopes = np.diff(e0) / np.diff(_BOUND_RHO)
+    j = np.searchsorted(-slopes, -rate)
+    return e0[j] - _BOUND_RHO[j] * rate
 
 
 def _best_splits(w, q, r_b, fraction, form, stats=None):
@@ -339,23 +371,28 @@ def _best_splits(w, q, r_b, fraction, form, stats=None):
 
     `fraction` fixes the split, or None scans `SPLIT_GRID` points over
     [0, 1] and then `SPLIT_REFINE` points within `SPLIT_WINDOW` of the
-    scan's first maximum.  A kind is exactly 0 at every rate at or above
-    its I(Q,W), and then so is the min, so each stage solves a kind, in
-    one call per kind, only at the (point, split) cells where every active
-    constituent is below its own I(Q,W) (the live cells) and at the cells
-    where the kind itself is not below, which cost no curve work.  The
-    other active cells are skipped: their values are >= the exact 0
-    already in the min, so no minimum or split depends on them.  The
-    solves are tallied in `stats` as `_solve` says.
+    scan's first maximum.  Each stage solves the kinds one after another,
+    in one call per kind, and skips a kind at the (point, split) cells
+    where the kinds solved before it give a min it cannot go below.  A kind
+    at or above its I(Q,W) is exactly 0, and then so is the min, so a kind
+    below its own I(Q,W) is skipped wherever another active kind is not
+    (cells at or above it cost no curve work and are solved).  Where two
+    or more kinds are active and all below their I(Q,W), a kind whose
+    `_lower_end` exceeds the min so far by more than `_BOUND_MARGIN` is
+    skipped (`dominated`); the kinds go in order of how often their lower
+    end is the smallest there, first wins ties.  No minimum or split
+    depends on a skipped cell.  The solves are tallied in `stats` as
+    `_solve` says.
 
     Returns the (n,) best minima over the active constituents, the (n,)
-    splits attaining them and a function that returns, per kind, its
-    (active, rate, value, witness) at those splits.  That function solves
-    the cells skipped at the chosen splits, tallied in the same `stats`,
-    so it is to be called once.
+    splits attaining them and a function that takes indices into `r_b` and
+    returns, per kind, its (active, rate, value, witness) at those points
+    and splits.  That function first solves the cells skipped there, once,
+    tallied in the same `stats`.
     """
     chans = {kind: _state_channel(kind, w, q) for kind in KINDS}
     rows = np.arange(r_b.size)
+    e0 = {}
 
     def stage(splits):
         # F and G take R' = split * R_b and Gtilde R'' = (1 - split) * R_b,
@@ -365,25 +402,54 @@ def _best_splits(w, q, r_b, fraction, form, stats=None):
         idle = ~(r1 > 0.0) & ~(r2 > 0.0)
         r1, r2 = np.where(idle, 0.0, r1), np.where(idle, 0.0, r2)
         on1, on2 = (r1 > 0.0) | idle, (r2 > 0.0) | idle
-        kinds = (("relay_F", on1, r1), ("decoder_G", on1, r1),
-                 ("decoder_Gtilde", on2, r2))
-        below = {k: _below_mi(*chans[k], rate) for k, _, rate in kinds}
-        live = np.logical_and.reduce([below[k] | ~on for k, on, _ in kinds])
-        mins, parts = np.full(splits.shape, np.inf), {}
-        for kind, active, rate in kinds:
-            solved = active & (live | ~below[kind])
+        kinds = {"relay_F": (on1, r1), "decoder_G": (on1, r1),
+                 "decoder_Gtilde": (on2, r2)}
+        below = {k: _below_mi(*chans[k], rate)
+                 for k, (_, rate) in kinds.items()}
+        mins = np.where(np.logical_or.reduce(
+            [on & ~below[k] for k, (on, _) in kinds.items()]), 0.0, np.inf)
+        contested = (mins > 0.0) & (np.sum([on for on, _ in kinds.values()],
+                                           axis=0) > 1)
+        order, bound = list(kinds), dict.fromkeys(kinds, 0.0)
+        if contested.any():
+            lows = []
+            for k, (on, rate) in kinds.items():
+                cells = contested & on
+                bound[k] = np.zeros(splits.shape)
+                if cells.any():
+                    if k not in e0:
+                        e0[k] = -np.log2(e0_sum(*chans[k], _BOUND_RHO))
+                    bound[k][cells] = _lower_end(e0[k], rate[cells])
+                lows.append(np.where(cells, bound[k], np.inf)[contested])
+            wins = np.bincount(np.argmin(lows, axis=0), minlength=len(kinds))
+            order = [order[i] for i in np.argsort(-wins, kind="stable")]
+        parts = {}
+        for kind in order:
+            active, rate = kinds[kind]
+            # the kind's value is at least max(bound - margin, 0), so where
+            # that is at or above the min so far it cannot lower the min
+            skip = active & below[kind] & (
+                np.maximum(bound[kind] - _BOUND_MARGIN, 0.0) >= mins)
+            solved = active & ~skip
             # an empty solve still gives the witness its trailing axes
             val, wit = _solve(kind, form, chans[kind], rate[solved],
-                              below[kind][solved], stats)
+                              below[kind][solved], stats,
+                              int(np.count_nonzero(skip & contested)))
             value = np.zeros(splits.shape)
             witness = np.zeros(splits.shape + np.shape(wit)[1:])
             value[solved], witness[solved] = val, wit
-            mins = np.where(active, np.minimum(mins, value), mins)
-            parts[kind] = (active, rate, value, witness, active & ~solved)
-        # the first maximum over the grid wins, as in a strict > scan
-        cols = np.argmax(mins, axis=1)
-        return (mins[rows, cols], splits[rows, cols],
-                {k: [a[rows, cols] for a in p] for k, p in parts.items()})
+            mins = np.where(solved, np.minimum(mins, value), mins)
+            parts[kind] = (active, rate, value, witness, skip)
+        # the first maximum over the grid wins, as in a strict > scan; one
+        # flat index takes it from each grid much faster than (row, column)
+        # index pairs do
+        at = rows * splits.shape[1] + np.argmax(mins, axis=1)
+
+        def pick(a):
+            return np.take(a.reshape((-1,) + a.shape[2:]), at, axis=0)
+
+        return (pick(mins), pick(splits),
+                {k: [pick(a) for a in parts[k]] for k in kinds})
 
     if fraction is not None:
         best, split, at = stage(np.full((r_b.size, 1), fraction))
@@ -401,12 +467,15 @@ def _best_splits(w, q, r_b, fraction, form, stats=None):
         best, split = (np.where(better, fine_best, best),
                        np.where(better, fine_split, split))
 
-    def parts():
+    def parts(points):
         for kind, (_, rate, value, witness, skipped) in at.items():
-            if skipped.any():
-                value[skipped], witness[skipped] = _solve(
-                    kind, form, chans[kind], rate[skipped], None, stats)
-        return {k: p[:4] for k, p in at.items()}
+            todo = np.zeros_like(skipped)
+            todo[points] = skipped[points]
+            if todo.any():
+                value[todo], witness[todo] = _solve(
+                    kind, form, chans[kind], rate[todo], None, stats)
+                skipped[todo] = False
+        return {k: tuple(a[points] for a in p[:4]) for k, p in at.items()}
 
     return best, split, parts
 
@@ -414,21 +483,18 @@ def _best_splits(w, q, r_b, fraction, form, stats=None):
 @dataclass
 class PdfSweep:
     """`pdf_sweep` results on a block-count x rate grid: `r_b`, `value` and
-    `split` have shape (len(bs), len(r_effs)), and `parts` maps each kind
-    to its (active, rate, value, witness) grids at `split`, a primal
-    witness adding the dummy channel's axes.  Every active entry of
-    `parts` is the kind's exact solve at that rate.  `solve_parts` returns
-    `parts`; it solves the cells the sweep skipped (see `_best_splits`),
-    so it runs the first time `parts` is read, and only then."""
+    `split` have shape (len(bs), len(r_effs)).  `parts(rows)` maps each
+    kind to its (active, rate, value, witness) at `split` in the block
+    rows `rows` (an index, a list or a slice into `bs`; all rows by
+    default), a primal witness adding the dummy channel's axes.  Every
+    active entry is the kind's exact solve at that rate: the cells of
+    those rows that the sweep skipped (see `_best_splits`) are solved when
+    they are first read, and only then."""
 
     r_b: np.ndarray
     value: np.ndarray
     split: np.ndarray
-    solve_parts: Callable[[], dict]
-
-    @cached_property
-    def parts(self):
-        return self.solve_parts()
+    parts: Callable[..., dict]
 
     def best_blocks(self):
         """Per rate, the index of the first block count whose value beats
@@ -451,11 +517,11 @@ def pdf_sweep(w: RelayChannelSpec, q: PdfInput, bs, r_effs,
     dropped from the min (with U = X1 and split 1 this is exactly
     decode-forward, where only F and G remain).  `split_fraction` fixes
     the split, or None scans it as `_best_splits` does.  All points are
-    solved in one batch, a kind only where the min can still be positive
-    or the kind itself is at or above its I(Q,W), and tallied in `stats`;
-    the other parts at the chosen split are solved, and added to `stats`,
-    when `PdfSweep.parts` is first read.  Raises ValueError unless every
-    b >= 2, every r_eff is finite and >= 0 and the split lies in [0, 1].
+    solved in one batch, a kind only where it can still lower the min,
+    and tallied in `stats`; the other parts at the chosen split are
+    solved, and added to `stats`, when `PdfSweep.parts` first reads their
+    rows.  Raises ValueError unless every b >= 2, every r_eff is finite
+    and >= 0 and the split lies in [0, 1].
     """
     bs = np.asarray(bs, dtype=np.float64).reshape(-1, 1)
     r_effs = np.asarray(r_effs, dtype=np.float64).reshape(-1)
@@ -465,14 +531,17 @@ def pdf_sweep(w: RelayChannelSpec, q: PdfInput, bs, r_effs,
     if split_fraction is not None and not 0 <= split_fraction <= 1:
         raise ValueError("split_fraction must lie in [0, 1]")
     r_b = bs / (bs - 1) * r_effs
-    best, split, parts = _best_splits(w, q, r_b.ravel(), split_fraction, form,
+    best, split, solve = _best_splits(w, q, r_b.ravel(), split_fraction, form,
                                       stats)
     value = best.reshape(r_b.shape) / bs
+
+    def parts(rows=slice(None)):
+        points = np.arange(r_b.size).reshape(r_b.shape)[rows]
+        return {k: tuple(a.reshape(points.shape + a.shape[1:]) for a in p)
+                for k, p in solve(points.ravel()).items()}
+
     return PdfSweep(r_b, np.where(value > 0.0, value, 0.0),
-                    split.reshape(r_b.shape),
-                    lambda: {k: tuple(a.reshape(r_b.shape + a.shape[1:])
-                                      for a in p)
-                             for k, p in parts().items()})
+                    split.reshape(r_b.shape), parts)
 
 
 def df_input(w: RelayChannelSpec, q_joint: Dist) -> PdfInput:

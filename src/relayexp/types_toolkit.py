@@ -35,6 +35,14 @@ class TypeN:
         object.__setattr__(self, "counts", counts)
 
 
+def _int_row(row):
+    """`row` as a tuple of Python ints; a row that already is one is kept,
+    so the conditional types of one enumeration share their rows."""
+    if type(row) is tuple and all(type(c) is int for c in row):
+        return row
+    return tuple(map(int, row))
+
+
 @dataclass(frozen=True)
 class CondTypeN:
     """Conditional type compatible with a base type (row sums match base)."""
@@ -43,9 +51,11 @@ class CondTypeN:
     base: TypeN
 
     def __post_init__(self):
-        counts = tuple([tuple(map(int, row)) for row in self.counts])
+        counts = tuple(map(_int_row, self.counts))
         if len(counts) != len(self.base.counts):
             raise ValueError("conditional type must have one row per base symbol")
+        if len(set(map(len, counts))) > 1:
+            raise ValueError("conditional type rows must have equal lengths")
         if min(chain.from_iterable(counts), default=0) < 0:
             raise ValueError("conditional type counts must be nonnegative")
         if tuple(map(sum, counts)) != self.base.counts:

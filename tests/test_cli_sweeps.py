@@ -312,7 +312,9 @@ class TestDeterminism:
         # values do not show.  decoder_Gtilde's I(Q,W) is 0 with U = X1, so
         # its curve is never evaluated and it is exactly 0 wherever it is
         # active; F and G are then solved only where Gtilde is inactive
-        # (split 1), 37 of the 759 cells where they are active
+        # (split 1), 37 of the 759 cells where they are active, and G only
+        # at the 19 of them at or above its I(Q,W): at the other 18 its
+        # lower end is above F's value
         chan = random_relay_channel(np.random.default_rng(0), (3, 2, 2, 3))
         write_channel(chan, str(tmp_path / "chan.json"))
         runs = {
@@ -333,9 +335,10 @@ class TestDeterminism:
             assert hashlib.sha256(got).hexdigest() == want
         meta = json.loads((tmp_path / "0" / "pdf.meta.json").read_text())
         assert meta["grids"]["exponent_work"] == {
-            "relay_F": {"problems": 37, "curve_points": 666},
-            "decoder_G": {"problems": 37, "curve_points": 318},
-            "decoder_Gtilde": {"problems": 756, "curve_points": 0},
+            "relay_F": {"problems": 37, "curve_points": 666, "dominated": 0},
+            "decoder_G": {"problems": 19, "curve_points": 0, "dominated": 18},
+            "decoder_Gtilde": {"problems": 756, "curve_points": 0,
+                               "dominated": 0},
         }
 
     def test_pdf_and_df_never_solve_skipped_cells(self, tmp_path, capsys,
@@ -355,9 +358,12 @@ class TestDeterminism:
         commands = (
             (["pdf", "--form", "primal", "--u-size", "2", "--split", "0.5"],
              "primal", 2, 0.5, (0.1, 0.2, 0.1), {
-                 "relay_F": {"problems": 2, "curve_points": 0},
-                 "decoder_G": {"problems": 2, "curve_points": 0},
-                 "decoder_Gtilde": {"problems": 1, "curve_points": 0}}),
+                 "relay_F": {"problems": 2, "curve_points": 0,
+                             "dominated": 0},
+                 "decoder_G": {"problems": 2, "curve_points": 0,
+                               "dominated": 0},
+                 "decoder_Gtilde": {"problems": 1, "curve_points": 0,
+                                    "dominated": 0}}),
             (["df"], "dual", None, 1.0, (0.0, 0.1, 0.02), None))
         for argv, form, u_size, split, grid, want in commands:
             del calls[:]
@@ -373,14 +379,20 @@ class TestDeterminism:
                                             [10], _rate_points(grid), form,
                                             split)
             del calls[:]
-            assert sweep.parts and sum(calls) > 0
+            assert sweep.parts() and sum(calls) > 0
         capsys.readouterr()
 
     def test_sato_figures_work_is_pinned(self, tmp_path, monkeypatch):
         # a timing-free guard on the figure sweep: the curve points per kind
-        # and the e0_sum calls that evaluate them (110 under the element
-        # budget per curve call); F and G are solved once, over b = 2..200,
-        # and the curve is evaluated only for the rates below I(Q,W)
+        # and the e0_sum calls that evaluate them (156 under the element
+        # budget per curve call), plus one call per kind for the lower ends
+        # on the 32-point rho grid; F and G are solved once, over
+        # b = 2..200, and the curve is evaluated only for the rates below
+        # I(Q,W).  Of the 5,585 points where both are below their I(Q,W),
+        # F's lower end is the smaller at 5,501 and ties G's at 84, so F
+        # goes first; G is then solved at 86 of them, and at 67 more of the
+        # 123 points of the three printed block rows when the figures read
+        # its values there
         real, calls = pdf_exponents.e0_sum, []
 
         def counted(*args):
@@ -392,10 +404,12 @@ class TestDeterminism:
         write_outputs(spec, run(spec))
         meta = json.loads((tmp_path / "sato_figures.meta.json").read_text())
         assert meta["grids"]["exponent_work"] == {
-            "relay_F": {"problems": 8159, "curve_points": 120465},
-            "decoder_G": {"problems": 8159, "curve_points": 72249},
+            "relay_F": {"problems": 8159, "curve_points": 120465,
+                        "dominated": 0},
+            "decoder_G": {"problems": 2727, "curve_points": 3417,
+                          "dominated": 5499},
         }
-        assert sum(calls) == 120465 + 72249
+        assert sum(calls) == 120465 + 3417 + 2 * 32
         assert len(calls) <= 250
 
     def test_sidecar_records_exponent_work(self, tmp_path):
@@ -405,9 +419,11 @@ class TestDeterminism:
         meta = json.loads((tmp_path / "df.meta.json").read_text())
         work = meta["grids"]["exponent_work"]
         assert set(work) == {"relay_F", "decoder_G"}
-        for kind in work.values():
-            assert kind["problems"] == 6
-            assert 0 < kind["curve_points"] < 6 * 44
+        # G is at or above its I(Q,W) at 2 of the 6 points, and its lower
+        # end is above F's value at the other 4
+        assert work == {
+            "relay_F": {"problems": 6, "curve_points": 153, "dominated": 0},
+            "decoder_G": {"problems": 2, "curve_points": 0, "dominated": 4}}
 
 
 class TestMain:

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relayexp import (CondDist, Dist, PdfInput, PdfSweep, df_input,
+                      pdf_exponents,
                       pdf_dual_exponent, pdf_primal_exponent, pdf_sweep,
                       sato_channel)
 from relayexp._kernels import e0_sum
@@ -393,7 +394,7 @@ class TestBlockMarkov:
         sweep = pdf_sweep(chan, q, [10], [0.1], split_fraction=1.0)
         assert sweep.value[0, 0] >= 0.0
         assert sweep.split[0, 0] == 1.0
-        assert set(sweep.parts) == set(KINDS)
+        assert set(sweep.parts()) == set(KINDS)
 
     def test_fixed_split_never_beats_scan(self, rng):
         chan = random_relay_channel(rng, (2, 2, 2, 2))
@@ -473,10 +474,11 @@ class TestBlockMarkov:
                 assert sweep.value[i, j] == one.value[0, 0]
                 assert sweep.split[i, j] == one.split[0, 0]
                 assert sweep.r_b[i, j] == one.r_b[0, 0] == b / (b - 1) * r
-                on = [k for k, p in sweep.parts.items() if p[0][i, j]]
-                assert on == [k for k, p in one.parts.items() if p[0][0, 0]]
+                parts, one_parts = sweep.parts(), one.parts()
+                on = [k for k, p in parts.items() if p[0][i, j]]
+                assert on == [k for k, p in one_parts.items() if p[0][0, 0]]
                 for k in on:
-                    got, want = sweep.parts[k], one.parts[k]
+                    got, want = parts[k], one_parts[k]
                     assert (got[1][i, j], got[2][i, j]) \
                         == (want[1][0, 0], want[2][0, 0])
                     np.testing.assert_array_equal(got[3][i, j], want[3][0, 0])
@@ -612,20 +614,104 @@ class TestSkippedCells:
             sweep = pdf_sweep(chan, q, (2, 5), rates, form, split, stats)
             swept = {k: dict(w) for k, w in stats.items()}
             calls = count_solver_calls(monkeypatch)
-            parts = sweep.parts
-            # the first read solves the skipped cells, one call per kind
-            # that has any, and tallies them; a second read solves nothing
-            assert sweep.parts is parts and len(calls) <= len(KINDS)
+            # a read solves the skipped cells of its block rows, one call
+            # per kind that has any, and tallies them; a cell is solved
+            # once, so reading every row after the last one solves only the
+            # first, and a further read solves nothing
+            last = sweep.parts([1])
+            parts = sweep.parts()
+            n_calls = len(calls)
+            assert n_calls <= 2 * len(KINDS)
+            again = sweep.parts()
+            assert len(calls) == n_calls
             assert sum(calls) == (sum(w["problems"] for w in stats.values())
                                   - sum(w["problems"] for w in swept.values()))
             filled += sum(calls)
             monkeypatch.undo()
             for kind, (active, rate, value, witness) in parts.items():
+                for got in (last[kind], again[kind]):
+                    rows = slice(1, None) if got is last[kind] else slice(None)
+                    for a, b in zip(got, (active, rate, value, witness)):
+                        assert np.array_equal(a, b[rows])
                 direct = solve(kind, chan, q, rate[active])
                 assert np.array_equal(value[active], direct.value)
                 assert np.array_equal(witness[active], direct.witness)
                 assert not value[~active].any()
         assert filled > 0
+
+
+
+def _dominance_configs():
+    """(name, chan, q, bs, r_effs, form, split, rows): the Sato channel,
+    the seed-0 3x2x2x3 channel and seeded 2x2x2x2 channels, under the
+    decode-forward input (split 1 or auto) and a pdf input (split 0.5 or
+    auto), in both forms, with the block rows whose parts are read."""
+    chan, caid = sato_channel()
+    sato = df_input(chan, caid)
+    yield "sato df", chan, sato, range(2, 41), np.linspace(1.0, 1.2, 9), \
+        "dual", 1.0, [8, 30]
+    yield "sato df auto", chan, sato, (2, 10), (1.0, 1.1), "dual", None, [1]
+    yield "sato pdf", chan, _uniform_pdf_input(3, 2, 2), (2, 10, 50), \
+        np.linspace(0.0, 0.6, 7), "dual", 0.5, [0, 2]
+    yield "sato pdf primal", chan, _uniform_pdf_input(3, 2, 2), (2, 10), \
+        (0.0, 0.2, 0.4), "primal", None, [1]
+    for seed, sizes in ((0, (3, 2, 2, 3)), (0, (2, 2, 2, 2)),
+                        (1, (2, 2, 2, 2)), (2, (2, 2, 2, 2)),
+                        (3, (2, 2, 2, 2))):
+        rng = np.random.default_rng(seed)
+        chan = random_relay_channel(rng, sizes)
+        n_x1, n_x2 = sizes[:2]
+        inputs = (("df", df_input(chan, Dist(np.full(
+            n_x1 * n_x2, 1.0 / (n_x1 * n_x2)))), 1.0),
+                  ("pdf", _random_pdf_input(rng, n_x1, n_x2, 2), 0.5))
+        for name, q, split in inputs:
+            r_effs = _rates_around_mi(chan, q)
+            for form, rates in (("dual", r_effs), ("primal", r_effs[::3])):
+                for at in (split, None):
+                    yield (f"{seed} {sizes} {name} {form} {at}", chan, q,
+                           (2, 5), rates, form, at, [1])
+
+
+class TestDominatedCells:
+    """A kind is not solved where its certified lower end is above the min
+    of the kinds solved before it; nothing returned may change."""
+
+    def test_lower_end_is_below_both_forms(self):
+        rng = np.random.default_rng(0)
+        chan = random_relay_channel(rng, (3, 2, 2, 3))
+        q = _random_pdf_input(rng, 3, 2, 2)
+        for kind in KINDS:
+            state = _state_channel(kind, chan, q)
+            e0 = -np.log2(e0_sum(*state, pdf_exponents._BOUND_RHO))
+            rates = np.linspace(0.0, 1.2 * _kind_mi(kind, chan, q), 13)
+            low = pdf_exponents._lower_end(e0, rates)
+            primal = pdf_primal_exponent(kind, chan, q, rates)
+            assert np.all(low <= primal.diagnostics["dual"] + 1e-12)
+            assert np.all(low <= primal.value + 1e-12)
+            # each grid point is a lower end, and the search finds the best
+            best = np.max(e0[:, None] - np.outer(pdf_exponents._BOUND_RHO,
+                                                 rates), axis=0)
+            assert np.allclose(low, best, rtol=0.0, atol=1e-15)
+
+    def test_skip_is_exact(self, monkeypatch):
+        dominated = {"dual": 0, "primal": 0}
+        for name, chan, q, bs, r_effs, form, split, rows in \
+                _dominance_configs():
+            stats = {}
+            sweep = pdf_sweep(chan, q, bs, r_effs, form, split, stats)
+            parts = sweep.parts(rows)
+            with monkeypatch.context() as patch:
+                # an infinite margin skips by the lower end nowhere
+                patch.setattr(pdf_exponents, "_BOUND_MARGIN", np.inf)
+                full = pdf_sweep(chan, q, bs, r_effs, form, split)
+                full_parts = full.parts(rows)
+            assert np.array_equal(sweep.value, full.value), name
+            assert np.array_equal(sweep.split, full.split), name
+            for kind in KINDS:
+                for got, want in zip(parts[kind], full_parts[kind]):
+                    assert np.array_equal(got, want), (name, kind)
+            dominated[form] += sum(w["dominated"] for w in stats.values())
+        assert dominated["dual"] > 0 and dominated["primal"] > 0
 
 
 class TestDfInput:

@@ -81,6 +81,25 @@ class TestTypeValidation:
         with pytest.raises(ValueError):
             CondTypeN(((1, 0), (1, 1)), p)
 
+    def test_cond_type_rows_of_different_lengths_rejected(self):
+        # the row sums match the base, so only the length check catches it
+        with pytest.raises(ValueError, match="equal lengths"):
+            CondTypeN(((1, 0), (2,)), TypeN((1, 2), 3))
+
+    def test_cond_type_keeps_int_rows_and_converts_others(self):
+        p = TypeN((1, 2), 3)
+        rows = ((1, 0), (0, 2))
+        v = CondTypeN(rows, p)
+        assert all(got is row for got, row in zip(v.counts, rows))
+        for other in ([[1, 0], [0, 2]], np.array([[1, 0], [0, 2]]),
+                      ((1.0, 0), (0, 2)), ((True, False), (0, 2))):
+            w = CondTypeN(other, p)
+            assert w.counts == rows and w == v
+            assert all(type(c) is int for row in w.counts for c in row)
+        # one enumeration shares each row choice across its types
+        cts = enum_cond_types(TypeN((2, 1), 3), 2)
+        assert cts[0].counts[0] is cts[1].counts[0]
+
 
 class TestLemma1:
     def test_passes_on_samples(self):
