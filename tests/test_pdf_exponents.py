@@ -8,9 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relayexp import (CondDist, Dist, PdfInput, PdfSweep, df_input,
-                      pdf_exponents,
-                      pdf_dual_exponent, pdf_primal_exponent, pdf_sweep,
-                      sato_channel)
+                      pdf_dual_exponent, pdf_exponents, pdf_primal_exponent,
+                      pdf_sweep, sato_channel)
 from relayexp._kernels import e0_sum
 from relayexp.pdf_exponents import (_GOLDEN, KINDS, SPLIT_GRID, SPLIT_REFINE,
                                     SPLIT_WINDOW, _lagrange_max,
@@ -629,8 +628,8 @@ class TestSkippedCells:
             filled += sum(calls)
             monkeypatch.undo()
             for kind, (active, rate, value, witness) in parts.items():
-                for got in (last[kind], again[kind]):
-                    rows = slice(1, None) if got is last[kind] else slice(None)
+                for got, rows in ((last[kind], slice(1, None)),
+                                  (again[kind], slice(None))):
                     for a, b in zip(got, (active, rate, value, witness)):
                         assert np.array_equal(a, b[rows])
                 direct = solve(kind, chan, q, rate[active])
@@ -638,7 +637,6 @@ class TestSkippedCells:
                 assert np.array_equal(witness[active], direct.witness)
                 assert not value[~active].any()
         assert filled > 0
-
 
 
 def _dominance_configs():
@@ -701,7 +699,8 @@ class TestDominatedCells:
             sweep = pdf_sweep(chan, q, bs, r_effs, form, split, stats)
             parts = sweep.parts(rows)
             with monkeypatch.context() as patch:
-                # an infinite margin skips by the lower end nowhere
+                # with an infinite margin a kind is skipped only where the
+                # min is already exactly 0
                 patch.setattr(pdf_exponents, "_BOUND_MARGIN", np.inf)
                 full = pdf_sweep(chan, q, bs, r_effs, form, split)
                 full_parts = full.parts(rows)
