@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .prob_core import (CondDist, Dist, OptimizerConfig, cond_entropy,
-                        entropy, kl_div_cond, mutual_info)
+from .prob_core import (CondDist, Dist, cond_entropy, entropy, kl_div_cond,
+                        mutual_info)
 from .relay_model import (CfInput, PdfInput, RelayChannelSpec, cf_aux_channels,
                           cutset_bound, pdf_virtual_channels, sato_channel)
 from .pdf_exponents import (ExponentEval, PdfSweep, df_input,

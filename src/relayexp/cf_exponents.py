@@ -22,8 +22,7 @@ import numpy as np
 
 from .pdf_exponents import (ExponentEval, _below_mi, alternating_primal,
                             gallager_dual)
-from .prob_core import (CondDist, OptimizerConfig, _neg_plogp,
-                        cond_mi_from_joint, kl_div_cond)
+from .prob_core import CondDist, _neg_plogp, cond_mi_from_joint, kl_div_cond
 from .relay_model import CfAuxChannels, CfInput, RelayChannelSpec, cf_aux_channels
 from .types_toolkit import EnumBudgetError, _compositions
 
@@ -36,11 +35,9 @@ _ALPHA_SLACK = 1e-9
 _QTILDE_POINTS = 3
 # per-row lattice of the realized relay-observation laws Q_{Y2|X2}
 _QY2_POINTS = 5
-
-
-def cf_config():
-    """Default search configuration for the compress-forward grids."""
-    return OptimizerConfig(refinement_rounds=2, restarts=1, seed=0)
+# rounds of each exchange walk that polishes a grid minimum; each round
+# searches with a quarter of the previous round's step
+_REFINE_ROUNDS = 2
 
 
 @dataclass(frozen=True)
@@ -398,17 +395,17 @@ def _exchange_walk(score, arrays, value, info, step, rounds, tol):
     return value, info, arrays
 
 
-def _inner_min(aux: CfAuxChannels, rates: CfRates, cfg: OptimizerConfig,
-               refine=True, tables=None):
+def _inner_min(aux: CfAuxChannels, rates: CfRates, rounds=_REFINE_ROUNDS,
+               tables=None):
     """min over Qtilde and competitor channels V of coupling cost + psi.
 
     The estimated laws Qtilde are the `_QTILDE_POINTS` lattice, the true
     observation marginal and the realized law; the channels V are the
     `_v_stack` lattice and the reference channel V_ref, one extra candidate
     after the stack.  Every pair is scored by `_pair_scorer`; ties keep the
-    first Qtilde, then the first V.  With `refine` the best pair is
-    polished by `_exchange_walk` over (Qtilde, V), each move scored on the
-    one-column tables of the moved V.  `tables` are the stack's
+    first Qtilde, then the first V.  The best pair is polished by a
+    `rounds`-round `_exchange_walk` over (Qtilde, V) (none at 0), each move
+    scored on the one-column tables of the moved V.  `tables` are the stack's
     `_stack_tables` for aux.q_x1, built here when not given.  Returns
     (value, dict of witnesses).
     """
@@ -467,12 +464,10 @@ def _inner_min(aux: CfAuxChannels, rates: CfRates, cfg: OptimizerConfig,
             return np.inf, None
         return float(vals[0]), (float(cost[0]), int(ell[0]))
 
-    if refine and cfg.refinement_rounds > 0:
-        # half the Qtilde lattice spacing; V's lattice is never finer
-        step = 0.5 / (_QTILDE_POINTS - 1)
-        value, info, (qt, v) = _exchange_walk(
-            pair_value, (qt, v), value, info, step, cfg.refinement_rounds,
-            1e-15)
+    # half the Qtilde lattice spacing; V's lattice is never finer
+    step = 0.5 / (_QTILDE_POINTS - 1)
+    value, info, (qt, v) = _exchange_walk(pair_value, (qt, v), value, info,
+                                          step, rounds, 1e-15)
 
     witnesses = {"qtilde": qt, "v": v, "ell": info[1],
                  "marginal_cost": info[0],
@@ -509,18 +504,20 @@ def cf_G1(w: RelayChannelSpec, c: CfInput, r2: float) -> ExponentEval:
 
 
 def cf_G2(w: RelayChannelSpec, c_template: CfInput, r: float, r2: float,
-          cfg: OptimizerConfig = None):
+          rounds: int = _REFINE_ROUNDS):
     """Outer min over realized Q_{Y2|X2} of divergence + max over test channels of J.
 
     The realized laws are the `_QY2_POINTS` lattice and the true
-    observation marginal; the best one is polished by `_exchange_walk`, and
-    J at the final (realized law, test channel) by a refining `_inner_min`.
-    Returns (value, witness dict with the realized law and test channel).
-    The result is grid-accurate; the grid resolutions are reported.
+    observation marginal; the best one is polished by a `rounds`-round
+    `_exchange_walk`, and J at the final (realized law, test channel) by
+    `_inner_min` with the same rounds (`rounds` >= 0; 0 keeps the grid
+    minima).  Returns (value, witness dict with the realized law and test
+    channel).  The result is grid-accurate; the grid resolutions are
+    reported.
     """
+    if rounds < 0:
+        raise ValueError("rounds must be >= 0")
     _check_scale(w, c_template.yhat_size)
-    if cfg is None:
-        cfg = cf_config()
     rates = CfRates(r, r2)
     n_x1, n_x2, n_y2, n_y3 = w.sizes
     n_yhat = c_template.yhat_size
@@ -588,8 +585,7 @@ def cf_G2(w: RelayChannelSpec, c_template: CfInput, r: float, r2: float,
                 aux = aux_of(qy2, t)
             except ValueError:
                 continue
-            val, wit = _inner_min(aux, rates, cfg, refine=False,
-                                  tables=tables)
+            val, wit = _inner_min(aux, rates, rounds=0, tables=tables)
             if val > best[0]:
                 best = (val, (t, wit))
                 if val >= stop_at:
@@ -604,16 +600,15 @@ def cf_G2(w: RelayChannelSpec, c_template: CfInput, r: float, r2: float,
         if total < value:
             value, info, qy2 = total, cand_info, cand
 
-    if cfg.refinement_rounds > 0 and qy2 is not None:
+    if qy2 is not None:
         step = 0.5 / (_QY2_POINTS - 1)
         value, info, (qy2,) = _exchange_walk(
-            realized_value, (qy2,), value, info, step, cfg.refinement_rounds,
-            1e-12)
+            realized_value, (qy2,), value, info, step, rounds, 1e-12)
     t, wit = info
 
     # polish J at the selected test channel with the refining inner search
     if qy2 is not None and t is not None:
-        jv, wit = _inner_min(aux_of(qy2, t), rates, cfg, tables=tables)
+        jv, wit = _inner_min(aux_of(qy2, t), rates, rounds, tables)
         value = div_term(qy2) + jv
 
     witness = {"q_y2_given_x2": qy2, "test_channel": t,
@@ -625,15 +620,16 @@ def cf_G2(w: RelayChannelSpec, c_template: CfInput, r: float, r2: float,
 
 
 def cf_overall_witness(w: RelayChannelSpec, c: CfInput, b: int, r_eff: float,
-                       r2: float, cfg: OptimizerConfig = None,
+                       r2: float, rounds: int = _REFINE_ROUNDS,
                        g1: float = None):
     """(1/b) min{G1(R2), G2(R_b, R2)} with R_b = b/(b-1) * r_eff, and the
     witness dict of its G2 term.
 
-    `g1` optionally supplies `cf_G1(w, c, r2).value`, which does not depend
-    on the block rate.  G2 >= 0, so G1 = 0 settles the value: the G2 search
-    is then skipped and its witness holds only `g1` and `g2_skipped`, with
-    `grid_note` and `v_grid_points` set to None.
+    `rounds` is passed on to `cf_G2`.  `g1` optionally supplies
+    `cf_G1(w, c, r2).value`, which does not depend on the block rate.
+    G2 >= 0, so G1 = 0 settles the value: the G2 search is then skipped
+    and its witness holds only `g1` and `g2_skipped`, with `grid_note` and
+    `v_grid_points` set to None.
     """
     if b < 2:
         raise ValueError("b must be >= 2")
@@ -642,7 +638,7 @@ def cf_overall_witness(w: RelayChannelSpec, c: CfInput, b: int, r_eff: float,
     if g1 == 0.0:
         return 0.0, {"g1": g1, "g2_skipped": True, "grid_note": None,
                      "v_grid_points": None}
-    g2, witness = cf_G2(w, c, b / (b - 1) * r_eff, r2, cfg)
+    g2, witness = cf_G2(w, c, b / (b - 1) * r_eff, r2, rounds)
     return (max(0.0, min(g1, g2) / b),
             {**witness, "g1": g1, "g2_skipped": False})
 

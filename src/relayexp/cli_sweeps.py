@@ -32,7 +32,7 @@ from . import __version__
 from .cf_exponents import _check_scale, cf_G1, cf_overall_witness
 from .haroutunian_upper import ecs_upper_sweep
 from .pdf_exponents import SPLIT_GRID, df_input, pdf_sweep
-from .prob_core import CondDist, Dist, OptimizerConfig
+from .prob_core import CondDist, Dist
 from .relay_model import (CfInput, PdfInput, RelayChannelSpec, cutset_bound,
                           sato_channel)
 from .types_toolkit import (EnumBudgetError, TypeN, enum_cond_types,
@@ -340,8 +340,6 @@ def run(spec: SweepSpec) -> SweepResult:
                     "v_grid_points": g2["v_grid_points"]})
 
     elif spec.command == "upper":
-        cfg = OptimizerConfig(seed=spec.seed,
-                              restarts=spec.restarts if spec.restarts else 16)
         if spec.rate_grid:
             points = _rate_points(spec.rate_grid)
         elif spec.rate is not None:
@@ -349,7 +347,10 @@ def run(spec: SweepSpec) -> SweepResult:
         else:
             points = _rate_points((0.2, 1.2, 0.2))
         stats = {}
-        results, violations = ecs_upper_sweep(points, chan, cfg, stats)
+        # without --restarts the library's default count applies
+        given = {} if spec.restarts is None else {"restarts": spec.restarts}
+        results, violations = ecs_upper_sweep(points, chan, seed=spec.seed,
+                                              stats=stats, **given)
         for r, res in zip(points, results):
             rows.append((0, r, r, "ecs_upper", res.value,
                          f"gap={_fmt(res.feasibility_gap)}",

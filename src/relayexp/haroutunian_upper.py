@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prob_core import OptimizerConfig
 from .relay_model import RelayChannelSpec, cutset_bound
 
 #: halvings of the row weights in V(t) and of the level
@@ -69,14 +68,10 @@ def _support_target(w: RelayChannelSpec, rng):
     Staying inside the support keeps the divergence objective finite.
     """
     n_x1, n_x2 = w.sizes[0], w.sizes[1]
-    base = _useless_channel(w, rng).w
-    table = np.empty_like(w.w)
-    for x1 in range(n_x1):
-        for x2 in range(n_x2):
-            tgt = np.where(w.w[x1, x2] > 0.0, base[x1, x2], 0.0)
-            tot = tgt.sum()
-            table[x1, x2] = tgt / tot if tot > 0.0 else w.w[x1, x2]
-    return table
+    tgt = np.where(w.w > 0.0, _useless_channel(w, rng).w, 0.0)
+    tot = tgt.reshape(n_x1, n_x2, -1).sum(axis=-1)[:, :, None, None]
+    mass = tot > 0.0
+    return np.where(mass, tgt / np.where(mass, tot, 1.0), w.w)
 
 
 def _level_channel(u, w, t):
@@ -112,21 +107,23 @@ def _smallest_level(u, w, top, feasible):
     return passed
 
 
-def ecs_upper(r: float, w: RelayChannelSpec, cfg: OptimizerConfig = None,
-              warm_starts=None, stats: dict = None) -> UpperBoundResult:
+def ecs_upper(r: float, w: RelayChannelSpec, restarts: int = 16,
+              seed: int = 0, warm_starts=None,
+              stats: dict = None) -> UpperBoundResult:
     """Upper-bound value at rate r with a certified feasible dummy-channel
     witness.
 
-    `warm_starts` optionally supplies candidate channel tables (used by
-    rate sweeps to keep values monotone: any witness feasible at a lower
-    rate stays feasible here).  Every cutset bracket is a decision against
-    r, warm-started from the previous bracket's witness; `stats` is passed
-    on to cutset_bound.
+    Restart s draws its target from `np.random.default_rng(seed + 1000 * s
+    + 1)`; `restarts` must be at least 1.  `warm_starts` optionally
+    supplies candidate channel tables (used by rate sweeps to keep values
+    monotone: any witness feasible at a lower rate stays feasible here).
+    Every cutset bracket is a decision against r, warm-started from the
+    previous bracket's witness; `stats` is passed on to cutset_bound.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    if cfg is None:
-        cfg = OptimizerConfig(restarts=16)
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
 
     start = None   # witness joint of the last bracket
 
@@ -143,9 +140,8 @@ def ecs_upper(r: float, w: RelayChannelSpec, cfg: OptimizerConfig = None,
         return UpperBoundResult(0.0, w, 0.0, 0)
 
     best_val, best_table = np.inf, None
-    restarts = max(cfg.restarts, 1)
     for s in range(restarts):
-        rng = np.random.default_rng(cfg.seed + 1000 * s + 1)
+        rng = np.random.default_rng(seed + 1000 * s + 1)
         u = _support_target(w, rng)
         top = float(_row_divergences(u, w.w).max())   # V(top) is u
         if not feasible(u):
@@ -168,7 +164,7 @@ def ecs_upper(r: float, w: RelayChannelSpec, cfg: OptimizerConfig = None,
         # no channel inside W's support reaches cutset value r: the bound
         # is vacuous (+inf).  A product channel with zero cutset value is
         # still a feasible witness, certifying one-sided validity.
-        fallback = _useless_channel(w, np.random.default_rng(cfg.seed))
+        fallback = _useless_channel(w, np.random.default_rng(seed))
         gap = max(cutset_hi(fallback.w) - r, 0.0)
         return UpperBoundResult(np.inf, fallback, gap, restarts)
 
@@ -177,17 +173,18 @@ def ecs_upper(r: float, w: RelayChannelSpec, cfg: OptimizerConfig = None,
                             restarts)
 
 
-def ecs_upper_sweep(rates, w: RelayChannelSpec, cfg: OptimizerConfig = None,
-                    stats: dict = None):
+def ecs_upper_sweep(rates, w: RelayChannelSpec, restarts: int = 16,
+                    seed: int = 0, stats: dict = None):
     """Upper bounds over an increasing rate grid, warm-started and
-    running-minimum enforced; returns (results, violation_count).  `stats`
-    is passed on to ecs_upper."""
+    running-minimum enforced; returns (results, violation_count).
+    `restarts`, `seed` and `stats` are passed on to ecs_upper."""
     results = []
     violations = 0
     prev_tables = []
     prev_val = np.inf
     for r in rates:
-        res = ecs_upper(r, w, cfg, warm_starts=prev_tables, stats=stats)
+        res = ecs_upper(r, w, restarts, seed, warm_starts=prev_tables,
+                        stats=stats)
         if res.value > prev_val + 1e-6:
             violations += 1
             res = UpperBoundResult(prev_val, results[-1].witness_v,

@@ -26,6 +26,8 @@ from .relay_model import PdfInput, RelayChannelSpec, pdf_virtual_channels
 KINDS = ("relay_F", "decoder_G", "decoder_Gtilde")
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# a golden section stops once its bracket is at most this wide
+_GOLDEN_TOL = 1e-8
 # an alternation stops once no entry of q_Y moves by more than this
 _ALTERNATION_TOL = 1e-12
 # probes x channel entries per curve call of a lockstep golden section, so
@@ -62,21 +64,21 @@ def _check_rates(rate, name="rate"):
         raise ValueError(f"{name} must be finite and nonnegative")
 
 
-def golden_max(f, lo, hi, tol=1e-8):
+def golden_max(f, lo, hi):
     """Golden-section maximization of unimodal problems run in lockstep.
 
     `lo` and `hi` are scalars or arrays; they broadcast to one independent
     problem per entry.  `f` maps an array of points, one per problem, to
     their values.  Each problem follows the scalar golden section exactly
-    (same probe points, ties go left, stop once b - a <= tol), so its
-    result does not depend on the other problems.  Returns (x, f(x)) in the
-    broadcast shape.
+    (same probe points, ties go left, stop once b - a <= _GOLDEN_TOL), so
+    its result does not depend on the other problems.  Returns (x, f(x)) in
+    the broadcast shape.
     """
     a, b = (np.array(v, dtype=np.float64) for v in np.broadcast_arrays(lo, hi))
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    active = b - a > tol
+    active = b - a > _GOLDEN_TOL
     while active.any():
         left = fc >= fd
         right = active & ~left
@@ -91,7 +93,7 @@ def golden_max(f, lo, hi, tol=1e-8):
         fp = f(probe)
         c, fc = np.where(left, probe, c), np.where(left, fp, fc)
         d, fd = np.where(right, probe, d), np.where(right, fp, fd)
-        active = b - a > tol
+        active = b - a > _GOLDEN_TOL
     x = 0.5 * (a + b)
     return x[()], np.asarray(f(x))[()]
 
@@ -218,7 +220,7 @@ def pdf_dual_exponent(kind, w: RelayChannelSpec, q: PdfInput,
     _check_rates(rate)
     value, rho, points = gallager_dual(*_state_channel(kind, w, q), rate)
     return ExponentEval(value, rho, "dual", kind,
-                        {"rho_tolerance": 1e-8, "curve_points": points})
+                        {"rho_tolerance": _GOLDEN_TOL, "curve_points": points})
 
 
 def _state_mi(q_s, q_xs, v):

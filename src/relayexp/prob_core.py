@@ -79,23 +79,6 @@ class CondDist:
         return self.rows.shape[1]
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Seeded search knobs: `restarts` and `seed` drive the dummy-channel
-    restarts of the upper bound, `refinement_rounds` the compress-forward
-    exchange walks."""
-
-    refinement_rounds: int = 6
-    restarts: int = 4
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.refinement_rounds < 0:
-            raise ValueError("refinement_rounds must be >= 0")
-
-
 # ---------------------------------------------------------------------------
 # information measures
 # ---------------------------------------------------------------------------

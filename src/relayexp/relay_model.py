@@ -17,6 +17,16 @@ from .prob_core import CondDist, Dist, _neg_plogp
 _ROW_TOL = 1e-9
 
 
+def _conditional(joint):
+    """(joint / its sum over the last axis, mask of the leading indices
+    where that sum is 0); those rows are filled uniformly."""
+    marg = joint.sum(axis=-1)[..., None]
+    mass = marg > 0.0
+    cond = np.where(mass, joint / np.where(mass, marg, 1.0),
+                    1.0 / joint.shape[-1])
+    return cond, ~mass[..., 0]
+
+
 @dataclass(frozen=True)
 class RelayChannelSpec:
     """W(y2,y3|x1,x2) as a 4-d table indexed [x1][x2][y2][y3]."""
@@ -54,22 +64,11 @@ class RelayChannelSpec:
     def y3_conditional(self):
         """W(y3|x1,x2,y2) with uniform fill at zero-probability (x1,x2,y2).
 
-        Returns (cond, flagged) where `flagged` lists the filled triples.
+        Returns (cond, flagged) where `flagged` lists the filled triples
+        in (x1, x2, y2) order.
         """
-        marg = self.y2_marginal()
-        n_y3 = self.w.shape[3]
-        cond = np.empty_like(self.w)
-        flagged = []
-        for x1 in range(self.w.shape[0]):
-            for x2 in range(self.w.shape[1]):
-                for y2 in range(self.w.shape[2]):
-                    m = marg[x1, x2, y2]
-                    if m > 0.0:
-                        cond[x1, x2, y2] = self.w[x1, x2, y2] / m
-                    else:
-                        cond[x1, x2, y2] = 1.0 / n_y3
-                        flagged.append((x1, x2, y2))
-        return cond, flagged
+        cond, empty = _conditional(self.w)
+        return cond, [tuple(map(int, idx)) for idx in np.argwhere(empty)]
 
 
 @dataclass(frozen=True)
@@ -167,13 +166,7 @@ class CfAuxChannels:
 
     def w2_cond(self):
         """W2's Y3-conditional V_ref(y3|x1,x2,yhat2); uniform at zero mass."""
-        marg = self.w2.sum(axis=3)
-        n_y3 = self.w2.shape[3]
-        out = np.empty_like(self.w2)
-        nz = marg > 0.0
-        out[~nz] = 1.0 / n_y3
-        out[nz] = self.w2[nz] / marg[nz][:, None]
-        return out
+        return _conditional(self.w2)[0]
 
 
 def cf_aux_channels(w: RelayChannelSpec, c: CfInput) -> CfAuxChannels:

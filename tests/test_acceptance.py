@@ -8,8 +8,8 @@ from itertools import product
 
 import numpy as np
 
-from relayexp import (CfRates, CondDist, Dist, OptimizerConfig, cf_G1, cf_G2,
-                      cf_aux_channels, cf_psi2, check_joint_typicality,
+from relayexp import (CfRates, CondDist, Dist, cf_G1, cf_G2, cf_aux_channels,
+                      cf_psi2, check_joint_typicality,
                       check_lemma1, cutset_bound, ecs_upper, ecs_upper_sweep,
                       enum_types, pdf_dual_exponent, pdf_primal_exponent,
                       sato_channel)
@@ -21,7 +21,6 @@ from conftest import random_relay_channel
 from test_cf_exponents import (_full_joint, _identity_test_input,
                                _random_cf_input, _skewed_relay_channel)
 
-FAST = OptimizerConfig(refinement_rounds=1, restarts=1)
 TARGET = 1.161878  # Sato-channel capacity in bits
 
 
@@ -209,14 +208,13 @@ def test_criterion_5_identities():
 
 def test_criterion_6_upper_bound_sweep():
     chan, _ = sato_channel()
-    cfg = OptimizerConfig(seed=0, restarts=4)
     rates = [0.2, 0.4, 0.6, 0.8, 1.0, 1.2]
-    results, violations = ecs_upper_sweep(rates, chan, cfg)
+    results, violations = ecs_upper_sweep(rates, chan, restarts=4, seed=0)
     gaps_ok = all(res.feasibility_gap <= 1e-4 for res in results)
     vals = [res.value for res in results]
     mono_ok = violations == 0 and all(a >= b - 1e-6
                                       for a, b in zip(vals, vals[1:]))
-    above = ecs_upper(1.165, chan, cfg)
+    above = ecs_upper(1.165, chan, restarts=4, seed=0)
     zero_ok = above.value <= 1e-6
     ok = gaps_ok and mono_ok and zero_ok
     _report(6, "dummy-channel upper bound", ok,
@@ -349,7 +347,7 @@ def test_criterion_7_second_exponent_brute_force():
                 + mi_axes(j, (3,), (4,), (1,))
                 - mi_axes(j, (3,), (2,), (1,)))
     rate = 0.5 * r_thresh
-    got, _ = cf_G2(chan, c, rate, r2, FAST)
+    got, _ = cf_G2(chan, c, rate, r2, rounds=1)
     want = _g2_brute(chan, c, rate, r2)
     close_ok = abs(got - want) <= 0.02
 
@@ -369,7 +367,7 @@ def test_criterion_7_second_exponent_brute_force():
         # below the threshold when it is usable, well above the decoding
         # information otherwise (covers predicted-negative thresholds too)
         rr = 0.4 * thr if seed % 2 == 0 and thr > 0.05 else i_psi1 + 0.4
-        val, _ = cf_G2(inst, ci, rr, r2, FAST)
+        val, _ = cf_G2(inst, ci, rr, r2, rounds=1)
         if (val > 0.0) != (rr < thr):
             sign_ok = False
 

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from relayexp import cf_exponents
-from relayexp import (CfInput, CfRates, CondDist, Dist, OptimizerConfig,
-                      cf_G1, cf_G2, cf_aux_channels, cf_overall_witness,
-                      cf_psi1, cf_psi2)
+from relayexp import (CfInput, CfRates, CondDist, Dist, cf_G1, cf_G2,
+                      cf_aux_channels, cf_overall_witness, cf_psi1, cf_psi2)
 from relayexp.cf_exponents import (_ALPHA_SLACK, _alpha_weights, _check_scale,
                                    _exchange_walk, _inner_min, _matrix_grid,
                                    _row_tables, _true_y3_marginal, _v_stack,
@@ -16,8 +15,6 @@ from relayexp.cf_exponents import (_ALPHA_SLACK, _alpha_weights, _check_scale,
 from relayexp.prob_core import (cond_entropy, cond_mi_from_joint, entropy_vec,
                                 kl_div_cond, kl_div_vec, mi_axes, mutual_info)
 from conftest import random_relay_channel
-
-FAST = OptimizerConfig(refinement_rounds=1, restarts=1)
 
 
 def _random_cf_input(rng, chan, yhat=2):
@@ -236,13 +233,14 @@ def _pair_value(aux, qt, v, rates):
     return cost + min(p1, p2), float(cost), 1 if p1 <= p2 else 2
 
 
-def _inner_min_reference(aux, rates, cfg, qtilde_points, refine):
+def _inner_min_reference(aux, rates, qtilde_points, rounds):
     """Direct per-Qtilde evaluation of the grid stage of `_inner_min`.
 
     Reference for the tabled version: for each Qtilde it builds the
     (members x X2 x X1 x Yhat2 x Y3) joint of every member V, V_ref
     appended to the stack, and takes both informations from entropy sums
-    over that joint.  The refinement walks with the scalar `_pair_value`.
+    over that joint.  A `rounds`-round refinement walks with the scalar
+    `_pair_value`.
     Returns (value, qtilde, v, ell).
     """
     n_x1, n_x2 = aux.q_x1.shape[0], aux.q_x2.shape[0]
@@ -307,11 +305,11 @@ def _inner_min_reference(aux, rates, cfg, qtilde_points, refine):
     if it is None:
         return np.inf, None, None, 0
     qt, v = qtildes[it].copy(), vstack[iv].copy()
-    if refine and cfg.refinement_rounds > 0:
+    if rounds > 0:
         step = 1.0 / (2 * max(qtilde_points - 1, v_points - 1, 1))
         value, _, (qt, v) = _exchange_walk(
             lambda arrays, _: (_pair_value(aux, *arrays, rates)[0], None),
-            (qt, v), value, None, step, cfg.refinement_rounds, 1e-15)
+            (qt, v), value, None, step, rounds, 1e-15)
         ell_refined = _pair_value(aux, qt, v, rates)[2]
         ell = ell if ell_refined is None else ell_refined
     return value, qt, v, ell
@@ -332,12 +330,12 @@ def _inner_min_cases():
 
 
 class TestInnerMinTables:
-    @pytest.mark.parametrize("refine", [False, True])
-    def test_matches_reference_loop(self, refine):
-        cfg = OptimizerConfig(refinement_rounds=1, restarts=1)
+    @pytest.mark.parametrize("walk", [False, True])
+    def test_matches_reference_loop(self, walk):
+        rounds = 1 if walk else 0
         for aux, rates in _inner_min_cases():
-            want, qt, v, ell = _inner_min_reference(aux, rates, cfg, 3, refine)
-            got, wit = _inner_min(aux, rates, cfg, refine=refine)
+            want, qt, v, ell = _inner_min_reference(aux, rates, 3, rounds)
+            got, wit = _inner_min(aux, rates, rounds=rounds)
             assert abs(got - want) <= 1e-12
             np.testing.assert_array_equal(wit["qtilde"], qt)
             np.testing.assert_array_equal(wit["v"], v)
@@ -501,7 +499,7 @@ class TestJ:
     def test_nonnegative_with_decoding_branch(self, rng):
         chan = random_relay_channel(rng, (2, 2, 2, 2))
         aux = cf_aux_channels(chan, _random_cf_input(rng, chan))
-        val, wit = _inner_min(aux, CfRates(0.2, 0.2), FAST)
+        val, wit = _inner_min(aux, CfRates(0.2, 0.2), rounds=1)
         assert val >= 0.0
         assert wit["ell"] in (1, 2)
 
@@ -510,13 +508,13 @@ class TestJ:
         # the truth pair certifies zero up to float noise in the cost
         chan = random_relay_channel(rng, (2, 2, 2, 2))
         aux = cf_aux_channels(chan, _random_cf_input(rng, chan))
-        val, _ = _inner_min(aux, CfRates(3.0, 3.0), FAST)
+        val, _ = _inner_min(aux, CfRates(3.0, 3.0), rounds=1)
         assert val <= 1e-12
 
     def test_monotone_in_message_rate(self, rng):
         chan = random_relay_channel(rng, (2, 2, 2, 2))
         aux = cf_aux_channels(chan, _random_cf_input(rng, chan))
-        vals = [_inner_min(aux, CfRates(r, 0.2), FAST)[0]
+        vals = [_inner_min(aux, CfRates(r, 0.2), rounds=1)[0]
                 for r in (0.05, 0.2, 0.5, 1.0)]
         assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
 
@@ -530,7 +528,7 @@ class TestG2:
     def test_value_nonnegative_with_grid_note(self, rng):
         chan = random_relay_channel(rng, (2, 2, 2, 2))
         c = _identity_test_input(chan)
-        val, wit = cf_G2(chan, c, 0.3, 0.2, FAST)
+        val, wit = cf_G2(chan, c, 0.3, 0.2, rounds=1)
         assert val >= 0.0
         assert "grid_note" in wit and wit["q_y2_given_x2"] is not None
 
@@ -547,19 +545,19 @@ class TestG2:
                     - mi_axes(j, (3,), (2,), (1,)))
         i_psi1 = mi_axes(j, (0,), (3, 4), (1,))
         assert r_thresh > 0.05
-        val_in, _ = cf_G2(chan, c, 0.5 * r_thresh, r2, FAST)
+        val_in, _ = cf_G2(chan, c, 0.5 * r_thresh, r2, rounds=1)
         assert val_in > 0.0
         assert val_in == pytest.approx(0.5255089710496098, abs=1e-12)
-        val_out, _ = cf_G2(chan, c, i_psi1 + 0.3, r2, FAST)
+        val_out, _ = cf_G2(chan, c, i_psi1 + 0.3, r2, rounds=1)
         assert val_out == 0.0
 
     def test_overall_combines_constituents(self, rng):
         chan = random_relay_channel(rng, (2, 2, 2, 2))
         c = _identity_test_input(chan)
         b, r_eff, r2 = 10, 0.3, 0.2
-        got, _ = cf_overall_witness(chan, c, b, r_eff, r2, FAST)
+        got, _ = cf_overall_witness(chan, c, b, r_eff, r2, rounds=1)
         g1 = cf_G1(chan, c, r2).value
-        g2, _ = cf_G2(chan, c, b / (b - 1) * r_eff, r2, FAST)
+        g2, _ = cf_G2(chan, c, b / (b - 1) * r_eff, r2, rounds=1)
         assert got == pytest.approx(max(0.0, min(g1, g2) / b), abs=1e-12)
 
     def test_overall_skips_g2_when_g1_is_zero(self, monkeypatch):
@@ -570,7 +568,7 @@ class TestG2:
         monkeypatch.setattr(cf_exponents, "cf_G2", refuse)
         chan = _skewed_relay_channel()
         c = _identity_test_input(chan)
-        val, wit = cf_overall_witness(chan, c, 5, 0.3, 0.3, FAST)
+        val, wit = cf_overall_witness(chan, c, 5, 0.3, 0.3, rounds=1)
         assert val == 0.0
         assert wit == {"g1": 0.0, "g2_skipped": True, "grid_note": None,
                        "v_grid_points": None}
@@ -589,12 +587,17 @@ class TestG2:
             return g2, wit
 
         monkeypatch.setattr(cf_exponents, "cf_G2", recording)
-        val, wit = cf_overall_witness(chan, c, b, r_eff, r2, FAST)
+        val, wit = cf_overall_witness(chan, c, b, r_eff, r2, rounds=1)
         assert len(g2_values) == 1
         assert val == pytest.approx(max(0.0, min(g1, g2_values[0]) / b),
                                     abs=1e-12)
         assert wit["g1"] == g1 and wit["g2_skipped"] is False
         assert wit["grid_note"] is not None
+
+    def test_rejects_negative_rounds(self, rng):
+        chan = random_relay_channel(rng, (2, 2, 2, 2))
+        with pytest.raises(ValueError, match="rounds"):
+            cf_G2(chan, _identity_test_input(chan), 0.3, 0.2, rounds=-1)
 
     def test_overall_rejects_small_b(self, rng):
         chan = random_relay_channel(rng, (2, 2, 2, 2))

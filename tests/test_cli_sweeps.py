@@ -341,6 +341,39 @@ class TestDeterminism:
                                "dominated": 0},
         }
 
+    def test_upper_and_cf_bytes_match_recorded_hashes(self, tmp_path):
+        # SHA-256 of seeded-restart upper CSVs and of a cf CSV whose G1 > 0,
+        # so that its whole G2 search runs, as written before the search
+        # settings became plain arguments (numpy 2.4, x86-64 Linux).  They
+        # pin the restart seeds, the support targets and the G2 grid search
+        # beyond the digits a reader checks; this cf value is the same with
+        # 0 to 3 exchange-walk rounds, so it does not pin the walks
+        rand = tmp_path / "rand3223.json"
+        write_channel(random_relay_channel(np.random.default_rng(0),
+                                           (3, 2, 2, 3)), str(rand))
+        small = tmp_path / "2222s0.json"
+        write_channel(random_relay_channel(np.random.default_rng(0),
+                                           (2, 2, 2, 2)), str(small))
+        upper = dict(channel_path=str(rand), rate_grid=(0.02, 0.14, 0.04),
+                     restarts=4)
+        runs = [
+            ("upper", "8c913a4d3976ea77b26c0e8ff2807049"
+                      "aafe87b4182612b800d8d2986f2b5044",
+             SweepSpec("upper", seed=0, **upper)),
+            ("upper", "8a2c303d36c3c2e52e0994764d39baa4"
+                      "d2a8f42cbc0f14477a423bbbc49210c2",
+             SweepSpec("upper", seed=3, **upper)),
+            ("cf", "cc081211d511f8a012b2afc43f03a8e2"
+                   "dcc1a7d84ec01e8b9ef42919e5fdbac0",
+             SweepSpec("cf", channel_path=str(small), blocks=(5,), rate=0.05,
+                       r2=0.0)),
+        ]
+        for i, (name, want, spec) in enumerate(runs):
+            spec.out_dir = str(tmp_path / str(i))
+            write_outputs(spec, run(spec))
+            got = (tmp_path / str(i) / f"{name}.csv").read_bytes()
+            assert hashlib.sha256(got).hexdigest() == want, spec
+
     def test_pdf_and_df_never_solve_skipped_cells(self, tmp_path, capsys,
                                                   monkeypatch):
         # the seed-0 3x2x2x3 channel of the benchmark's rand3223 workload.

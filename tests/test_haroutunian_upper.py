@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from relayexp import (OptimizerConfig, RelayChannelSpec, cutset_bound,
-                      ecs_objective, ecs_upper, ecs_upper_sweep, sato_channel)
+from relayexp import (RelayChannelSpec, cutset_bound, ecs_objective,
+                      ecs_upper, ecs_upper_sweep, haroutunian_upper,
+                      sato_channel)
 from relayexp.haroutunian_upper import _level_channel, _support_target
 from relayexp.prob_core import kl_div_vec
 from conftest import random_relay_channel
-
-CFG = OptimizerConfig(restarts=4, seed=0)
 
 
 class TestObjective:
@@ -68,14 +67,14 @@ class TestUpperBound:
     def test_zero_at_and_above_capacity(self, rng):
         chan = random_relay_channel(rng, (2, 2, 2, 2))
         ccs, _, _ = cutset_bound(chan)
-        res = ecs_upper(ccs + 1e-3, chan, CFG)
+        res = ecs_upper(ccs + 1e-3, chan, restarts=4, seed=0)
         assert res.value <= 1e-6
         assert res.feasibility_gap <= 1e-4
 
     def test_witness_feasible_and_positive_below(self, rng):
         chan = random_relay_channel(rng, (2, 2, 2, 2))
         ccs, _, _ = cutset_bound(chan)
-        res = ecs_upper(0.5 * ccs, chan, CFG)
+        res = ecs_upper(0.5 * ccs, chan, restarts=4, seed=0)
         assert res.feasibility_gap <= 1e-4
         if np.isfinite(res.value):
             assert res.value > 0.0
@@ -87,7 +86,7 @@ class TestUpperBound:
         # one restart of the level bisection certifies 0.0422076 here
         chan = random_relay_channel(rng, (3, 2, 2, 3))
         r = 0.5 * cutset_bound(chan)[0]
-        res = ecs_upper(r, chan, OptimizerConfig(seed=0, restarts=1))
+        res = ecs_upper(r, chan, restarts=1, seed=0)
         assert res.value <= 0.04221
         assert cutset_bound(res.witness_v)[1] <= r
         assert ecs_objective(res.witness_v, chan) == pytest.approx(
@@ -96,14 +95,21 @@ class TestUpperBound:
     def test_rejects_negative_rate(self, rng):
         chan = random_relay_channel(rng, (2, 2, 2, 2))
         with pytest.raises(ValueError):
-            ecs_upper(-0.1, chan, CFG)
+            ecs_upper(-0.1, chan, restarts=4, seed=0)
+
+    def test_rejects_zero_restarts(self, rng):
+        chan = random_relay_channel(rng, (2, 2, 2, 2))
+        with pytest.raises(ValueError, match="restarts"):
+            ecs_upper(0.1, chan, restarts=0)
+        with pytest.raises(ValueError, match="restarts"):
+            ecs_upper_sweep([0.1, 0.2], chan, restarts=0)
 
     def test_sato_small_rate_vacuous(self):
         # the relay observation is noiseless, so every channel inside the
         # support keeps the relay cut at full strength: no dummy channel
         # reaches a small cutset value and the bound is vacuous (+inf)
         chan, _ = sato_channel()
-        res = ecs_upper(0.2, chan, OptimizerConfig(restarts=2, seed=0))
+        res = ecs_upper(0.2, chan, restarts=2, seed=0)
         assert res.value == np.inf
         # the fallback witness still has zero cutset value (feasible)
         assert res.feasibility_gap <= 1e-4
@@ -114,7 +120,8 @@ class TestUpperBound:
         chan = random_relay_channel(np.random.default_rng(100), (2, 2, 2, 2))
         rates = (0.0196, 0.0393, 0.0589, 0.0785)
         stats = {}
-        results, _ = ecs_upper_sweep(rates, chan, CFG, stats)
+        results, _ = ecs_upper_sweep(rates, chan, restarts=4, seed=0,
+                                      stats=stats)
         for r, res in zip(rates, results):
             if np.isfinite(res.value):
                 assert cutset_bound(res.witness_v)[1] <= r
@@ -125,12 +132,54 @@ class TestUpperBound:
     def test_sweep_monotone_with_warm_starts(self, rng):
         chan = random_relay_channel(rng, (2, 2, 2, 2))
         rates = (0.05, 0.15, 0.3, 0.6)
-        results, violations = ecs_upper_sweep(rates, chan, CFG)
+        results, violations = ecs_upper_sweep(rates, chan, restarts=4, seed=0)
         assert violations == 0
         vals = [res.value for res in results]
         assert all(a >= b - 1e-6 for a, b in zip(vals, vals[1:]))
         for res in results:
             assert res.feasibility_gap <= 1e-4
+
+
+def _support_target_loop(w, base):
+    """The row-by-row construction `_support_target` replaced: restrict
+    each row of `base` to W's support and renormalize; a row with no mass
+    left keeps W's row."""
+    table = np.empty_like(w.w)
+    for x1 in range(w.sizes[0]):
+        for x2 in range(w.sizes[1]):
+            tgt = np.where(w.w[x1, x2] > 0.0, base[x1, x2], 0.0)
+            tot = tgt.sum()
+            table[x1, x2] = tgt / tot if tot > 0.0 else w.w[x1, x2]
+    return table
+
+
+class TestSupportTarget:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_row_loop(self, seed):
+        chans = [sato_channel()[0]] + [
+            random_relay_channel(np.random.default_rng(seed), sizes,
+                                 full_support=False)
+            for sizes in ((2, 2, 2, 2), (3, 2, 2, 3), (3, 3, 3, 3))]
+        for chan in chans:
+            base = haroutunian_upper._useless_channel(
+                chan, np.random.default_rng(seed)).w
+            got = _support_target(chan, np.random.default_rng(seed))
+            np.testing.assert_array_equal(got, _support_target_loop(chan,
+                                                                    base))
+
+    def test_row_without_mass_keeps_w(self, monkeypatch):
+        # a base channel that is 0 on the whole support of one row
+        chan = sato_channel()[0]
+        table = np.full(chan.sizes, 1.0 / 9.0)
+        off = chan.w[1, 0] <= 0.0
+        table[1, 0] = off / off.sum()
+        base = RelayChannelSpec(table)
+        monkeypatch.setattr(haroutunian_upper, "_useless_channel",
+                            lambda w, rng: base)
+        got = _support_target(chan, None)
+        np.testing.assert_array_equal(got[1, 0], chan.w[1, 0])
+        np.testing.assert_array_equal(got, _support_target_loop(chan,
+                                                                base.w))
 
 
 class TestLevelChannel:

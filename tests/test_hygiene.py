@@ -1,5 +1,6 @@
-"""Source hygiene: every name a package module imports is used in it, and
-the README's code references resolve."""
+"""Source hygiene: every name a package module imports is used in it, the
+README's code references resolve, and its CLI section names exactly the
+parser's flags."""
 
 import ast
 import importlib
@@ -64,3 +65,16 @@ def test_readme_module_references_resolve():
                if not hasattr(importlib.import_module(f"relayexp.{mod}"),
                               name)]
     assert missing == []
+
+
+def test_readme_cli_flags_match_parser():
+    # every --flag the README's CLI section names exists in the parser, and
+    # every parser flag but argparse's own --help is documented there
+    from relayexp.cli_sweeps import _build_parser
+    section = re.search(r"^## CLI\n(.*?)^## ", README.read_text(),
+                        re.M | re.S)
+    assert section is not None
+    documented = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section.group(1)))
+    parsed = {opt for action in _build_parser()._actions
+              for opt in action.option_strings if opt.startswith("--")}
+    assert documented == parsed - {"--help"}

@@ -42,13 +42,14 @@ class TestGoldenMax:
         assert x == pytest.approx(1.0, abs=1e-6)
 
 
-def _golden_max_scalar(f, lo, hi, tol=1e-8):
-    """Scalar golden section, the reference for the lockstep one."""
+def _golden_max_scalar(f, lo, hi):
+    """Scalar golden section, the reference for the lockstep one; it stops
+    at the lockstep section's bracket width, 1e-8."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > 1e-8:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)

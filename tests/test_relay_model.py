@@ -5,9 +5,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from relayexp import (CfInput, CondDist, Dist, OptimizerConfig, PdfInput,
-                      RelayChannelSpec, cf_aux_channels, cutset_bound,
-                      pdf_virtual_channels, sato_channel)
+from relayexp import (CfInput, CondDist, Dist, PdfInput, RelayChannelSpec,
+                      cf_aux_channels, cutset_bound, pdf_virtual_channels,
+                      sato_channel)
 from relayexp.prob_core import mi_axes
 from relayexp.relay_model import _envelope
 from conftest import random_relay_channel
@@ -68,7 +68,7 @@ def _scalar_descent(x, objective, init_step, rounds):
     return x, best
 
 
-def _scalar_search(objective, dim, cfg, points):
+def _scalar_search(objective, dim, points, rounds, restarts, seed):
     bary = np.full(dim, 1.0 / dim)
     best_x, best_val = bary, float(objective(bary))
     for x in _scalar_lattice(dim, points):
@@ -77,15 +77,30 @@ def _scalar_search(objective, dim, cfg, points):
             best_x, best_val = x, val
     init_step = 1.0 / (points - 1)
     starts = [best_x]
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.restarts - 1):
+    rng = np.random.default_rng(seed)
+    for _ in range(restarts - 1):
         starts.append(rng.dirichlet(np.ones(dim)))
     for s in starts:
-        x, val = _scalar_descent(s, objective, init_step,
-                                 cfg.refinement_rounds)
+        x, val = _scalar_descent(s, objective, init_step, rounds)
         if val > best_val:
             best_x, best_val = x, val
     return best_x, best_val
+
+
+def _conditional_loop(joint):
+    """The row-by-row conditional that `y3_conditional` and `w2_cond`
+    replaced: each last-axis row divided by its sum, uniform where the sum
+    is 0; returns (cond, filled leading indices in order)."""
+    cond = np.empty_like(joint)
+    filled = []
+    for idx in np.ndindex(joint.shape[:-1]):
+        m = joint[idx].sum()
+        if m > 0.0:
+            cond[idx] = joint[idx] / m
+        else:
+            cond[idx] = 1.0 / joint.shape[-1]
+            filled.append(idx)
+    return cond, filled
 
 
 def _reference_channels():
@@ -138,6 +153,19 @@ class TestRelayChannelSpec:
         assert all(y2 != x1 for (x1, _, y2) in flagged)
         assert len(flagged) == 3 * 2 * 2
         np.testing.assert_allclose(cond.sum(axis=3), 1.0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_y3_conditional_matches_row_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        chans = [sato_channel()[0]] + [
+            random_relay_channel(rng, sizes, full_support=False)
+            for sizes in ((2, 2, 2, 2), (3, 2, 2, 3))]
+        for chan in chans:
+            cond, flagged = chan.y3_conditional()
+            want, filled = _conditional_loop(chan.w)
+            np.testing.assert_array_equal(cond, want)
+            assert flagged == filled
+            assert all(type(i) is int for triple in flagged for i in triple)
 
 
 class TestSatoAnchors:
@@ -221,12 +249,10 @@ class TestBatchedCutset:
         # the bracket holds every value the old search achieved, and its
         # lower side is no worse
         chan = _reference_channels()[idx]
-        cfg, points = ((OptimizerConfig(refinement_rounds=4, restarts=1,
-                                        seed=0), 5)
-                       if cheap else (OptimizerConfig(), 9))
+        points, rounds, restarts = (5, 4, 1) if cheap else (9, 6, 4)
         _, want_val = _scalar_search(lambda p: _cutset_at(chan, p),
-                                     chan.sizes[0] * chan.sizes[1], cfg,
-                                     points)
+                                     chan.sizes[0] * chan.sizes[1], points,
+                                     rounds, restarts, seed=0)
         lo, hi, _ = cutset_bound(chan)
         assert want_val <= hi
         assert lo >= want_val - 1e-9
@@ -365,6 +391,20 @@ class TestDerivedChannels:
         # [DERIVED] wq1 = sum_x1 q(x1) W
         want = np.einsum("x,xayz->ayz", c.q_x1.probs, chan.w)
         np.testing.assert_allclose(aux.wq1, want, atol=1e-12)
+
+    def test_w2_cond_matches_row_loop(self, rng):
+        # with an identity test channel, x2 = 0 never describes yhat2 = 1,
+        # so those rows of W2 have no mass and take the uniform fill
+        chan = random_relay_channel(rng, (2, 2, 2, 3), full_support=False)
+        ident = CondDist(np.array([[1.0, 0.0], [1.0, 0.0],
+                                   [0.0, 1.0], [0.0, 1.0]]))
+        realized = CondDist(np.array([[1.0, 0.0], [0.3, 0.7]]))
+        aux = cf_aux_channels(chan, CfInput(Dist(np.array([0.4, 0.6])),
+                                            Dist(np.array([0.5, 0.5])),
+                                            2, ident, realized))
+        want, filled = _conditional_loop(aux.w2)
+        assert filled == [(0, 0, 1), (1, 0, 1)]
+        np.testing.assert_array_equal(aux.w2_cond(), want)
 
     def test_cf_input_shape_validation(self):
         with pytest.raises(ValueError):
