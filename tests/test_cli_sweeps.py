@@ -345,9 +345,10 @@ class TestDeterminism:
         # SHA-256 of seeded-restart upper CSVs and of a cf CSV whose G1 > 0,
         # so that its whole G2 search runs, as written before the search
         # settings became plain arguments (numpy 2.4, x86-64 Linux).  They
-        # pin the restart seeds, the support targets and the G2 grid search
-        # beyond the digits a reader checks; this cf value is the same with
-        # 0 to 3 exchange-walk rounds, so it does not pin the walks
+        # pin the restart seeds and the support targets beyond the digits a
+        # reader checks.  The cf value is G1/b: G2 (0.048 to 0.054 with 0 to
+        # 2 exchange-walk rounds) is above G1 (0.0038), so it does not pin
+        # the G2 search's value
         rand = tmp_path / "rand3223.json"
         write_channel(random_relay_channel(np.random.default_rng(0),
                                            (3, 2, 2, 3)), str(rand))
