@@ -389,8 +389,7 @@ def _types_sweep(rows, n_max=4):
         lemma1 = lemma1_batch(n, pvs, channels)
         joint = joint_typicality_batch(n, cases)
         checks.append({"n": n, "lemma1": sum(map(len, lemma1)),
-                       "joint_typicality": sum(map(len, joint)),
-                       "x2_enumerations": len(cases)})
+                       "joint_typicality": sum(map(len, joint))})
         for kind, batch in (("lemma1", lemma1), ("lemma23", joint)):
             if batch:
                 passed = all(rep.all_ok for reps in batch for rep in reps)

@@ -398,12 +398,10 @@ def _best_splits(w, q, r_b, fraction, form, stats=None):
 
     def stage(splits):
         # F and G take R' = split * R_b and Gtilde R'' = (1 - split) * R_b,
-        # each active where its rate is positive; where neither rate is
-        # (zero per-block rate) every constituent is kept, at rate 0
+        # each active where its share of the split is positive, at R_b = 0
+        # too, so that R_b = 0 gets the limit of the values as R_b -> 0+
         r1, r2 = splits * r_b[:, None], (1.0 - splits) * r_b[:, None]
-        idle = ~(r1 > 0.0) & ~(r2 > 0.0)
-        r1, r2 = np.where(idle, 0.0, r1), np.where(idle, 0.0, r2)
-        on1, on2 = (r1 > 0.0) | idle, (r2 > 0.0) | idle
+        on1, on2 = splits > 0.0, splits < 1.0
         kinds = {"relay_F": (on1, r1), "decoder_G": (on1, r1),
                  "decoder_Gtilde": (on2, r2)}
         below = {k: _below_mi(*chans[k], rate)
@@ -515,14 +513,14 @@ def pdf_sweep(w: RelayChannelSpec, q: PdfInput, bs, r_effs,
 
     Each value is (1/b) max over the rate split R' + R'' = R_b of
     min{F(R'), G(R'), Gtilde(R'')}, R_b = b/(b-1) * r_eff, floored at 0.
-    A constituent whose rate argument is zero carries no messages and is
-    dropped from the min (with U = X1 and split 1 this is exactly
-    decode-forward, where only F and G remain).  `split_fraction` fixes
-    the split, or None scans it as `_best_splits` does.  All points are
-    solved in one batch, a kind only where it can still lower the min,
-    and tallied in `stats`; the other parts at the chosen split are
-    solved, and added to `stats`, when `PdfSweep.parts` first reads their
-    rows.  Raises ValueError unless every b >= 2, every r_eff is finite
+    A constituent whose share of the split is zero carries no messages and
+    is dropped from the min, at R_b = 0 as at every other rate (with U = X1
+    and split 1 this is exactly decode-forward, where only F and G
+    remain).  `split_fraction` fixes the split, or None scans it as
+    `_best_splits` does.  All points are solved in one batch, a kind only
+    where it can still lower the min, and tallied in `stats`; the other
+    parts at the chosen split are solved, and added to `stats`, when
+    `PdfSweep.parts` first reads their rows.  Raises ValueError unless every b >= 2, every r_eff is finite
     and >= 0 and the split lies in [0, 1].
     """
     bs = np.asarray(bs, dtype=np.float64).reshape(-1, 1)

@@ -6,10 +6,9 @@ roundoff cannot flip a boundary comparison.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, pairwise, product
+from itertools import chain, product
 
 import numpy as np
 
@@ -102,16 +101,21 @@ def _cond_type_count(base: TypeN, out_size):
                      for c in base.counts)
 
 
+def _multinomials(rows):
+    """Product over `rows` of the multinomial coefficient (sum(row); row)."""
+    return math.prod(math.factorial(sum(row))
+                     // math.prod(map(math.factorial, row)) for row in rows)
+
+
 def type_class_size(t: TypeN):
     """Number of sequences with type t (exact multinomial coefficient)."""
-    return math.factorial(t.n) // math.prod(map(math.factorial, t.counts))
+    return _multinomials([t.counts])
 
 
 def vshell_size(ct: CondTypeN):
     """Size of the conditional-type shell relative to any base-type sequence:
     the product of one multinomial coefficient per row."""
-    return (math.prod(map(math.factorial, ct.base.counts))
-            // math.prod(math.factorial(c) for row in ct.counts for c in row))
+    return _multinomials(ct.counts)
 
 
 @dataclass
@@ -211,11 +215,6 @@ class JointTypicalityReport:
                 and self.lemma3_upper)
 
 
-def _block_counts(seq, spans, size):
-    """Symbol counts of `seq` on each (lo, hi) block, block-major."""
-    return tuple([seq[lo:hi].count(s) for lo, hi in spans for s in range(size)])
-
-
 def joint_typicality_batch(n, cases):
     """Exact shell-intersection probabilities against their polynomial
     envelope; per (P, V, vprimes) of `cases`, a list of one report per V'.
@@ -229,18 +228,21 @@ def joint_typicality_batch(n, cases):
     where I = I(X2;Y|X1) and p1, p2, p3 are polynomial factors (n+1)^e
     with exponents |X1||X2|(|Y|+1), |X1||X2||Y| and |X1||X2|.
 
-    X2^n is enumerated once per (P, V), its joint types tallied once per
-    distinct (x1 -> y) marginal, and every I(X2;Y|X1) of the batch taken from
-    one `cond_mi_from_joint` call, so the cases share their alphabets.
+    With x1^n sorted and y^n sorted within each x1 block, every (x1, y)
+    pair is one block of positions.  An x2^n whose joint type is V' fills
+    each block with that pair's x2 counts independently of the others, and
+    lies in the V-shell because V' is consistent with V; so the count is a
+    product of multinomial coefficients over the blocks, out of |V-shell|.
+    Every I(X2;Y|X1) of the batch comes from one `cond_mi_from_joint` call,
+    so the cases share their alphabets.
     """
     out, pending, sizes = [], [], set()
     for p, v, vprimes in cases:
         if p.n != n or v.base != p:
             raise ValueError("blocklength mismatch")
-        n_x1, n_x2 = len(p.counts), v.n_outputs
-        sizes.add((n_x1, n_x2))
+        sizes.add((len(p.counts), v.n_outputs))
         joint_base = tuple(c for row in v.counts for c in row)
-        reports, shell = [], None
+        den, reports = vshell_size(v), []
         for vp in vprimes:
             # marginal consistency: V''s base must be the joint (x1,x2) type
             if vp.base.counts != joint_base or vp.base.n != n:
@@ -248,17 +250,7 @@ def joint_typicality_batch(n, cases):
                     False, False, False, False,
                     details={"reason": "marginal inconsistency"}))
                 continue
-            if shell is None:
-                if n_x2 ** n > ENUM_BUDGET:
-                    raise EnumBudgetError("shell enumeration exceeds the budget")
-                # x1^n is the sorted sequence of type P; the number of zeros
-                # in x2^n is a cheap necessary condition
-                x1_spans = list(pairwise(accumulate(p.counts, initial=0)))
-                zeros = sum(row[0] for row in v.counts)
-                shell = [x2 for x2 in product(range(n_x2), repeat=n)
-                         if x2.count(0) == zeros
-                         and _block_counts(x2, x1_spans, n_x2) == joint_base]
-            pending.append((reports, len(reports), shell, vp.counts))
+            pending.append((reports, len(reports), den, vp.counts))
             reports.append(None)
         out.append(reports)
     if not pending:
@@ -266,22 +258,13 @@ def joint_typicality_batch(n, cases):
     (n_x1, n_x2), = sizes  # a ValueError unless the cases share alphabets
     m = len(pending)
     counts = np.array([c for *_, c in pending]).reshape(m, n_x1, n_x2, -1)
-    # the x2 counts of each (x1, y) pair, and the (x1 -> y) marginal: y^n
-    # is sorted within each x1 block, so each pair is one block of positions
-    keys = counts.transpose(0, 1, 3, 2).reshape(m, -1).tolist()
-    ymargs = list(map(tuple, counts.sum(axis=2).reshape(m, -1).tolist()))
+    # the x2 counts of each (x1, y) block
+    blocks = counts.transpose(0, 1, 3, 2).reshape(m, -1, n_x2).tolist()
     n_x12, n_y, logn1 = n_x1 * n_x2, counts.shape[3], math.log2(n + 1)
-    tallied = None  # the shell whose tallies `tallies` holds
-    for (reports, i, shell, _), key, ymarg, mi in zip(  # mi = I(X2;Y|X1)
-            pending, keys, ymargs, cond_mi_from_joint(counts / n).tolist()):
-        if shell is not tallied:
-            tallied, tallies = shell, {}
-        if ymarg not in tallies:
-            y_spans = list(pairwise(accumulate(ymarg, initial=0)))
-            tallies[ymarg] = Counter(_block_counts(x2, y_spans, n_x2)
-                                     for x2 in shell)
-        num, den = tallies[ymarg][tuple(key)], len(shell)
-        log_prob = -np.inf if num == 0 else math.log2(num) - math.log2(den)
+    for (reports, i, den, _), rows, mi in zip(  # mi = I(X2;Y|X1)
+            pending, blocks, cond_mi_from_joint(counts / n).tolist()):
+        num = _multinomials(rows)
+        log_prob = math.log2(num) - math.log2(den)
         lower = -n * mi - n_x12 * (n_y + 1) * logn1
         lemma2_lower = log_prob >= lower - _LOG_SLACK
         lemma2_upper = log_prob <= -n * mi + n_x12 * n_y * logn1 + _LOG_SLACK

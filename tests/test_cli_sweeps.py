@@ -195,10 +195,13 @@ class TestCommands:
         sweep = pdf_sweep(chan, df_input(chan, caid), [50], [1.05], "dual",
                           1.0)
         assert res.rows[0][4] == sweep.value[0, 0]
-        # every row of a pdf grid is the library value at its (b, r_eff)
-        chan = random_relay_channel(np.random.default_rng(0), (3, 2, 2, 3))
+        # every row of a pdf grid is the library value at its (b, r_eff);
+        # the library reads the channel file as the CLI does, because each
+        # RelayChannelSpec renormalises and the round trip moves an ulp
         path = tmp_path / "chan.json"
-        write_channel(chan, str(path))
+        write_channel(random_relay_channel(np.random.default_rng(0),
+                                           (3, 2, 2, 3)), str(path))
+        chan = parse_channel(str(path))
         q = _pdf_q(chan, None, 2)
         for form in ("dual", "primal"):
             res = run(SweepSpec("pdf", channel_path=str(path), blocks=(7, 2),
@@ -231,9 +234,8 @@ class TestCommands:
 
     def test_types_verify_sidecar_records_checks(self, tmp_path):
         # [DERIVED] binary P = (k, n-k) has (k+1)(n-k+1) V; each (P, V) is
-        # checked against 3 channels, with one X2^n enumeration for its V'
-        # on the joint type, and a joint type with counts c has
-        # prod (c+1) V'
+        # checked against 3 channels and against every V' on its joint
+        # type, and a joint type with counts c has prod (c+1) V'
         spec = SweepSpec("types-verify", out_dir=str(tmp_path))
         write_outputs(spec, run(spec))
         meta = json.loads((tmp_path / "types_verify.meta.json").read_text())
@@ -246,8 +248,7 @@ class TestCommands:
                         pv += 1
                         vp += (i + 1) * (k - i + 1) * (j + 1) * (n - k - j + 1)
             want.append({"n": n, "lemma1": 3 * pv,
-                         "joint_typicality": vp if n >= 2 else 0,
-                         "x2_enumerations": pv if n >= 2 else 0})
+                         "joint_typicality": vp if n >= 2 else 0})
         assert meta["grids"]["types_checks"] == want
 
     def test_types_verify_output_bytes(self, tmp_path):
@@ -262,8 +263,7 @@ class TestCommands:
                 == "\n".join([CSV_HEADER] + rows + [""]).encode())
         meta = json.loads((tmp_path / "types_verify.meta.json").read_text())
         assert [tuple(c.values()) for c in meta["grids"]["types_checks"]] == [
-            (1, 12, 0, 0), (2, 30, 36, 10), (3, 60, 120, 20),
-            (4, 105, 330, 35)]
+            (1, 12, 0), (2, 30, 36), (3, 60, 120), (4, 105, 330)]
 
     def test_pdf_grid_rows_sorted(self, tmp_path, rng):
         path, _ = _small_channel_file(tmp_path, rng)
@@ -272,6 +272,36 @@ class TestCommands:
         keys = [(row[0], row[1]) for row in res.rows]
         assert keys == sorted(keys)
         assert len(res.rows) == 4
+
+
+class TestRateMonotonicity:
+    """From a code of rate R' > R, keeping its 2^{nR} best messages gives
+    a code of rate R with no larger error, so every achievable exponent
+    is nonincreasing in the rate, at R_b = 0 too."""
+
+    @pytest.mark.parametrize("seed, sizes", [
+        (None, None), (0, (3, 2, 2, 3)), (0, (2, 2, 2, 2)),
+        (1, (2, 2, 2, 2)), (2, (2, 2, 2, 2)), (3, (2, 2, 2, 2))],
+        ids=["sato", "rand3223", "2222s0", "2222s1", "2222s2", "2222s3"])
+    def test_pdf_and_df_nonincreasing_in_rate(self, tmp_path, seed, sizes):
+        if seed is None:
+            where, grid = {"preset": "sato"}, (0.0, 1.2, 0.2)
+        else:
+            path = str(tmp_path / "chan.json")
+            write_channel(random_relay_channel(np.random.default_rng(seed),
+                                               sizes), path)
+            where, grid = {"channel_path": path}, (0.0, 0.1, 0.02)
+        blocks = (2, 5, 10)
+        for command, form, u_size in (("df", "dual", None),
+                                      ("pdf", "dual", None),
+                                      ("pdf", "primal", 2)):
+            res = run(SweepSpec(command, form=form, u_size=u_size,
+                                blocks=blocks, rate_grid=grid, **where))
+            for b in blocks:
+                values = [row[4] for row in res.rows if row[0] == b]
+                assert len(values) in (6, 7)
+                assert all(hi >= lo for hi, lo in zip(values, values[1:])), (
+                    command, form, b, values)
 
 
 class TestDeterminism:
@@ -314,7 +344,10 @@ class TestDeterminism:
         # active; F and G are then solved only where Gtilde is inactive
         # (split 1), 37 of the 759 cells where they are active, and G only
         # at the 19 of them at or above its I(Q,W): at the other 18 its
-        # lower end is above F's value
+        # lower end is above F's value.  The second hash was re-recorded
+        # when R_b = 0 began to drop the constituents its split gives no
+        # share: only its two r_eff = 0 rows moved, up from 5.1e-17 and
+        # 2.6e-17 to 0.00983752792 and 0.00491876396
         chan = random_relay_channel(np.random.default_rng(0), (3, 2, 2, 3))
         write_channel(chan, str(tmp_path / "chan.json"))
         runs = {
@@ -322,8 +355,8 @@ class TestDeterminism:
             "77ce5e379d3c4cd0a6903eaa1c0dc806":
                 SweepSpec("pdf", preset="sato", blocks=(5, 50, 10),
                           rate_grid=(0.9, 1.1, 0.05)),
-            "28e4af5b336077d80ce6426e21d77b1b"
-            "493736e7167539578365e3cc30e1b398":
+            "af2fc7049108858368ad27473e152d52"
+            "a8902ca056d0c795dd6e29bb2b8f2238":
                 SweepSpec("pdf", channel_path=str(tmp_path / "chan.json"),
                           form="primal", u_size=2, blocks=(5, 10),
                           rate_grid=(0.0, 0.1, 0.02)),
@@ -538,23 +571,19 @@ class TestMain:
                                                        monkeypatch):
         # R2 = 1 is above this channel's I(X2;Y3), so G1 is exactly 0 and
         # no G2 search runs (a G1 of 1.6e-16 from -log2 S(0) would start
-        # one and print 3.2e-17); df at r_eff = 0 is 0 for the same reason
+        # one and print 3.2e-17)
         def refuse(*args, **kwargs):
             raise AssertionError("cf_G2 called although G1 = 0")
 
         monkeypatch.setattr(cf_exponents, "cf_G2", refuse)
-        for seed, sizes, flags in (
-                (1, (2, 2, 2, 2), ["cf", "--b", "5", "--rate", "0.05",
-                                   "--r2", "1.0"]),
-                (0, (3, 2, 2, 3), ["df", "--b", "2,10", "--rate", "0"])):
-            chan = random_relay_channel(np.random.default_rng(seed), sizes)
-            path = tmp_path / f"{flags[0]}.json"
-            write_channel(chan, str(path))
-            out = tmp_path / flags[0]
-            assert main(flags + ["--channel", str(path),
-                                 "--out", str(out)]) == 0
-            rows = (out / f"{flags[0]}.csv").read_text().splitlines()[1:]
-            assert [row.split(",")[4] for row in rows] == ["0"] * len(rows)
+        chan = random_relay_channel(np.random.default_rng(1), (2, 2, 2, 2))
+        path = tmp_path / "cf.json"
+        write_channel(chan, str(path))
+        out = tmp_path / "cf"
+        assert main(["cf", "--b", "5", "--rate", "0.05", "--r2", "1.0",
+                     "--channel", str(path), "--out", str(out)]) == 0
+        rows = (out / "cf.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[4] for row in rows] == ["0"] * len(rows)
         meta = json.loads((tmp_path / "cf" / "cf.meta.json").read_text())
         assert meta["grids"]["cf_g2"] == [
             {"b": 5, "r_eff": 0.05, "g1": 0.0, "g2_skipped": True,

@@ -1,6 +1,7 @@
-"""Source hygiene: every name a package module imports is used in it, the
-README's code references resolve, and its CLI section names exactly the
-parser's flags."""
+"""Source hygiene: every name a package module imports is used in it, every
+module-level private name is read somewhere in the package, the README's
+code references resolve, and its CLI section names exactly the parser's
+flags."""
 
 import ast
 import importlib
@@ -41,6 +42,47 @@ def test_detects_unused_import():
     source = ("import numpy as np\nfrom os import path, sep as s\n"
               "x = np.zeros(1)\n")
     assert _unused_imports(source) == [(2, "path"), (2, "s")]
+
+
+def _unused_private_names(sources):
+    """Module-level names with one leading underscore that some source of
+    `sources` binds and none of them reads, as (source index, name)."""
+    trees = [ast.parse(source) for source in sources]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unused = []
+    for i, tree in enumerate(trees):
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                bound.update(n.id for t in targets for n in ast.walk(t)
+                             if isinstance(n, ast.Name))
+        unused += [(i, name) for name in sorted(bound - read)
+                   if name.startswith("_") and not name.startswith("__")]
+    return unused
+
+
+def test_private_names_are_used():
+    # a private helper that the package no longer calls is dead code
+    paths = sorted(SRC.glob("*.py"))
+    unused = _unused_private_names([p.read_text() for p in paths])
+    assert [f"{paths[i].name}:{name}" for i, name in unused] == []
+
+
+def test_detects_unused_private_name():
+    sources = ["_A = 1\n_B, _C = 2, 3\ndef _f():\n    return _A\n"
+               "class _K:\n    pass\n__all__ = []\n",
+               "import m\ndef g():\n    return m._C + _f()\n"]
+    assert _unused_private_names(sources) == [(0, "_B"), (0, "_K")]
 
 
 README = SRC.parents[1] / "README.md"

@@ -520,12 +520,10 @@ def _reference_sweep(chan, q, bs, r_effs, form, split):
     def stage(splits):
         nonlocal cells
         r1, r2 = splits * r_b[:, None], (1.0 - splits) * r_b[:, None]
-        idle = ~(r1 > 0.0) & ~(r2 > 0.0)
-        r1, r2 = np.where(idle, 0.0, r1), np.where(idle, 0.0, r2)
         mins = np.full(splits.shape, np.inf)
-        for kind, rate in (("relay_F", r1), ("decoder_G", r1),
-                           ("decoder_Gtilde", r2)):
-            active = (rate > 0.0) | idle
+        for kind, rate, active in (("relay_F", r1, splits > 0.0),
+                                   ("decoder_G", r1, splits > 0.0),
+                                   ("decoder_Gtilde", r2, splits < 1.0)):
             value = np.zeros(splits.shape)
             value[active] = solve(kind, chan, q, rate[active]).value
             cells += int(active.sum())

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -151,7 +152,6 @@ class TestJointTypicality:
     def test_probability_matches_independent_recount(self):
         # [DERIVED] recount the shell intersection with an order-independent
         # enumeration over x2 sequences written from scratch
-        from itertools import product as iproduct
         n = 4
         p, v, vp = self._instance(n)
         x1 = [0, 0, 1, 1]
@@ -159,7 +159,7 @@ class TestJointTypicality:
         # counts (1,1); (x1=1): (1,1)
         y = [0, 1, 0, 1]
         num = den = 0
-        for x2 in iproduct(range(2), repeat=n):
+        for x2 in product(range(2), repeat=n):
             cond = [[0, 0], [0, 0]]
             for a, b in zip(x1, x2):
                 cond[a][b] += 1
@@ -194,23 +194,43 @@ class TestJointTypicality:
 
 class TestBatchedCores:
     def test_counts_match_closed_form(self):
-        # [DERIVED] with x1 and ybar sorted, the x2 in the V-shell whose
-        # joint type is V' fill each (x1, y) block independently, so
-        # num = prod_{a,y} multinomial(ymarg[a][y]; (V'[a,b][y])_b) and
-        # den = |V-shell|; the library enumerates X2^n instead
-        for n in range(2, 7):
-            for p, v, vps in _joint_cases(n):
-                for vp, rep in zip(vps, check_joint_typicality(n, p, v, vps)):
-                    num = 1
-                    for a in range(2):
-                        for y in range(2):
-                            col = [vp.counts[a * 2 + b][y] for b in range(2)]
-                            ways = math.factorial(sum(col))
-                            for c in col:
-                                ways //= math.factorial(c)
-                            num *= ways
-                    assert rep.details["num"] == num
-                    assert rep.details["den"] == vshell_size(v)
+        # [DERIVED] the library counts each shell intersection as a product
+        # of multinomial coefficients; recount it here by listing every
+        # x2^n, with y^n shuffled within each x1 block, on every binary
+        # (P, V, V') of n = 2..5 and on |X1|, |X2|, |Y| = 2, 3, 2 at n = 4
+        rng = np.random.default_rng(0)
+        shapes = [((2, 2, 2), n) for n in range(2, 6)] + [((2, 3, 2), 4)]
+        checked = 0
+        for (n_x1, n_x2, n_y), n in shapes:
+            for p in enum_types(n, n_x1):
+                x1 = [a for a, c in enumerate(p.counts) for _ in range(c)]
+                for v in enum_cond_types(p, n_x2):
+                    shell = [x2 for x2 in product(range(n_x2), repeat=n)
+                             if all(list(zip(x1, x2)).count((a, b)) == c
+                                    for a, row in enumerate(v.counts)
+                                    for b, c in enumerate(row))]
+                    vps = enum_cond_types(TypeN(sum(v.counts, ()), n), n_y)
+                    reports = check_joint_typicality(n, p, v, vps)
+                    for vp, rep in zip(vps, reports):
+                        # a y^n with the (x1 -> y) marginal of V'
+                        y = []
+                        for a in range(n_x1):
+                            rows = vp.counts[a * n_x2:(a + 1) * n_x2]
+                            block = [c for c, k in enumerate(map(sum,
+                                                                 zip(*rows)))
+                                     for _ in range(k)]
+                            y += rng.permutation(block).tolist()
+                        num = sum(
+                            all(list(zip(x1, x2, y)).count((a, b, c)) == k
+                                for ab, row in enumerate(vp.counts)
+                                for c, k in enumerate(row)
+                                for a, b in [divmod(ab, n_x2)])
+                            for x2 in shell)
+                        assert rep.details["num"] == num
+                        assert rep.details["den"] == len(shell)
+                        assert rep.probability == Fraction(num, len(shell))
+                        checked += 1
+        assert checked > 1000
 
     def test_batches_equal_one_instance_calls(self):
         # every field of every report, bit for bit, with all channels of one
@@ -278,16 +298,16 @@ class TestBatchedCores:
         with pytest.raises(ValueError):
             joint_typicality_batch(2, cases)
 
-    def test_shell_budget_checked_only_for_consistent_instances(self):
-        # 2^30 x2 sequences are over the budget: refused before any is
-        # built, unless no V' needs the shell
+    def test_large_blocklength_needs_no_enumeration(self):
+        # 2^30 x2 sequences, which no enumeration could list; the count is
+        # a product of multinomials, and here one x2^n is in both shells
         n = 30
         p = TypeN((15, 15), n)
         v = CondTypeN(((15, 0), (0, 15)), p)
         vp = CondTypeN(((15, 0), (0, 0), (0, 0), (0, 15)),
                        TypeN((15, 0, 0, 15), n))
-        with pytest.raises(EnumBudgetError):
-            check_joint_typicality(n, p, v, [vp])
+        (rep,) = check_joint_typicality(n, p, v, [vp])
+        assert rep.probability == 1 and rep.all_ok
         wrong = CondTypeN(((30, 0), (0, 0), (0, 0), (0, 0)),
                           TypeN((30, 0, 0, 0), n))
         assert not check_joint_typicality(n, p, v, [wrong])[0].consistent
