@@ -625,7 +625,7 @@ def cf_overall_witness(w: RelayChannelSpec, c: CfInput, b: int, r_eff: float,
     """(1/b) min{G1(R2), G2(R_b, R2)} with R_b = b/(b-1) * r_eff, and the
     witness dict of its G2 term.
 
-    `rounds` is passed on to `cf_G2`.  `g1` optionally supplies
+    `rounds` (>= 0) is passed on to `cf_G2`.  `g1` optionally supplies
     `cf_G1(w, c, r2).value`, which does not depend on the block rate.
     G2 >= 0, so G1 = 0 settles the value: the G2 search is then skipped
     and its witness holds only `g1` and `g2_skipped`, with `grid_note` and
@@ -633,6 +633,8 @@ def cf_overall_witness(w: RelayChannelSpec, c: CfInput, b: int, r_eff: float,
     """
     if b < 2:
         raise ValueError("b must be >= 2")
+    if rounds < 0:
+        raise ValueError("rounds must be >= 0")
     if g1 is None:
         g1 = cf_G1(w, c, r2).value
     if g1 == 0.0:

@@ -24,7 +24,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -278,7 +278,16 @@ def run(spec: SweepSpec) -> SweepResult:
     tables = {spec.command.replace("-", "_"): rows}
     grids = {}
     chan, caid = (None, None)
-    if spec.command != "types-verify":
+    if spec.command == "sato-figures":
+        # the figures are Sato's, so any other input is refused, not ignored
+        plain = SweepSpec(spec.command, preset="sato", out_dir=spec.out_dir)
+        for f in fields(spec):
+            if getattr(spec, f.name) != getattr(plain, f.name):
+                flag = {"channel_path": "channel", "rate_grid": "reff",
+                        "blocks": "b"}.get(f.name, f.name).replace("_", "-")
+                raise CliError(3, f"sato-figures takes only --preset sato "
+                                  f"and --out (check --{flag})")
+    elif spec.command != "types-verify":
         chan, caid = _load_channel(spec)
 
     if spec.command == "cutset":
@@ -411,7 +420,11 @@ def _sato_figures(grids):
     grids["exponent_work"] = work
     tables = {"fig_relay": [], "fig_decoder": []}
     blocks = (10, 50, 100)
-    parts = sweep.parts([b - 2 for b in blocks])
+    # the printed rows are solved in the same batch as the cells that can
+    # hold a best block count, so each kind runs one golden section
+    rows, grids["best_blocks"] = [b - 2 for b in blocks], {}
+    best = sweep.best_blocks(rows, grids["best_blocks"])
+    parts = sweep.parts(rows)
     for name, kind in zip(tables, ("relay_F", "decoder_G")):
         _, _, value, rho = parts[kind]
         for i, b in enumerate(blocks):
@@ -420,9 +433,9 @@ def _sato_figures(grids):
                                      f"{kind}_over_b", value[i, j] / b,
                                      f"rho={_fmt(rho[i, j])}", "dual"))
     tables["fig_blocks"] = [
-        (i + 2, r_eff, sweep.r_b[i, j], "df_opt_b", sweep.value[i, j],
-         f"best_b={i + 2}", "b:2..200")
-        for j, (r_eff, i) in enumerate(zip(points, sweep.best_blocks()))]
+        (i + 2, r_eff, sweep.r_b[i, j], "df_opt_b", value, f"best_b={i + 2}",
+         "b:2..200") for j, (r_eff, i, value) in enumerate(
+            zip(points, best, sweep.at((best, np.arange(len(points))))))]
     return tables
 
 

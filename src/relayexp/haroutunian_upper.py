@@ -177,7 +177,9 @@ def ecs_upper_sweep(rates, w: RelayChannelSpec, restarts: int = 16,
                     seed: int = 0, stats: dict = None):
     """Upper bounds over an increasing rate grid, warm-started and
     running-minimum enforced; returns (results, violation_count).
-    `restarts`, `seed` and `stats` are passed on to ecs_upper."""
+    `restarts` (>= 1), `seed` and `stats` are passed on to ecs_upper."""
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     results = []
     violations = 0
     prev_tables = []

@@ -15,7 +15,6 @@ the objective at its dummy channel, so [dual, primal] brackets the exponent.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -38,10 +37,11 @@ _CURVE_ELEMENTS = 1 << 16
 SPLIT_GRID = 41
 SPLIT_REFINE = 11
 SPLIT_WINDOW = 0.025
-# the multipliers of each kind's certified lower end E0(rho) - rho*R, which
-# is below both forms of the exponent (Gallager 1968, section 5.6)
-_BOUND_RHO = np.linspace(0.0, 1.0, 32)
-# a kind is skipped where its lower end exceeds the min by more than this.
+# the multipliers of `_ends`; on `sato-figures` 128 leave 2.3 times fewer
+# relay_F curve points to solve than 32 do
+_BOUND_RHO = np.linspace(0.0, 1.0, 128)
+# a kind is skipped where its lower end exceeds the min by more than this,
+# and `_ends` adds it to each upper end, which rounding of E0 could bend.
 # A dual value is below its exponent only by golden_max's error: endpoints
 # are checked exactly, and at an interior maximum the slope is 0, so the
 # 1e-8 bracket costs about |E0''|/2 * (5e-9)^2 < 1e-15 bits; the rest is
@@ -357,19 +357,38 @@ def _solve(kind, form, chan, rate, below, stats, dominated=0):
     return value, witness
 
 
-def _lower_end(e0, rate):
-    """max_j E0(rho_j) - rho_j*R over `_BOUND_RHO` at each rate, E0 = `e0`
-    on that grid, a lower end of both forms of the exponent.  E0 is
-    concave, so the best rho_j is the one where the chord slope of E0
-    falls to R, and one binary search finds it; if rounding bends the
-    curve, the j found is still a valid lower end."""
-    slopes = np.diff(e0) / np.diff(_BOUND_RHO)
+def _ends(chan, rate):
+    """(lo, hi) around max_{rho in [0,1]} E0(rho) - rho*R of the state
+    channel `chan` = (q_s, q_xs, chan) at each rate, from E0 on `_BOUND_RHO`
+    and its slope I(Q,W) at 0.  E0 is concave: lo, at the rho_j where the
+    chord slope falls to R (if rounding bends the curve, the j found still
+    holds), is below both forms.  On each interval E0 is below the lines
+    through its ends with the neighbouring chords' slopes (the tangent
+    left of the first; the last has its left line only), which away from
+    rho_j fall faster than R: hi, the dual's upper end, is the best of
+    rho_j and its two nearest corners, plus `_BOUND_MARGIN`."""
+    q_s, q_xs, w = chan
+    rho, step = _BOUND_RHO, max(1, _CURVE_ELEMENTS // w.size)
+    e0 = -np.log2(np.concatenate([e0_sum(q_s, q_xs, w, rho[i:i + step])
+                                  for i in range(0, rho.size, step)]))
+    slopes = np.diff(e0) / np.diff(rho)
     j = np.searchsorted(-slopes, -rate)
-    return e0[j] - _BOUND_RHO[j] * rate
+    lo = e0[j] - rho[j] * rate
+    left = np.r_[cond_mi_from_joint((q_s[:, None] * q_xs)[..., None] * w),
+                 slopes[:-1]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip((slopes[:-1] - slopes[1:]) / (left[:-1] - slopes[1:]), 0, 1)
+    x = np.r_[rho[:-2] + np.nan_to_num(t) * np.diff(rho)[:-1], 1.0]
+    top = np.r_[np.minimum(e0[:-2] + left[:-1] * (x[:-1] - rho[:-2]),
+                           e0[1:-1] + slopes[1:] * (x[:-1] - rho[1:-1])),
+                e0[-2] + left[-1] * (1.0 - rho[-2])]
+    a, b = np.maximum(j - 1, 0), np.minimum(j, x.size - 1)
+    hi = np.maximum(lo, np.maximum(top[a] - x[a] * rate, top[b] - x[b] * rate))
+    return lo, hi + _BOUND_MARGIN
 
 
 def _best_splits(w, q, r_b, fraction, form, stats=None):
-    """Best split value at every per-block rate in `r_b`, and where it is.
+    """Best split values at the per-block rates `r_b`, and where they are.
 
     `fraction` fixes the split, or None scans `SPLIT_GRID` points over
     [0, 1] and then `SPLIT_REFINE` points within `SPLIT_WINDOW` of the
@@ -380,23 +399,23 @@ def _best_splits(w, q, r_b, fraction, form, stats=None):
     below its own I(Q,W) is skipped wherever another active kind is not
     (cells at or above it cost no curve work and are solved).  Where two
     or more kinds are active and all below their I(Q,W), a kind whose
-    `_lower_end` exceeds the min so far by more than `_BOUND_MARGIN` is
-    skipped (`dominated`); the kinds go in order of how often their lower
-    end is the smallest there, first wins ties.  No minimum or split
+    `_ends` lower end exceeds the min so far by more than `_BOUND_MARGIN`
+    is skipped (`dominated`); the kinds go in order of how often their
+    lower end is the smallest there, first wins ties.  No minimum or split
     depends on a skipped cell.  The solves are tallied in `stats` as
     `_solve` says.
 
-    Returns the (n,) best minima over the active constituents, the (n,)
-    splits attaining them and a function that takes indices into `r_b` and
-    returns, per kind, its (active, rate, value, witness) at those points
-    and splits.  That function first solves the cells skipped there, once,
-    tallied in the same `stats`.
+    Returns three functions: `ends()`, the (2, n) lower and upper ends of
+    the best minima from the active kinds' `_ends` (upper +inf unless the
+    form is dual and the split fixed); `solve(points, keep)`, the best
+    minima and splits at new indices into `r_b`, no kind skipped at the
+    `keep` mask over them; and `parts(points)`, each kind's (active, rate,
+    value, witness) there, first solving its cells skipped there.
     """
     chans = {kind: _state_channel(kind, w, q) for kind in KINDS}
-    rows = np.arange(r_b.size)
-    e0 = {}
+    at = {}
 
-    def stage(splits):
+    def stage(r_b, splits, keep):
         # F and G take R' = split * R_b and Gtilde R'' = (1 - split) * R_b,
         # each active where its share of the split is positive, at R_b = 0
         # too, so that R_b = 0 gets the limit of the values as R_b -> 0+
@@ -417,9 +436,7 @@ def _best_splits(w, q, r_b, fraction, form, stats=None):
                 cells = contested & on
                 bound[k] = np.zeros(splits.shape)
                 if cells.any():
-                    if k not in e0:
-                        e0[k] = -np.log2(e0_sum(*chans[k], _BOUND_RHO))
-                    bound[k][cells] = _lower_end(e0[k], rate[cells])
+                    bound[k][cells] = _ends(chans[k], rate[cells])[0]
                 lows.append(np.where(cells, bound[k], np.inf)[contested])
             wins = np.bincount(np.argmin(lows, axis=0), minlength=len(kinds))
             order = [order[i] for i in np.argsort(-wins, kind="stable")]
@@ -428,7 +445,7 @@ def _best_splits(w, q, r_b, fraction, form, stats=None):
             active, rate = kinds[kind]
             # the kind's value is at least max(bound - margin, 0), so where
             # that is at or above the min so far it cannot lower the min
-            skip = active & below[kind] & (
+            skip = active & below[kind] & ~keep[:, None] & (
                 np.maximum(bound[kind] - _BOUND_MARGIN, 0.0) >= mins)
             solved = active & ~skip
             # an empty solve still gives the witness its trailing axes
@@ -443,7 +460,7 @@ def _best_splits(w, q, r_b, fraction, form, stats=None):
         # the first maximum over the grid wins, as in a strict > scan; one
         # flat index takes it from each grid much faster than (row, column)
         # index pairs do
-        at = rows * splits.shape[1] + np.argmax(mins, axis=1)
+        at = np.arange(r_b.size) * splits.shape[1] + np.argmax(mins, axis=1)
 
         def pick(a):
             return np.take(a.reshape((-1,) + a.shape[2:]), at, axis=0)
@@ -451,21 +468,36 @@ def _best_splits(w, q, r_b, fraction, form, stats=None):
         return (pick(mins), pick(splits),
                 {k: [pick(a) for a in parts[k]] for k in kinds})
 
-    if fraction is not None:
-        best, split, at = stage(np.full((r_b.size, 1), fraction))
-    else:
-        best, split, at = stage(np.tile(np.linspace(0.0, 1.0, SPLIT_GRID),
-                                        (r_b.size, 1)))
-        fine_best, fine_split, fine_at = stage(np.linspace(
-            np.maximum(split - SPLIT_WINDOW, 0.0),
-            np.minimum(split + SPLIT_WINDOW, 1.0), SPLIT_REFINE, axis=1))
-        # a refined split wins only where it is strictly better
-        better = fine_best > best
-        at = {k: [np.where(better.reshape((-1,) + (1,) * (new.ndim - 1)),
-                           new, old)
-                  for new, old in zip(fine_at[k], at[k])] for k in at}
-        best, split = (np.where(better, fine_best, best),
-                       np.where(better, fine_split, split))
+    def ends():
+        if form != "dual" or fraction is None:
+            return np.full((2, r_b.size), [[0.0], [np.inf]])
+        shares = dict(zip(KINDS, (fraction, fraction, 1.0 - fraction)))
+        return np.min([_ends(chans[k], share * r_b)
+                       for k, share in shares.items() if share > 0.0], axis=0)
+
+    def solve(points, keep):
+        if fraction is not None:
+            best, split, got = stage(r_b[points],
+                                     np.full((points.size, 1), fraction), keep)
+        else:
+            best, split, got = stage(r_b[points], np.tile(np.linspace(
+                0.0, 1.0, SPLIT_GRID), (points.size, 1)), keep)
+            fine_best, fine_split, fine_at = stage(r_b[points], np.linspace(
+                np.maximum(split - SPLIT_WINDOW, 0.0),
+                np.minimum(split + SPLIT_WINDOW, 1.0), SPLIT_REFINE, axis=1),
+                keep)
+            # a refined split wins only where it is strictly better
+            better = fine_best > best
+            got = {k: [np.where(better.reshape((-1,) + (1,) * (new.ndim - 1)),
+                                new, old)
+                       for new, old in zip(fine_at[k], got[k])] for k in got}
+            best, split = (np.where(better, fine_best, best),
+                           np.where(better, fine_split, split))
+        for kind, arrays in got.items():
+            for full, a in zip(at.setdefault(kind, [np.zeros(
+                    r_b.shape + a.shape[1:], a.dtype) for a in arrays]), arrays):
+                full[points] = a
+        return best, split
 
     def parts(points):
         for kind, (_, rate, value, witness, skipped) in at.items():
@@ -477,34 +509,84 @@ def _best_splits(w, q, r_b, fraction, form, stats=None):
                 skipped[todo] = False
         return {k: tuple(a[points] for a in p[:4]) for k, p in at.items()}
 
-    return best, split, parts
+    return ends, solve, parts
 
 
-@dataclass
 class PdfSweep:
     """`pdf_sweep` results on a block-count x rate grid: `r_b`, `value` and
-    `split` have shape (len(bs), len(r_effs)).  `parts(rows)` maps each
-    kind to its (active, rate, value, witness) at `split` in the block
-    rows `rows` (an index, a list or a slice into `bs`; all rows by
-    default), a primal witness adding the dummy channel's axes.  Every
-    active entry is the kind's exact solve at that rate: the cells of
-    those rows that the sweep skipped (see `_best_splits`) are solved when
-    they are first read, and only then."""
+    `split` have shape (len(bs), len(r_effs)).  A cell is solved by
+    `solve(cells, keep)` (a mask of unsolved cells) when first read, one
+    batch per read: `value` and `split` read every cell, `at` and `parts`
+    theirs, and `best_blocks` those that can win by `ends()`, the (2,) +
+    grid lower and upper ends.  Without `solve` every cell is given."""
 
-    r_b: np.ndarray
-    value: np.ndarray
-    split: np.ndarray
-    parts: Callable[..., dict]
+    def __init__(self, r_b, value, split, parts, solve=None,
+                 ends=lambda: np.reshape([0.0, np.inf], (2, 1, 1))):
+        self.r_b, self._value, self._split = r_b, value, split
+        self._parts, self._solve, self._ends = parts, solve, ends
+        self._solved, self._reads = np.full(value.shape, solve is None), 0
 
-    def best_blocks(self):
+    def _read(self, index, rows=slice(0)):
+        """Solve the unsolved cells at `index` and in the block rows `rows`
+        in one batch, skipping no kind in those rows, and return self."""
+        keep, todo = np.zeros_like(self._solved), np.zeros_like(self._solved)
+        keep[rows] = todo[index] = True
+        todo = (todo | keep) & ~self._solved
+        if todo.any():
+            self._value[todo], self._split[todo] = self._solve(todo, keep[todo])
+            self._solved, self._reads = self._solved | todo, self._reads + 1
+        return self
+
+    def at(self, index=...):
+        """The values at `index` into the grid, read there."""
+        return self._read(index)._value[index]
+
+    value = property(at)
+    split = property(lambda self: self._read(...)._split)
+
+    def parts(self, rows=slice(None)):
+        """Each kind's (active, rate, value, witness) at `split` in the
+        block rows `rows` (an index, a list or a slice), a primal witness
+        adding the dummy channel's axes; each active entry is exact."""
+        self._read(slice(0), rows)
+        points = np.arange(self.r_b.size).reshape(self.r_b.shape)[rows]
+        return {k: tuple(a.reshape(points.shape + a.shape[1:]) for a in p)
+                for k, p in self._parts(points.ravel()).items()}
+
+    def best_blocks(self, rows=slice(0), stats=None):
         """Per rate, the index of the first block count whose value beats
-        the best so far by more than 1e-15."""
-        best = np.full(self.value.shape[1:], -1.0)
-        index = np.zeros(self.value.shape[1:], dtype=int)
-        for i, row in enumerate(self.value):
-            better = row > best + 1e-15
-            index, best = np.where(better, i, index), np.where(better, row, best)
-        return index
+        the best so far by more than 1e-15.  It reads the cells whose upper
+        end exceeds their rate's best lower end, and the block rows `rows`,
+        and scans those.  A rate is settled where its last update beats
+        every earlier read value and unread upper end by more than 1e-15
+        and no later unread upper end beats it by more, as then a scan of
+        every cell ends the same; the others read all their cells.  A dict
+        `stats` gets the `cells`, the `solved` ones, the rates `certified`
+        by the first read and the `rounds` of reads."""
+        lower, upper = np.broadcast_to(self._ends(), (2,) + self.r_b.shape)
+        start = self._reads
+        self._read(upper > lower.max(axis=0, initial=-np.inf), rows)
+        row = np.arange(upper.shape[0])[:, None]
+        while True:
+            solved, value = self._solved, self._value
+            best = np.full(value.shape[1:], -1.0)
+            index = np.zeros(value.shape[1:], dtype=int)
+            for i, vals in enumerate(np.where(solved, value, -np.inf)):
+                better = vals > best + 1e-15
+                index = np.where(better, i, index)
+                best = np.where(better, vals, best)
+            bound = np.where(solved, value, upper)
+            early = np.where(row < index, bound, -1.0).max(0, initial=-1.0)
+            late = np.where((row > index) & ~solved, upper, -1.0)
+            settled = solved.all(axis=0) | ((best > early + 1e-15) & (
+                late.max(0, initial=-1.0) <= best + 1e-15))
+            if stats is not None:
+                stats.setdefault("certified", int(settled.sum()))
+                stats.update(cells=value.size, solved=int(solved.sum()),
+                             rounds=self._reads - start)
+            if settled.all():
+                return index
+            self._read((slice(None), ~settled), rows)
 
 
 def pdf_sweep(w: RelayChannelSpec, q: PdfInput, bs, r_effs,
@@ -517,11 +599,12 @@ def pdf_sweep(w: RelayChannelSpec, q: PdfInput, bs, r_effs,
     is dropped from the min, at R_b = 0 as at every other rate (with U = X1
     and split 1 this is exactly decode-forward, where only F and G
     remain).  `split_fraction` fixes the split, or None scans it as
-    `_best_splits` does.  All points are solved in one batch, a kind only
-    where it can still lower the min, and tallied in `stats`; the other
-    parts at the chosen split are solved, and added to `stats`, when
-    `PdfSweep.parts` first reads their rows.  Raises ValueError unless every b >= 2, every r_eff is finite
-    and >= 0 and the split lies in [0, 1].
+    `_best_splits` does.  The points are solved when `PdfSweep` reads them,
+    each read in one batch, a kind only where it can still lower the min,
+    and tallied in `stats`; the other parts at the chosen split are solved,
+    and added to `stats`, when `PdfSweep.parts` first reads their rows.
+    Raises ValueError unless every b >= 2, every r_eff is finite and >= 0
+    and the split lies in [0, 1].
     """
     bs = np.asarray(bs, dtype=np.float64).reshape(-1, 1)
     r_effs = np.asarray(r_effs, dtype=np.float64).reshape(-1)
@@ -531,17 +614,16 @@ def pdf_sweep(w: RelayChannelSpec, q: PdfInput, bs, r_effs,
     if split_fraction is not None and not 0 <= split_fraction <= 1:
         raise ValueError("split_fraction must lie in [0, 1]")
     r_b = bs / (bs - 1) * r_effs
-    best, split, solve = _best_splits(w, q, r_b.ravel(), split_fraction, form,
+    ends, solve, parts = _best_splits(w, q, r_b.ravel(), split_fraction, form,
                                       stats)
-    value = best.reshape(r_b.shape) / bs
 
-    def parts(rows=slice(None)):
-        points = np.arange(r_b.size).reshape(r_b.shape)[rows]
-        return {k: tuple(a.reshape(points.shape + a.shape[1:]) for a in p)
-                for k, p in solve(points.ravel()).items()}
+    def solve_cells(cells, keep):
+        best, split = solve(np.flatnonzero(cells), keep)
+        value = best / np.broadcast_to(bs, r_b.shape)[cells]
+        return np.where(value > 0.0, value, 0.0), split
 
-    return PdfSweep(r_b, np.where(value > 0.0, value, 0.0),
-                    split.reshape(r_b.shape), parts)
+    return PdfSweep(r_b, np.zeros(r_b.shape), np.zeros(r_b.shape), parts,
+                    solve_cells, lambda: ends().reshape((2,) + r_b.shape) / bs)
 
 
 def df_input(w: RelayChannelSpec, q_joint: Dist) -> PdfInput:

@@ -599,6 +599,15 @@ class TestG2:
         with pytest.raises(ValueError, match="rounds"):
             cf_G2(chan, _identity_test_input(chan), 0.3, 0.2, rounds=-1)
 
+    def test_overall_rejects_negative_rounds_when_g1_is_zero(self):
+        # G1 = 0 skips the G2 search, but not the check of its setting
+        chan = _skewed_relay_channel()
+        c = _identity_test_input(chan)
+        with pytest.raises(ValueError, match="rounds must be >= 0"):
+            cf_overall_witness(chan, c, 5, 0.3, 0.3, rounds=-1)
+        with pytest.raises(ValueError, match="rounds must be >= 0"):
+            cf_overall_witness(chan, c, 5, 0.3, 0.3, rounds=-1, g1=0.0)
+
     def test_overall_rejects_small_b(self, rng):
         chan = random_relay_channel(rng, (2, 2, 2, 2))
         c = _identity_test_input(chan)

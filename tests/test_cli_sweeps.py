@@ -451,33 +451,43 @@ class TestDeterminism:
 
     def test_sato_figures_work_is_pinned(self, tmp_path, monkeypatch):
         # a timing-free guard on the figure sweep: the curve points per kind
-        # and the e0_sum calls that evaluate them (156 under the element
-        # budget per curve call), plus one call per kind for the lower ends
-        # on the 32-point rho grid; F and G are solved once, over
-        # b = 2..200, and the curve is evaluated only for the rates below
-        # I(Q,W).  Of the 5,585 points where both are below their I(Q,W),
-        # F's lower end is the smaller at 5,501 and ties G's at 84, so F
-        # goes first; G is then solved at 86 of them, and at 67 more of the
-        # 123 points of the three printed block rows when the figures read
-        # its values there
+        # and the e0_sum calls that evaluate them (88 under the element
+        # budget per curve call), plus two calls per kind on the 128-point
+        # rho grid, one for the certified ends of `best_blocks` and one for
+        # the lower ends of the dominated skip.  Of the 8,159 cells of
+        # b = 2..200, only the 2,727 whose upper end reaches their rate's
+        # best lower end, or that lie in the three printed block rows, are
+        # solved, in one batch: one golden section per kind (741 distinct
+        # relay_F rates, 83 decoder_G ones), and decoder_G is not skipped
+        # in the printed rows, so reading their parts solves nothing more.
+        # Every rate is certified by that batch
         real, calls = pdf_exponents.e0_sum, []
+        golden, sections = pdf_exponents.golden_max, []
 
         def counted(*args):
             calls.append(np.size(args[-1]))
             return real(*args)
 
+        def sectioned(f, lo, hi):
+            sections.append(np.size(lo))
+            return golden(f, lo, hi)
+
         monkeypatch.setattr(pdf_exponents, "e0_sum", counted)
+        monkeypatch.setattr(pdf_exponents, "golden_max", sectioned)
         spec = SweepSpec("sato-figures", preset="sato", out_dir=str(tmp_path))
         write_outputs(spec, run(spec))
         meta = json.loads((tmp_path / "sato_figures.meta.json").read_text())
         assert meta["grids"]["exponent_work"] == {
-            "relay_F": {"problems": 8159, "curve_points": 120465,
+            "relay_F": {"problems": 2727, "curve_points": 18558,
                         "dominated": 0},
-            "decoder_G": {"problems": 2727, "curve_points": 3417,
-                          "dominated": 5499},
+            "decoder_G": {"problems": 2065, "curve_points": 1794,
+                          "dominated": 662},
         }
-        assert sum(calls) == 120465 + 3417 + 2 * 32
-        assert len(calls) <= 250
+        assert meta["grids"]["best_blocks"] == {
+            "cells": 8159, "solved": 2727, "certified": 41, "rounds": 1}
+        assert sections == [741, 83]
+        assert sum(calls) == 18558 + 1794 + 4 * 128
+        assert len(calls) <= 100
 
     def test_sidecar_records_exponent_work(self, tmp_path):
         spec = SweepSpec("df", preset="sato", blocks=(10, 50),
@@ -494,6 +504,36 @@ class TestDeterminism:
 
 
 class TestMain:
+    @pytest.mark.parametrize("flags, named", [
+        (["--preset", "sato", "--channel", "@chan"], "--channel"),
+        (["--preset", "sato", "--b", "10"], "--b"),
+        (["--preset", "sato", "--reff", "1.0:1.1:0.05"], "--reff"),
+        (["--preset", "sato", "--rate", "1.0"], "--rate"),
+        (["--preset", "sato", "--r2", "0.1"], "--r2"),
+        (["--preset", "sato", "--form", "primal"], "--form"),
+        (["--preset", "sato", "--split", "0.5"], "--split"),
+        (["--preset", "sato", "--u-size", "2"], "--u-size"),
+        (["--preset", "sato", "--seed", "3"], "--seed"),
+        (["--preset", "sato", "--restarts", "2"], "--restarts"),
+        (["--channel", "@chan"], "--preset sato"),
+        (["--preset", "nope"], "--preset sato"),
+        ([], "--preset sato"),
+    ])
+    def test_sato_figures_rejects_flags_it_does_not_read(self, tmp_path,
+                                                         capsys, flags,
+                                                         named):
+        # the figures are Sato's whatever else is given, so any other input
+        # exits 3 before any work, naming the flag, and writes nothing
+        chan = str(tmp_path / "chan.json")
+        write_channel(random_relay_channel(np.random.default_rng(0),
+                                           (2, 2, 2, 2)), chan)
+        argv = [chan if f == "@chan" else f for f in flags]
+        out = tmp_path / "out"
+        assert main(["sato-figures", *argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: sato-figures") and named in err
+        assert not out.exists()
+
     def test_success_exit_code(self, tmp_path, capsys):
         code = main(["cutset", "--preset", "sato", "--out", str(tmp_path)])
         assert code == 0

@@ -104,6 +104,13 @@ class TestUpperBound:
         with pytest.raises(ValueError, match="restarts"):
             ecs_upper_sweep([0.1, 0.2], chan, restarts=0)
 
+    def test_sweep_checks_restarts_on_an_empty_grid(self, rng):
+        chan = random_relay_channel(rng, (2, 2, 2, 2))
+        for restarts in (0, -3):
+            with pytest.raises(ValueError, match="restarts must be >= 1"):
+                ecs_upper_sweep([], chan, restarts=restarts)
+        assert ecs_upper_sweep([], chan, restarts=1) == ([], 0)
+
     def test_sato_small_rate_vacuous(self):
         # the relay observation is noiseless, so every channel inside the
         # support keeps the relay cut at full strength: no dummy channel

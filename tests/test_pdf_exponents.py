@@ -439,6 +439,8 @@ class TestBlockMarkov:
         rates = [1.0, 1.1, 1.2]
         stats = {}
         sweep = pdf_sweep(chan, q, range(2, 41), rates, "dual", 1.0, stats)
+        # the sweep solves its cells when they are first read
+        assert not stats and sweep.value.shape == (39, 3)
         assert set(stats) == {"relay_F", "decoder_G"}
         assert stats["relay_F"]["problems"] == 3 * 39
         for j, rate in enumerate(rates):
@@ -491,6 +493,14 @@ class TestBlockMarkov:
                           [0.2, 0.0, 0.1 + 2e-15]])
         sweep = PdfSweep(value, value, value, dict)
         assert sweep.best_blocks().tolist() == [0, 0, 1]
+
+    def test_empty_grids(self):
+        chan, caid = sato_channel()
+        q = df_input(chan, caid)
+        for bs, rates, best in (((), (1.0, 1.1), [0, 0]), ((2, 3), (), [])):
+            sweep = pdf_sweep(chan, q, bs, rates, "dual", 1.0)
+            assert sweep.value.shape == (len(bs), len(rates))
+            assert sweep.best_blocks().tolist() == best
 
     def test_sweep_checks_every_block_count(self, rng):
         chan = random_relay_channel(rng)
@@ -610,6 +620,7 @@ class TestSkippedCells:
         for split in (None, 0.5, 1.0):
             stats = {}
             sweep = pdf_sweep(chan, q, (2, 5), rates, form, split, stats)
+            assert sweep.value.shape == (2, len(rates))  # reads every cell
             swept = {k: dict(w) for k, w in stats.items()}
             calls = count_solver_calls(monkeypatch)
             # a read solves the skipped cells of its block rows, one call
@@ -681,7 +692,7 @@ class TestDominatedCells:
             state = _state_channel(kind, chan, q)
             e0 = -np.log2(e0_sum(*state, pdf_exponents._BOUND_RHO))
             rates = np.linspace(0.0, 1.2 * _kind_mi(kind, chan, q), 13)
-            low = pdf_exponents._lower_end(e0, rates)
+            low = pdf_exponents._ends(state, rates)[0]
             primal = pdf_primal_exponent(kind, chan, q, rates)
             assert np.all(low <= primal.diagnostics["dual"] + 1e-12)
             assert np.all(low <= primal.value + 1e-12)
@@ -710,6 +721,104 @@ class TestDominatedCells:
                     assert np.array_equal(got, want), (name, kind)
             dominated[form] += sum(w["dominated"] for w in stats.values())
         assert dominated["dual"] > 0 and dominated["primal"] > 0
+
+
+def _end_configs():
+    """(name, chan, q): the Sato channel, the seed-0 3x2x2x3 channel and
+    seeded 2x2x2x2 channels (seeds 0-3), each under its decode-forward
+    input with a uniform joint, and a pdf input under which decoder_Gtilde
+    is not 0 too."""
+    chan, caid = sato_channel()
+    yield "sato df", chan, df_input(chan, caid)
+    yield "sato pdf", chan, _uniform_pdf_input(3, 2, 2)
+    for seed, sizes in ((0, (3, 2, 2, 3)), (0, (2, 2, 2, 2)),
+                        (1, (2, 2, 2, 2)), (2, (2, 2, 2, 2)),
+                        (3, (2, 2, 2, 2))):
+        rng = np.random.default_rng(seed)
+        chan = random_relay_channel(rng, sizes)
+        n = sizes[0] * sizes[1]
+        yield f"{seed} {sizes} df", chan, df_input(chan, Dist(np.full(n,
+                                                                     1 / n)))
+        yield (f"{seed} {sizes} pdf", chan,
+               _random_pdf_input(rng, sizes[0], sizes[1], 2))
+
+
+class TestCertifiedEnds:
+    """`_ends` brackets each dual value, and `best_blocks` solves only the
+    cells that can win yet returns what a scan of every cell returns."""
+
+    def test_ends_bracket_every_dual_value(self):
+        dense = np.linspace(0.0, 1.0, 4001)
+        for name, chan, q in _end_configs():
+            for kind in KINDS:
+                state = _state_channel(kind, chan, q)
+                mi = _kind_mi(kind, chan, q)
+                rates = np.linspace(0.0, mi, 301)[:-1]
+                lo, hi = pdf_exponents._ends(state, rates)
+                ev = pdf_dual_exponent(kind, chan, q, rates)
+                # the golden value, its rho's own E0 - rho*R, and E0 - rho*R
+                # at every rho of a dense grid lie below the upper end
+                curve = -np.log2(e0_sum(*state, dense))
+                best = np.max(curve[:, None] - np.outer(dense, rates), axis=0)
+                assert np.all(lo <= ev.value + 1e-15), (name, kind)
+                assert np.all(ev.value <= hi), (name, kind)
+                assert np.all(best <= hi), (name, kind)
+                # the grid makes the bracket narrow, not just valid
+                assert np.all(hi - lo < 1e-3), (name, kind)
+
+    def test_lazy_best_blocks_matches_a_full_scan(self, monkeypatch):
+        configs = [(chan, q, np.linspace(0.0, min(_kind_mi(k, chan, q)
+                                                  for k in KINDS[:2]), 41))
+                   for name, chan, q in _end_configs() if name.endswith(" df")]
+        configs[0] = configs[0][:2] + (np.linspace(1.0, 1.2, 41),)
+        for chan, q, rates in configs:
+            full = pdf_sweep(chan, q, range(2, 201), rates, "dual", 1.0).value
+            want = PdfSweep(full, full, full, dict).best_blocks()
+            lazy, stats = pdf_sweep(chan, q, range(2, 201), rates, "dual",
+                                    1.0), {}
+            calls = count_solver_calls(monkeypatch)
+            got = lazy.best_blocks(stats=stats)
+            monkeypatch.undo()
+            assert np.array_equal(got, want)
+            cols = np.arange(rates.size)
+            assert np.array_equal(lazy.at((got, cols)), full[want, cols])
+            # one batch, one solver call per kind (decoder_Gtilde's empty),
+            # and every rate settled by the certificate
+            assert stats["rounds"] == 1 and len(calls) == len(KINDS)
+            assert stats["certified"] == rates.size
+            assert stats["solved"] < stats["cells"] == full.size
+
+    def test_unsettled_rate_reads_all_its_cells(self):
+        # rate 0: rows 0 and 2 can beat the best lower end, row 1 cannot,
+        # but its value is within 1e-15 of row 2's, so the scan of the read
+        # cells (best row 2) is not certified: row 1 beats row 0 by more
+        # than 1e-15 and row 2 does not beat row 1 by that much.  Rate 1 is
+        # settled by the read of its row 1 alone.  Rate 2: row 0's lower
+        # end lies 2 ulp above its value, as rounding can leave it, so row
+        # 2 is not read although its value beats row 0's by more than 1e-15
+        tie = 0.3 + 1.2e-15
+        value = np.array([[0.3, 0.1, 0.3], [tie, 0.5, 0.1],
+                          [0.3 + 1.8e-15, 0.2, 0.3 + 1.1e-15]])
+        lower = np.where([[1, 0, 0]] * 3, value, value - 0.01)
+        lower[0, 2] = tie
+        upper = np.where([[0, 0, 0], [1, 0, 0], [0, 0, 1]], value,
+                         value + 0.01)
+        reads = []
+
+        def solve(cells, keep):
+            reads.append(np.argwhere(cells).tolist())
+            return value[cells], np.zeros(np.count_nonzero(cells))
+
+        sweep = PdfSweep(value, np.zeros(value.shape), np.zeros(value.shape),
+                         dict, solve, lambda: (lower, upper))
+        stats = {}
+        assert sweep.best_blocks(stats=stats).tolist() == [1, 1, 2]
+        assert PdfSweep(value, value, value, dict).best_blocks().tolist() \
+            == [1, 1, 2]
+        assert reads == [[[0, 0], [0, 2], [1, 1], [2, 0]],
+                         [[1, 0], [1, 2], [2, 2]]]
+        assert stats == {"certified": 1, "cells": 9, "solved": 7,
+                         "rounds": 2}
 
 
 class TestDfInput:
