@@ -47,6 +47,21 @@ RATE_POINT_BUDGET = 10**5
 #: ((b, r_eff) points x splits x those entries); larger inputs exit 4
 #: before any array is built
 STATE_ENTRY_BUDGET = 4 * 10**6
+#: the flags each command reads; a command line that gives any other flag a
+#: value other than its default exits 3, as do --preset with --channel and
+#: --rate with --reff, and sato-figures without --preset sato
+COMMAND_FLAGS = {
+    "pdf": "--preset --channel --b --reff --rate --form --split --u-size --out",
+    "df": "--preset --channel --b --reff --rate --form --out",
+    "cf": "--preset --channel --b --reff --rate --r2 --out",
+    "cutset": "--preset --channel --out",
+    "upper": "--preset --channel --reff --rate --seed --restarts --out",
+    "types-verify": "--out",
+    "sato-figures": "--preset --out",
+}
+# the SweepSpec fields not named after their flag
+_FIELD_FLAGS = {"channel_path": "--channel", "rate_grid": "--reff",
+                "blocks": "--b", "out_dir": "--out"}
 
 
 class CliError(Exception):
@@ -278,16 +293,7 @@ def run(spec: SweepSpec) -> SweepResult:
     tables = {spec.command.replace("-", "_"): rows}
     grids = {}
     chan, caid = (None, None)
-    if spec.command == "sato-figures":
-        # the figures are Sato's, so any other input is refused, not ignored
-        plain = SweepSpec(spec.command, preset="sato", out_dir=spec.out_dir)
-        for f in fields(spec):
-            if getattr(spec, f.name) != getattr(plain, f.name):
-                flag = {"channel_path": "channel", "rate_grid": "reff",
-                        "blocks": "b"}.get(f.name, f.name).replace("_", "-")
-                raise CliError(3, f"sato-figures takes only --preset sato "
-                                  f"and --out (check --{flag})")
-    elif spec.command != "types-verify":
+    if spec.command not in ("types-verify", "sato-figures"):
         chan, caid = _load_channel(spec)
 
     if spec.command == "cutset":
@@ -505,11 +511,31 @@ def _spec_from_args(args) -> SweepSpec:
             split = float(split)
         except ValueError:
             raise CliError(2, f"cannot parse --split {args.split!r}")
-    return SweepSpec(command=args.command, preset=args.preset,
+    spec = SweepSpec(command=args.command, preset=args.preset,
                      channel_path=args.channel, rate_grid=grid, blocks=blocks,
                      form=args.form, split=split, u_size=args.u_size,
                      rate=args.rate, r2=args.r2, out_dir=args.out,
                      seed=args.seed, restarts=args.restarts)
+    # a flag the command would ignore is refused, naming the flag
+    plain, reads = SweepSpec(spec.command), COMMAND_FLAGS[spec.command].split()
+    given = [_FIELD_FLAGS.get(f.name, "--" + f.name.replace("_", "-"))
+             for f in fields(spec)
+             if getattr(spec, f.name) != getattr(plain, f.name)]
+    unread = [flag for flag in given if flag not in reads]
+    if spec.command == "sato-figures":
+        # the figures are Sato's, so the preset is required
+        reads = ["--preset sato", "--out"]
+        unread = ["--preset"] * (spec.preset != "sato") + unread
+    if unread:
+        *rest, last = reads
+        listing = f"{', '.join(rest)} and {last}" if rest else last
+        raise CliError(3, f"{spec.command} takes only {listing} "
+                          f"(check {unread[0]})")
+    for pair in (("--preset", "--channel"), ("--reff", "--rate")):
+        if set(pair) <= set(given):
+            raise CliError(3, f"{spec.command} takes {' or '.join(pair)}, "
+                              f"not both")
+    return spec
 
 
 def main(argv=None):

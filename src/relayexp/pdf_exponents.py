@@ -124,6 +124,15 @@ def _state_channel(kind, w: RelayChannelSpec, q: PdfInput):
     return q_s, q_xs, chan
 
 
+def _chunked(curve, x, size):
+    """`curve` at the nonempty 1-D `x`, evaluated on at most
+    `_CURVE_ELEMENTS // size` entries at a time, `size` being the number of
+    channel entries one entry of `x` costs."""
+    step = max(1, _CURVE_ELEMENTS // size)
+    return np.concatenate([curve(x[i:i + step])
+                           for i in range(0, x.size, step)])
+
+
 def _lagrange_max(curve, rate, size=1):
     """(value, x, points) of max_{x in [0,1]} curve(x) - x*R for each rate.
 
@@ -136,10 +145,10 @@ def _lagrange_max(curve, rate, size=1):
     monotone in R, so problems that share a probe are neighbours in rate
     order, the order `np.unique` gives: at each step a probe is new when it
     differs from the one before it.  The curve is evaluated at the new
-    probes only, at most `_CURVE_ELEMENTS // size` at a time (`size` is the
-    number of channel entries one probe costs), and `points` counts the
-    evaluations.  A run of equal probes that rounding splits is evaluated
-    once per piece, with the same value.  The endpoints x = 0 and 1 are
+    probes only, in `_chunked` pieces (`size` is the number of channel
+    entries one probe costs), and `points` counts the evaluations.  A run
+    of equal probes that rounding splits is evaluated once per piece, with
+    the same value.  The endpoints x = 0 and 1 are
     checked too, and a nonpositive (or NaN) value becomes +0.0 with x = 0.
     An empty `rate` gives empty results and no evaluations.
     """
@@ -147,7 +156,6 @@ def _lagrange_max(curve, rate, size=1):
     if not rate.size:
         return np.zeros(rate.shape), np.zeros(rate.shape), 0
     distinct, inverse = np.unique(rate, return_inverse=True)
-    block = max(1, _CURVE_ELEMENTS // size)
     points = 0
 
     def g(x):
@@ -159,10 +167,7 @@ def _lagrange_max(curve, rate, size=1):
         np.not_equal(x[1:], x[:-1], out=new[1:])
         u = x[new]
         points += u.size
-        vals = np.empty(u.size)
-        for i in range(0, u.size, block):
-            vals[i:i + block] = curve(u[i:i + block])
-        return vals[np.cumsum(new) - 1] - x * distinct
+        return _chunked(curve, u, size)[np.cumsum(new) - 1] - x * distinct
 
     x, val = golden_max(g, np.zeros(distinct.shape), np.ones(distinct.shape))
     for cand in (0.0, 1.0):
@@ -368,9 +373,8 @@ def _ends(chan, rate):
     rho_j fall faster than R: hi, the dual's upper end, is the best of
     rho_j and its two nearest corners, plus `_BOUND_MARGIN`."""
     q_s, q_xs, w = chan
-    rho, step = _BOUND_RHO, max(1, _CURVE_ELEMENTS // w.size)
-    e0 = -np.log2(np.concatenate([e0_sum(q_s, q_xs, w, rho[i:i + step])
-                                  for i in range(0, rho.size, step)]))
+    rho = _BOUND_RHO
+    e0 = -np.log2(_chunked(lambda r: e0_sum(q_s, q_xs, w, r), rho, w.size))
     slopes = np.diff(e0) / np.diff(rho)
     j = np.searchsorted(-slopes, -rate)
     lo = e0[j] - rho[j] * rate
@@ -554,39 +558,29 @@ class PdfSweep:
                 for k, p in self._parts(points.ravel()).items()}
 
     def best_blocks(self, rows=slice(0), stats=None):
-        """Per rate, the index of the first block count whose value beats
-        the best so far by more than 1e-15.  It reads the cells whose upper
-        end exceeds their rate's best lower end, and the block rows `rows`,
-        and scans those.  A rate is settled where its last update beats
-        every earlier read value and unread upper end by more than 1e-15
-        and no later unread upper end beats it by more, as then a scan of
-        every cell ends the same; the others read all their cells.  A dict
-        `stats` gets the `cells`, the `solved` ones, the rates `certified`
-        by the first read and the `rounds` of reads."""
+        """Per rate, the index of the first block count whose value is
+        within 1e-15 of the rate's max.  It reads the cells whose upper end
+        exceeds their rate's best lower end, and the block rows `rows`, in
+        one batch; then, until none is left, the unread cells whose upper
+        end reaches their rate's best read value minus 1e-15.  Every unread
+        cell is then more than 1e-15 below the max, so it cannot be chosen,
+        whatever the lower ends.  A dict `stats` gets the `cells`, the
+        `solved` ones and the `rounds` of reads."""
         lower, upper = np.broadcast_to(self._ends(), (2,) + self.r_b.shape)
         start = self._reads
         self._read(upper > lower.max(axis=0, initial=-np.inf), rows)
-        row = np.arange(upper.shape[0])[:, None]
         while True:
-            solved, value = self._solved, self._value
-            best = np.full(value.shape[1:], -1.0)
-            index = np.zeros(value.shape[1:], dtype=int)
-            for i, vals in enumerate(np.where(solved, value, -np.inf)):
-                better = vals > best + 1e-15
-                index = np.where(better, i, index)
-                best = np.where(better, vals, best)
-            bound = np.where(solved, value, upper)
-            early = np.where(row < index, bound, -1.0).max(0, initial=-1.0)
-            late = np.where((row > index) & ~solved, upper, -1.0)
-            settled = solved.all(axis=0) | ((best > early + 1e-15) & (
-                late.max(0, initial=-1.0) <= best + 1e-15))
-            if stats is not None:
-                stats.setdefault("certified", int(settled.sum()))
-                stats.update(cells=value.size, solved=int(solved.sum()),
-                             rounds=self._reads - start)
-            if settled.all():
-                return index
-            self._read((slice(None), ~settled), rows)
+            value = np.where(self._solved, self._value, -np.inf)
+            best = value.max(axis=0, initial=-np.inf) - 1e-15
+            todo = ~self._solved & (upper >= best)
+            if not todo.any():
+                break
+            self._read(todo)
+        if stats is not None:
+            stats.update(cells=value.size, solved=int(self._solved.sum()),
+                         rounds=self._reads - start)
+        near = value >= best
+        return near.argmax(0) if len(near) else np.zeros(near.shape[1], int)
 
 
 def pdf_sweep(w: RelayChannelSpec, q: PdfInput, bs, r_effs,

@@ -459,8 +459,8 @@ class TestDeterminism:
         # best lower end, or that lie in the three printed block rows, are
         # solved, in one batch: one golden section per kind (741 distinct
         # relay_F rates, 83 decoder_G ones), and decoder_G is not skipped
-        # in the printed rows, so reading their parts solves nothing more.
-        # Every rate is certified by that batch
+        # in the printed rows, so reading their parts solves nothing more
+        # and no second read is needed
         real, calls = pdf_exponents.e0_sum, []
         golden, sections = pdf_exponents.golden_max, []
 
@@ -484,7 +484,7 @@ class TestDeterminism:
                           "dominated": 662},
         }
         assert meta["grids"]["best_blocks"] == {
-            "cells": 8159, "solved": 2727, "certified": 41, "rounds": 1}
+            "cells": 8159, "solved": 2727, "rounds": 1}
         assert sections == [741, 83]
         assert sum(calls) == 18558 + 1794 + 4 * 128
         assert len(calls) <= 100
@@ -533,6 +533,37 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: sato-figures") and named in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        (["pdf", "--channel", "@missing", "--r2", "0.1"], "--r2"),
+        (["df", "--preset", "sato", "--b", "10", "--reff", "1.05",
+          "--split", "0.3", "--u-size", "2"], "--split"),
+        (["df", "--preset", "sato", "--b", "10", "--reff", "1.0",
+          "--rate", "1.1"], "--rate"),
+        (["cf", "--channel", "@missing", "--form", "primal"], "--form"),
+        (["cutset", "--preset", "sato", "--channel", "@missing"],
+         "--channel"),
+        (["upper", "--channel", "@missing", "--u-size", "2"], "--u-size"),
+        (["types-verify", "--channel", "@missing", "--b", "5",
+          "--form", "primal"], "--channel"),
+    ])
+    def test_flag_a_command_does_not_read_exits_3(self, tmp_path, capsys,
+                                                  argv, named):
+        # a flag the command would ignore, or one that conflicts with
+        # another, is refused before any channel is read: the missing
+        # channel file would exit 2
+        paths = {"@missing": str(tmp_path / "none.json")}
+        out = tmp_path / "out"
+        argv = [paths.get(tok, tok) for tok in argv]
+        assert main(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {argv[0]} ") and named in err
+        assert err.count("error:") == 1 and not out.exists()
+
+    def test_flags_at_their_defaults_are_accepted(self, tmp_path, capsys):
+        assert main(["cutset", "--preset", "sato", "--form", "dual",
+                     "--split", "auto", "--r2", "0.3", "--seed", "0",
+                     "--out", str(tmp_path)]) == 0
 
     def test_success_exit_code(self, tmp_path, capsys):
         code = main(["cutset", "--preset", "sato", "--out", str(tmp_path)])
@@ -721,7 +752,9 @@ class TestMain:
         blocker = tmp_path / "file"
         blocker.write_text("")
         out = str(blocker / "out")
-        code = main([command, "--preset", "sato", "--out", out])
+        # types-verify reads no channel, so it takes no --preset
+        source = ["--preset", "sato"] if command == "cutset" else []
+        code = main([command, *source, "--out", out])
         err = capsys.readouterr().err
         assert code == 3
         assert err == f"error: cannot write output to {out}: Not a directory\n"

@@ -1,7 +1,7 @@
 """Source hygiene: every name a package module imports is used in it, every
 module-level private name is read somewhere in the package, the README's
 code references resolve, and its CLI section names exactly the parser's
-flags."""
+flags and the flags each command reads."""
 
 import ast
 import importlib
@@ -109,14 +109,31 @@ def test_readme_module_references_resolve():
     assert missing == []
 
 
+def _cli_section():
+    section = re.search(r"^## CLI\n(.*?)^## ", README.read_text(),
+                        re.M | re.S)
+    assert section is not None
+    return section.group(1)
+
+
+_FLAG = r"(?<![\w-])--[a-z][\w-]*"
+
+
 def test_readme_cli_flags_match_parser():
     # every --flag the README's CLI section names exists in the parser, and
     # every parser flag but argparse's own --help is documented there
     from relayexp.cli_sweeps import _build_parser
-    section = re.search(r"^## CLI\n(.*?)^## ", README.read_text(),
-                        re.M | re.S)
-    assert section is not None
-    documented = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section.group(1)))
+    documented = set(re.findall(_FLAG, _cli_section()))
     parsed = {opt for action in _build_parser()._actions
               for opt in action.option_strings if opt.startswith("--")}
     assert documented == parsed - {"--help"}
+
+
+def test_readme_command_flags_match_cli():
+    # the README's table of the flags each command reads is the table the
+    # CLI checks command lines against, row for row and in order
+    from relayexp.cli_sweeps import COMMAND_FLAGS
+    rows = re.findall(r"^\s*\| `([a-z-]+)` \| (.*) \|$", _cli_section(),
+                      re.M)
+    assert {command: " ".join(re.findall(_FLAG, flags))
+            for command, flags in rows} == COMMAND_FLAGS

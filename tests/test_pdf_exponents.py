@@ -486,8 +486,7 @@ class TestBlockMarkov:
                     np.testing.assert_array_equal(got[3][i, j], want[3][0, 0])
 
     def test_best_blocks_keeps_first_within_tolerance(self):
-        # per rate (column), the first b that beats the best so far by more
-        # than 1e-15 wins
+        # per rate (column), the first b within 1e-15 of the max wins
         value = np.array([[0.3, 0.0, 0.1],
                           [0.3 + 4e-16, 0.0, 0.1 + 2e-15],
                           [0.2, 0.0, 0.1 + 2e-15]])
@@ -743,6 +742,25 @@ def _end_configs():
                _random_pdf_input(rng, sizes[0], sizes[1], 2))
 
 
+@st.composite
+def _block_grids(draw):
+    """(value, lower, upper) of a small block-count x rate grid.  Values lie
+    in chains of near-ties 4e-16 apart, so that ties within 1e-15 and
+    beyond it occur; a lower end is below its value or a few ulps above
+    it, and an upper end is at or above its value."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 4)))
+    value, lower, upper = np.empty((3,) + shape)
+    for cell in np.ndindex(shape):
+        base, tie, ulps, slack = draw(st.tuples(
+            st.sampled_from([0.0, 0.1, 0.3]), st.integers(0, 5),
+            st.integers(-1, 3), st.sampled_from([0.0, 1e-15, 0.01])))
+        value[cell] = base + tie * 4e-16
+        lower[cell] = (value[cell] - 0.01 if ulps < 0
+                       else value[cell] + ulps * np.spacing(value[cell]))
+        upper[cell] = value[cell] + slack
+    return value, lower, upper
+
+
 class TestCertifiedEnds:
     """`_ends` brackets each dual value, and `best_blocks` solves only the
     cells that can win yet returns what a scan of every cell returns."""
@@ -782,27 +800,21 @@ class TestCertifiedEnds:
             assert np.array_equal(got, want)
             cols = np.arange(rates.size)
             assert np.array_equal(lazy.at((got, cols)), full[want, cols])
-            # one batch, one solver call per kind (decoder_Gtilde's empty),
-            # and every rate settled by the certificate
+            # one batch, one solver call per kind (decoder_Gtilde's empty)
             assert stats["rounds"] == 1 and len(calls) == len(KINDS)
-            assert stats["certified"] == rates.size
             assert stats["solved"] < stats["cells"] == full.size
 
-    def test_unsettled_rate_reads_all_its_cells(self):
-        # rate 0: rows 0 and 2 can beat the best lower end, row 1 cannot,
-        # but its value is within 1e-15 of row 2's, so the scan of the read
-        # cells (best row 2) is not certified: row 1 beats row 0 by more
-        # than 1e-15 and row 2 does not beat row 1 by that much.  Rate 1 is
-        # settled by the read of its row 1 alone.  Rate 2: row 0's lower
-        # end lies 2 ulp above its value, as rounding can leave it, so row
-        # 2 is not read although its value beats row 0's by more than 1e-15
-        tie = 0.3 + 1.2e-15
-        value = np.array([[0.3, 0.1, 0.3], [tie, 0.5, 0.1],
-                          [0.3 + 1.8e-15, 0.2, 0.3 + 1.1e-15]])
-        lower = np.where([[1, 0, 0]] * 3, value, value - 0.01)
-        lower[0, 2] = tie
-        upper = np.where([[0, 0, 0], [1, 0, 0], [0, 0, 1]], value,
-                         value + 0.01)
+    def test_overshooting_lower_end_forces_one_second_read(self):
+        # rate 0: row 1's lower end lies 2 ulp above its value 0.3, as
+        # rounding can leave it, so row 0, tied at 0.3 with an upper end of
+        # exactly its value, is not in the first batch; its upper end
+        # reaches the read max minus 1e-15, so a second read takes it, and
+        # the first b within 1e-15 of the max is row 0.  Rate 1 is decided
+        # by the first batch
+        value = np.array([[0.3, 0.1], [0.3, 0.5]])
+        lower = value - 0.01
+        lower[1, 0] = np.nextafter(np.nextafter(0.3, 1.0), 1.0)
+        upper = value + [[0.0, 0.01], [0.01, 0.01]]
         reads = []
 
         def solve(cells, keep):
@@ -812,13 +824,42 @@ class TestCertifiedEnds:
         sweep = PdfSweep(value, np.zeros(value.shape), np.zeros(value.shape),
                          dict, solve, lambda: (lower, upper))
         stats = {}
-        assert sweep.best_blocks(stats=stats).tolist() == [1, 1, 2]
+        assert sweep.best_blocks(stats=stats).tolist() == [0, 1]
         assert PdfSweep(value, value, value, dict).best_blocks().tolist() \
-            == [1, 1, 2]
-        assert reads == [[[0, 0], [0, 2], [1, 1], [2, 0]],
-                         [[1, 0], [1, 2], [2, 2]]]
-        assert stats == {"certified": 1, "cells": 9, "solved": 7,
-                         "rounds": 2}
+            == [0, 1]
+        assert reads == [[[1, 0], [1, 1]], [[0, 0]]]
+        assert stats == {"cells": 4, "solved": 3, "rounds": 2}
+
+    @settings(max_examples=300, deadline=None)
+    @given(_block_grids(), st.integers(0, 2))
+    def test_best_blocks_matches_the_full_grid_rule(self, grid, n_rows):
+        value, lower, upper = grid
+        reads = []
+
+        def solve(cells, keep):
+            reads.append(cells.copy())
+            return value[cells], np.zeros(np.count_nonzero(cells))
+
+        sweep = PdfSweep(value, np.zeros(value.shape), np.zeros(value.shape),
+                         dict, solve, lambda: (lower, upper))
+        got = sweep.best_blocks(slice(n_rows)).tolist()
+        assert got == [next(i for i, v in enumerate(col)
+                            if v >= max(col) - 1e-15) for col in value.T]
+        # the first batch is the cells whose upper end exceeds their rate's
+        # best lower end, and the block rows asked for; after it, a cell is
+        # read only once its upper end reaches its rate's max read so far
+        # minus 1e-15
+        first = upper > lower.max(axis=0)
+        first[:n_rows] = True
+        read = np.zeros(value.shape, dtype=bool)
+        for k, cells in enumerate(reads):
+            assert not (cells & read).any()
+            if k == 0 and first.any():
+                assert np.array_equal(cells, first)
+            else:
+                best = np.where(read, value, -np.inf).max(axis=0)
+                assert np.all((upper >= best - 1e-15)[cells])
+            read |= cells
 
 
 class TestDfInput:
