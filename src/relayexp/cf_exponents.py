@@ -22,7 +22,7 @@ import numpy as np
 
 from .pdf_exponents import (ExponentEval, _below_mi, alternating_primal,
                             gallager_dual)
-from .prob_core import CondDist, _neg_plogp, cond_mi_from_joint, kl_div_cond
+from .prob_core import CondDist, _neg_plogp, _row_divergences
 from .relay_model import CfAuxChannels, CfInput, RelayChannelSpec, cf_aux_channels
 from .types_toolkit import EnumBudgetError, _compositions
 
@@ -59,20 +59,8 @@ def _check_scale(w: RelayChannelSpec, yhat_size):
 
 
 # ---------------------------------------------------------------------------
-# scalar psi machinery
+# rate loss and alpha-likelihood membership
 # ---------------------------------------------------------------------------
-
-def mi_terms(aux: CfAuxChannels, qtilde, v):
-    """(I(Q_X1, Qtilde x V | Q_X2), I(Qtilde_hat, V_{Q_X1} | Q_X2))."""
-    qhat_t = aux.yhat_marginal(qtilde)
-    q1, q2 = aux.q_x1, aux.q_x2
-    j1 = np.einsum("a,x,ah,xahz->axhz", q2, q1, qhat_t, v)
-    mi_x1 = cond_mi_from_joint(j1.reshape(j1.shape[0], j1.shape[1], -1))
-    vq1 = aux.v_q_x1(v)                           # (X2, Yhat2, Y3)
-    j2 = np.einsum("a,ah,ahz->ahz", q2, qhat_t, vq1)
-    mi_hat = cond_mi_from_joint(j2)
-    return mi_x1, mi_hat
-
 
 def rate_loss(aux: CfAuxChannels, qtilde):
     """I(Qtilde_{Y2|X2}, Q_{Yhat2|Y2X2} | Q_{X2}) in bits.
@@ -86,47 +74,6 @@ def rate_loss(aux: CfAuxChannels, qtilde):
     loss = np.maximum(np.einsum("a,...a->...", aux.q_x2, h_hat - h_test), 0.0)
     return float(loss) if loss.ndim == 0 else loss
 
-
-def cf_psi1(aux: CfAuxChannels, qtilde, v, r: float) -> float:
-    """|I(Q_X1, Qtilde x V | Q_X2) - R|+."""
-    mi_x1, _ = mi_terms(aux, qtilde, v)
-    return max(mi_x1 - r, 0.0)
-
-
-def _psi2_from_terms(mi_x1, mi_hat, loss, rates: CfRates, variant):
-    """psi_2 from its information terms; `mi_x1` and `mi_hat` may be arrays
-    of one shape, `loss` is a scalar."""
-    if variant == "standard":
-        inner = (np.maximum(mi_x1 - rates.r, 0.0) + mi_hat
-                 - max(loss - rates.r2, 0.0))
-        return np.maximum(inner, 0.0)
-    if variant == "prime":
-        return np.maximum(
-            mi_x1 - rates.r + np.maximum(mi_hat - (loss - rates.r2), 0.0), 0.0)
-    if variant == "twocase":
-        clamped = np.maximum(mi_x1 - rates.r, 0.0)
-        if rates.r2 <= loss:
-            return np.maximum(mi_hat + clamped + rates.r2 - loss, 0.0)
-        return mi_hat + clamped
-    raise ValueError(f"unknown psi2 variant {variant!r}")
-
-
-def cf_psi2(aux: CfAuxChannels, qtilde, v, rates: CfRates,
-            variant: str = "standard") -> float:
-    """The second decoding exponent term; `variant` selects the formula.
-
-    "standard" is the single-expression form, "twocase" the equivalent
-    case split on the excess Wyner-Ziv rate, "prime" the strengthened
-    alternative.  All are nonnegative.
-    """
-    mi_x1, mi_hat = mi_terms(aux, qtilde, v)
-    loss = rate_loss(aux, qtilde)
-    return _psi2_from_terms(mi_x1, mi_hat, loss, rates, variant)
-
-
-# ---------------------------------------------------------------------------
-# alpha-likelihood membership
-# ---------------------------------------------------------------------------
 
 def _alpha_weights(aux: CfAuxChannels):
     """Q(x1,x2,yhat2) weights and the -log2 reference-channel table."""
@@ -249,16 +196,6 @@ def _alpha_cols(v_cols, coef, mask):
     return alphas
 
 
-def _member_cols(table, ref, idx):
-    """Columns `idx` (last axis) of `table`; index table.shape[-1] stands
-    for the single column `ref`."""
-    # np.take keeps the channel axis last in memory; fancy indexing
-    # would move it first and slow every sum over the result
-    if idx[-1] < table.shape[-1]:
-        return np.take(table, idx, axis=-1)
-    return np.concatenate([np.take(table, idx[:-1], axis=-1), ref], axis=-1)
-
-
 def _true_y3_marginal(aux):
     """True Y3-given-X2 marginal under Q_X1 x Q_X2 x W2, shape (X2, Y3)."""
     return np.einsum("x,xahz->az", aux.q_x1, aux.w2)
@@ -299,11 +236,10 @@ def _pair_scorer(aux: CfAuxChannels, rates: CfRates):
     `_row_tables`, and a Qtilde costs one dot product over the columns for
     alpha (coefficients Q_X1 x w x -log2 W2) and a few over the members.
 
-    Returns score(qhat, loss, stack, ref=None): `qhat` is Qtilde-hat,
-    `loss` the rate loss of Qtilde, `stack` the triple (columns, V_{Q_X1},
-    row table) and `ref` an optional one-column triple scored as column M.
-    score returns (members, values, marginal costs, ell) with ell 1 where
-    psi_1 <= psi_2 and 2 elsewhere.
+    Returns score(qhat, loss, stack): `qhat` is Qtilde-hat, `loss` the
+    rate loss of Qtilde and `stack` the triple (columns, V_{Q_X1}, row
+    table).  score returns (members, values, marginal costs, ell) with ell
+    1 where psi_1 <= psi_2 and 2 elsewhere.
     """
     q1, q2 = aux.q_x1, aux.q_x2
     _, vref, logref, zero = _alpha_weights(aux)
@@ -318,38 +254,38 @@ def _pair_scorer(aux: CfAuxChannels, rates: CfRates):
     cost_coef = log_mstar + np.log2(np.where(q2 > 0.0, q2, 1.0))[:, None]
     h_q2 = float(_neg_plogp(q2).sum())
 
-    def score(qhat, loss, stack, ref=None):
+    def score(qhat, loss, stack):
         v_cols, vq1, lin = stack
-        ref_cols, ref_vq1, ref_lin = (None, None, None) if ref is None else ref
         w = q2[:, None] * qhat                              # (X2, Yhat2)
         qw = q1[:, None, None] * w
         coef = (-qw[..., None] * logref).reshape(-1)
         mask = None
         if has_zero:
             mask = (zero & (qw[..., None] > 0.0)).astype(np.float64).reshape(-1)
-        alphas = _alpha_cols(v_cols, coef, mask)
-        if ref is not None:
-            alphas = np.append(alphas, _alpha_cols(ref_cols, coef, mask))
-        midx = np.flatnonzero(alphas <= t_ref + _ALPHA_SLACK)
+        midx = np.flatnonzero(_alpha_cols(v_cols, coef, mask)
+                              <= t_ref + _ALPHA_SLACK)
         if midx.size == 0:
             empty = np.empty(0)
             return midx, empty, empty, empty
-        # q2-weighted Y3|X2 marginal and its consistency cost, per member
-        mu = np.einsum("azhm,ah->azm", _member_cols(vq1, ref_vq1, midx), w)
+        # q2-weighted Y3|X2 marginal and its consistency cost, per member;
+        # np.take keeps the channel axis last in memory, where fancy
+        # indexing would move it first and slow every sum over the members
+        mu = np.einsum("azhm,ah->azm", np.take(vq1, midx, axis=-1), w)
         mu_log_mu = np.einsum("azm,azm->m", mu,
                               np.log2(np.where(mu > 0.0, mu, 1.0)))
         cost = mu_log_mu - np.einsum("azm,az->m", mu, cost_coef)
         if has_off:
             off = ((mu > 1e-15) & off_support[..., None]).any(axis=(0, 1))
             cost[off] = np.inf
-        mi_x1, h_rows = np.einsum("jkm,k->jm",
-                                  _member_cols(lin, ref_lin, midx),
+        mi_x1, h_rows = np.einsum("jkm,k->jm", np.take(lin, midx, axis=-1),
                                   w.reshape(-1))
         mi_hat = -mu_log_mu - h_q2 - h_rows
         psi1 = np.maximum(mi_x1 - rates.r, 0.0)
+        # psi_2 is the larger of its standard and strengthened forms
         psi2 = np.maximum(
-            _psi2_from_terms(mi_x1, mi_hat, loss, rates, "standard"),
-            _psi2_from_terms(mi_x1, mi_hat, loss, rates, "prime"))
+            np.maximum(psi1 + mi_hat - max(loss - rates.r2, 0.0), 0.0),
+            np.maximum(mi_x1 - rates.r
+                       + np.maximum(mi_hat - (loss - rates.r2), 0.0), 0.0))
         return (midx, cost + np.minimum(psi1, psi2), cost,
                 np.where(psi1 <= psi2, 1, 2))
 
@@ -401,13 +337,13 @@ def _inner_min(aux: CfAuxChannels, rates: CfRates, rounds=_REFINE_ROUNDS,
 
     The estimated laws Qtilde are the `_QTILDE_POINTS` lattice, the true
     observation marginal and the realized law; the channels V are the
-    `_v_stack` lattice and the reference channel V_ref, one extra candidate
-    after the stack.  Every pair is scored by `_pair_scorer`; ties keep the
-    first Qtilde, then the first V.  The best pair is polished by a
-    `rounds`-round `_exchange_walk` over (Qtilde, V) (none at 0), each move
-    scored on the one-column tables of the moved V.  `tables` are the stack's
-    `_stack_tables` for aux.q_x1, built here when not given.  Returns
-    (value, dict of witnesses).
+    `_v_stack` lattice and then the reference channel V_ref, scored as a
+    one-channel stack of its own.  Every pair is scored by `_pair_scorer`;
+    ties keep the first Qtilde, then the first V.  The best pair is
+    polished by a `rounds`-round `_exchange_walk` over (Qtilde, V) (none
+    at 0), each move scored on the one-channel tables of the moved V.
+    `tables` are the stack's `_stack_tables` for aux.q_x1, built here when
+    not given.  Returns (value, dict of witnesses).
     """
     n_x1 = aux.q_x1.shape[0]
     n_x2 = aux.q_x2.shape[0]
@@ -417,16 +353,19 @@ def _inner_min(aux: CfAuxChannels, rates: CfRates, rounds=_REFINE_ROUNDS,
 
     qtildes = _matrix_grid(n_x2, n_y2, _QTILDE_POINTS)
     qtildes.append(aux.wq1_y2 / aux.wq1_y2.sum(axis=1, keepdims=True))
-    if aux.realized is not None:
-        qtildes.append(aux.realized.copy())
+    qtildes.append(aux.realized.copy())
+
+    def single(v):
+        """The scorer's triple of the one-channel stack `v`."""
+        return (v.reshape(-1, 1), *_row_tables(v[..., None], aux.q_x1))
 
     vref = aux.w2_cond()
     vstack, v_points = _v_stack((n_x1, n_x2, n_yhat), n_y3)
-    n_v = vstack.shape[-1]
     if tables is None:
         tables = _stack_tables(vstack, aux.q_x1)
-    stack = (vstack.reshape(-1, n_v), *tables)
-    ref = (vref.reshape(-1, 1), *_row_tables(vref[..., None], aux.q_x1))
+    # (channels with the channel index last, their scorer triple)
+    stacks = ((vstack, (vstack.reshape(-1, vstack.shape[-1]), *tables)),
+              (vref[..., None], single(vref)))
     score = _pair_scorer(aux, rates)
 
     qt_stack = np.stack(qtildes)                            # (T, X2, Y2)
@@ -434,32 +373,29 @@ def _inner_min(aux: CfAuxChannels, rates: CfRates, rounds=_REFINE_ROUNDS,
     losses = rate_loss(aux, qt_stack)
 
     value = np.inf
-    it = iv = info = None
+    qt = v = info = None
     for t in range(qt_stack.shape[0]):
-        midx, vals, cost, ell = score(qhat_stack[t], losses[t], stack, ref)
-        if midx.size == 0:
-            continue
-        k = int(np.argmin(vals))
-        if vals[k] < value:
-            value = float(vals[k])
-            it, iv = t, int(midx[k])
-            info = (float(cost[k]), int(ell[k]))
+        for channels, triple in stacks:
+            midx, vals, cost, ell = score(qhat_stack[t], losses[t], triple)
+            if midx.size == 0:
+                continue
+            k = int(np.argmin(vals))
+            if vals[k] < value:
+                value = float(vals[k])
+                qt, v = qtildes[t], channels[..., midx[k]].copy()
+                info = (float(cost[k]), int(ell[k]))
 
-    if it is None:
+    if qt is None:
         # no competitor pair on the grid is as likely as the truth
         return np.inf, {"qtilde": None, "v": None, "ell": 0,
                         "marginal_cost": np.inf,
                         "v_grid_points": v_points,
                         "qtilde_grid_points": _QTILDE_POINTS}
 
-    qt = qtildes[it]
-    v = vstack[..., iv].copy() if iv < n_v else vref
-
     def pair_value(arrays, _):
         qt, v = arrays
-        single = (v.reshape(-1, 1), *_row_tables(v[..., None], aux.q_x1))
         midx, vals, cost, ell = score(aux.yhat_marginal(qt),
-                                      rate_loss(aux, qt), single)
+                                      rate_loss(aux, qt), single(v))
         if midx.size == 0:
             return np.inf, None
         return float(vals[0]), (float(cost[0]), int(ell[0]))
@@ -522,13 +458,16 @@ def cf_G2(w: RelayChannelSpec, c_template: CfInput, r: float, r2: float,
     n_x1, n_x2, n_y2, n_y3 = w.sizes
     n_yhat = c_template.yhat_size
     q2 = c_template.q_x2
+    on = q2.probs > 0.0
 
     base_aux = cf_aux_channels(w, c_template)
     wq1_y2 = base_aux.wq1_y2
-    true_obs = CondDist(wq1_y2 / wq1_y2.sum(axis=1, keepdims=True))
+    true_obs = wq1_y2 / wq1_y2.sum(axis=1, keepdims=True)
 
     def div_term(qy2):
-        return kl_div_cond(CondDist(qy2), true_obs, q2)
+        """D(qy2 || true_obs | Q_X2); rows x2 with Q_X2(x2) = 0 add 0."""
+        d = _row_divergences(qy2[on, None], true_obs[on, None])
+        return float(np.sum(q2.probs[on] * d))
 
     def aux_of(qy2, t):
         cin = CfInput(c_template.q_x1, q2, n_yhat,
@@ -536,7 +475,7 @@ def cf_G2(w: RelayChannelSpec, c_template: CfInput, r: float, r2: float,
         return cf_aux_channels(w, cin)
 
     qy2_cands = _matrix_grid(n_x2, n_y2, _QY2_POINTS)
-    qy2_cands.append(true_obs.rows)
+    qy2_cands.append(true_obs)
     test_cands = []
     seen = set()
     raw_tests = _matrix_grid(n_y2 * n_x2, n_yhat, _QTILDE_POINTS)

@@ -556,7 +556,7 @@ def main(argv=None):
         return 4
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4 if "budget" in str(exc).lower() else 3
+        return 3
     for row in result.rows[:20]:
         print(",".join(str(c) if not isinstance(c, float) else _fmt(c)
                        for c in row))

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .prob_core import _row_divergences
 from .relay_model import RelayChannelSpec, cutset_bound
 
 #: halvings of the row weights in V(t) and of the level
@@ -30,14 +31,6 @@ class UpperBoundResult:
     witness_v: RelayChannelSpec
     feasibility_gap: float       # hi of the witness's cutset bracket - R, >= 0
     restarts_used: int
-
-
-def _row_divergences(v, w):
-    """D(v_x||w_x) in bits for every row x (the last two axes); +inf on a
-    support violation."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(v > 0.0, v * np.log2(v / w), 0.0)
-    return terms.sum(axis=(-2, -1))
 
 
 def ecs_objective(v: RelayChannelSpec, w: RelayChannelSpec) -> float:
@@ -175,11 +168,16 @@ def ecs_upper(r: float, w: RelayChannelSpec, restarts: int = 16,
 
 def ecs_upper_sweep(rates, w: RelayChannelSpec, restarts: int = 16,
                     seed: int = 0, stats: dict = None):
-    """Upper bounds over an increasing rate grid, warm-started and
+    """Upper bounds over a nondecreasing rate grid, warm-started and
     running-minimum enforced; returns (results, violation_count).
-    `restarts` (>= 1), `seed` and `stats` are passed on to ecs_upper."""
+    `restarts` (>= 1), `seed` and `stats` are passed on to ecs_upper.
+    A witness stays feasible at higher rates only, so a falling grid
+    raises ValueError."""
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    rates = list(rates)
+    if any(b < a for a, b in zip(rates, rates[1:])):
+        raise ValueError("rates must be nondecreasing")
     results = []
     violations = 0
     prev_tables = []

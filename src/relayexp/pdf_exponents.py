@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import e0_sum
-from .prob_core import CondDist, Dist, _neg_plogp, cond_mi_from_joint
+from .prob_core import CondDist, Dist, cond_mi_from_joint
 from .relay_model import PdfInput, RelayChannelSpec, pdf_virtual_channels
 
 KINDS = ("relay_F", "decoder_G", "decoder_Gtilde")
@@ -180,6 +180,12 @@ def _lagrange_max(curve, rate, size=1):
     return value[()], witness[()], points
 
 
+def _state_mi(q_s, q_xs, chan):
+    """I(Q,chan) in bits of the state channel, or of each channel of a
+    stack (leading axes of `chan`)."""
+    return cond_mi_from_joint((q_s[:, None] * q_xs)[..., None] * chan)
+
+
 def _below_mi(q_s, q_xs, chan, rate):
     """Mask of the rates below the package's I(Q,chan) of the state channel.
 
@@ -187,8 +193,7 @@ def _below_mi(q_s, q_xs, chan, rate):
     (Gallager 1968, section 5.6), so every other rate gives exactly 0 at
     lam = 0 without evaluating E.
     """
-    weights = q_s[:, None] * q_xs
-    return np.asarray(rate) < cond_mi_from_joint(weights[..., None] * chan)
+    return np.asarray(rate) < _state_mi(q_s, q_xs, chan)
 
 
 def gallager_dual(q_s, q_xs, chan, rate, below=None):
@@ -226,15 +231,6 @@ def pdf_dual_exponent(kind, w: RelayChannelSpec, q: PdfInput,
     value, rho, points = gallager_dual(*_state_channel(kind, w, q), rate)
     return ExponentEval(value, rho, "dual", kind,
                         {"rho_tolerance": _GOLDEN_TOL, "curve_points": points})
-
-
-def _state_mi(q_s, q_xs, v):
-    """I(Q,V) = sum_s q_s I(q_xs, V_s) for a stack of state channels V."""
-    out = np.einsum("sx,...sxy->...sy", q_xs, v)
-    h_out = _neg_plogp(out).sum(axis=-1)
-    h_rows = _neg_plogp(v).sum(axis=-1)
-    return (np.einsum("s,...s->...", q_s, h_out)
-            - np.einsum("sx,...sx->...", q_s[:, None] * q_xs, h_rows))
 
 
 def _alternate(q_s, q_xs, chan, lam):
@@ -378,8 +374,7 @@ def _ends(chan, rate):
     slopes = np.diff(e0) / np.diff(rho)
     j = np.searchsorted(-slopes, -rate)
     lo = e0[j] - rho[j] * rate
-    left = np.r_[cond_mi_from_joint((q_s[:, None] * q_xs)[..., None] * w),
-                 slopes[:-1]]
+    left = np.r_[_state_mi(q_s, q_xs, w), slopes[:-1]]
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.clip((slopes[:-1] - slopes[1:]) / (left[:-1] - slopes[1:]), 0, 1)
     x = np.r_[rho[:-2] + np.nan_to_num(t) * np.diff(rho)[:-1], 1.0]

@@ -1,8 +1,8 @@
 """Finite-alphabet probability primitives and information measures in bits.
 
-All logarithms are base 2 and 0*log(0) is taken to be 0.  Conditional KL
-divergence returns +inf when absolute continuity fails, so that exponent
-minimizations can treat infeasible channels as infinitely costly.
+All logarithms are base 2 and 0*log(0) is taken to be 0.  Row divergences
+are +inf where absolute continuity fails, so that exponent minimizations
+can treat infeasible channels as infinitely costly.
 """
 
 from dataclasses import dataclass
@@ -22,11 +22,6 @@ def _neg_plogp(x):
     mask = x > 0.0
     out[mask] = -x[mask] * np.log2(x[mask])
     return out
-
-
-def entropy_vec(v):
-    """Entropy in bits of a raw probability vector (no validation)."""
-    return float(_neg_plogp(np.asarray(v, dtype=np.float64)).sum())
 
 
 @dataclass(frozen=True)
@@ -83,28 +78,6 @@ class CondDist:
 # information measures
 # ---------------------------------------------------------------------------
 
-def entropy(p: Dist) -> float:
-    """H(p) in bits."""
-    return entropy_vec(p.probs)
-
-
-def cond_entropy(v: CondDist, p: Dist) -> float:
-    """H(V|P) = sum_x p(x) H(v(.|x)) in bits."""
-    if v.n_inputs != len(p):
-        raise ValueError("dimension mismatch between CondDist and Dist")
-    row_h = _neg_plogp(v.rows).sum(axis=1)
-    return float(p.probs @ row_h)
-
-
-def mutual_info(p: Dist, v: CondDist) -> float:
-    """I(P,V) = H(PV) - H(V|P) in bits, PV the output marginal."""
-    if v.n_inputs != len(p):
-        raise ValueError("dimension mismatch between Dist and CondDist")
-    out_marginal = p.probs @ v.rows
-    val = entropy_vec(out_marginal) - cond_entropy(v, p)
-    return max(val, 0.0)
-
-
 def cond_mi_from_joint(joint):
     """I(A;B|S) in bits of a joint p(s,a,b), or of each joint of a stack."""
     j = np.asarray(joint, dtype=np.float64)
@@ -116,50 +89,9 @@ def cond_mi_from_joint(joint):
     return float(mi) if mi.ndim == 0 else mi
 
 
-def mi_axes(joint, a_axes, b_axes, s_axes=()) -> float:
-    """I(A;B|S) in bits from an n-dimensional joint array.
-
-    `a_axes`, `b_axes` and `s_axes` are disjoint axis tuples; all other
-    axes are marginalized out first.
-    """
-    j = np.asarray(joint, dtype=np.float64)
-    a_axes, b_axes, s_axes = tuple(a_axes), tuple(b_axes), tuple(s_axes)
-    keep = s_axes + a_axes + b_axes
-    drop = tuple(ax for ax in range(j.ndim) if ax not in keep)
-    if drop:
-        j = j.sum(axis=drop)
-        remap = {ax: i for i, ax in enumerate(sorted(keep))}
-        s_axes = tuple(remap[ax] for ax in s_axes)
-        a_axes = tuple(remap[ax] for ax in a_axes)
-        b_axes = tuple(remap[ax] for ax in b_axes)
-    j = np.transpose(j, s_axes + a_axes + b_axes)
-    ns = int(np.prod([j.shape[i] for i in range(len(s_axes))], initial=1))
-    na = int(np.prod([j.shape[len(s_axes) + i] for i in range(len(a_axes))],
-                     initial=1))
-    return cond_mi_from_joint(j.reshape(ns, na, -1))
-
-
-def kl_div_vec(v, w) -> float:
-    """D(v||w) in bits for raw vectors; +inf on support violation."""
-    v = np.asarray(v, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    mask = v > 0.0
-    if np.any(w[mask] <= 0.0):
-        return np.inf
-    return float(np.sum(v[mask] * np.log2(v[mask] / w[mask])))
-
-
-def kl_div_cond(v: CondDist, w: CondDist, p: Dist) -> float:
-    """D(V||W|P) in bits; +inf if absolute continuity fails on the support of p."""
-    if v.rows.shape != w.rows.shape or v.n_inputs != len(p):
-        raise ValueError("dimension mismatch in kl_div_cond")
-    total = 0.0
-    for x in range(len(p)):
-        px = p.probs[x]
-        if px == 0.0:
-            continue
-        d = kl_div_vec(v.rows[x], w.rows[x])
-        if not np.isfinite(d):
-            return np.inf
-        total += px * d
-    return total
+def _row_divergences(v, w):
+    """D(v_x||w_x) in bits for every row x (the last two axes); +inf on a
+    support violation."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(v > 0.0, v * np.log2(v / w), 0.0)
+    return terms.sum(axis=(-2, -1))

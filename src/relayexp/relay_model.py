@@ -153,16 +153,12 @@ class CfAuxChannels:
     test_channel: np.ndarray    # (Y2, X2, Yhat2)
     q_x1: np.ndarray
     q_x2: np.ndarray
-    realized: np.ndarray = None  # (X2, Y2) realized relay-observation law
+    realized: np.ndarray        # (X2, Y2) realized relay-observation law
     flagged: tuple = field(default_factory=tuple)
 
     def yhat_marginal(self, q_y2_given_x2):
         """Q_{Yhat2|X2} induced by an arbitrary Q_{Y2|X2} (X2, Y2) array."""
         return np.einsum("ay,yah->ah", q_y2_given_x2, self.test_channel)
-
-    def v_q_x1(self, v):
-        """V_{Q_{X1}}(y3|x2,yhat2) for V of shape (X1, X2, Yhat2, Y3)."""
-        return np.einsum("x,xahz->ahz", self.q_x1, v)
 
     def w2_cond(self):
         """W2's Y3-conditional V_ref(y3|x1,x2,yhat2); uniform at zero mass."""

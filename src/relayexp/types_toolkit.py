@@ -107,11 +107,6 @@ def _multinomials(rows):
                      // math.prod(map(math.factorial, row)) for row in rows)
 
 
-def type_class_size(t: TypeN):
-    """Number of sequences with type t (exact multinomial coefficient)."""
-    return _multinomials([t.counts])
-
-
 def vshell_size(ct: CondTypeN):
     """Size of the conditional-type shell relative to any base-type sequence:
     the product of one multinomial coefficient per row."""

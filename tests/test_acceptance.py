@@ -9,15 +9,16 @@ from itertools import product
 import numpy as np
 
 from relayexp import (CfRates, CondDist, Dist, cf_G1, cf_G2, cf_aux_channels,
-                      cf_psi2, check_joint_typicality,
+                      check_joint_typicality,
                       check_lemma1, cutset_bound, ecs_upper, ecs_upper_sweep,
                       enum_types, pdf_dual_exponent, pdf_primal_exponent,
                       sato_channel)
 from relayexp.cli_sweeps import SweepSpec, run, write_outputs
 from relayexp.pdf_exponents import KINDS, _state_channel
-from relayexp.prob_core import cond_mi_from_joint, mi_axes, mutual_info
+from relayexp.prob_core import cond_mi_from_joint
 from relayexp.types_toolkit import TypeN, enum_cond_types
 from conftest import random_relay_channel
+from reference import cf_psi2, mi_axes, mutual_info
 from test_cf_exponents import (_full_joint, _identity_test_input,
                                _random_cf_input, _skewed_relay_channel)
 

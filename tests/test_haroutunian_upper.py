@@ -7,8 +7,8 @@ from relayexp import (RelayChannelSpec, cutset_bound, ecs_objective,
                       ecs_upper, ecs_upper_sweep, haroutunian_upper,
                       sato_channel)
 from relayexp.haroutunian_upper import _level_channel, _support_target
-from relayexp.prob_core import kl_div_vec
 from conftest import random_relay_channel
+from reference import kl_div_vec
 
 
 class TestObjective:
@@ -110,6 +110,15 @@ class TestUpperBound:
             with pytest.raises(ValueError, match="restarts must be >= 1"):
                 ecs_upper_sweep([], chan, restarts=restarts)
         assert ecs_upper_sweep([], chan, restarts=1) == ([], 0)
+
+    def test_sweep_rejects_a_falling_grid(self):
+        # the running minimum carries a lower rate's witness forward, which
+        # is feasible at higher rates only: on the seeded 3x2x2x3 channel,
+        # rates (0.14, 0.02) reported 0.00142 at r = 0.02 from a witness
+        # whose cutset hi is 0.13999, where ecs_upper(0.02) gives 0.2896
+        chan = random_relay_channel(np.random.default_rng(0), (3, 2, 2, 3))
+        with pytest.raises(ValueError, match="nondecreasing"):
+            ecs_upper_sweep((0.14, 0.02), chan, restarts=4)
 
     def test_sato_small_rate_vacuous(self):
         # the relay observation is noiseless, so every channel inside the

@@ -95,6 +95,42 @@ def test_readme_import_block_imports():
     exec(block.group(0), {})
 
 
+def _unused_exports(init_source, sources):
+    """Names the `__init__` source imports that no source of `sources`
+    loads, not counting loads inside the definition binding the name."""
+    exported = {alias.asname or alias.name
+                for node in ast.parse(init_source).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    loaded = set()
+    for tree in map(ast.parse, sources):
+        for top in tree.body:
+            nodes = list(ast.walk(top))
+            names = {n.id for n in nodes if isinstance(n, ast.Name)
+                     and isinstance(n.ctx, ast.Load)}
+            names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            loaded |= names - {getattr(top, "name", None)}
+    return exported - loaded
+
+
+def test_exports_are_used_or_documented():
+    # a name the package exports is one it uses itself or one the README's
+    # import block documents; test-only helpers live in tests/reference.py
+    block = re.search(r"^from relayexp import \([^)]*\)$", README.read_text(),
+                      re.M)
+    documented = {alias.name for alias in ast.parse(block.group(0)).body[0]
+                  .names}
+    unused = _unused_exports((SRC / "__init__.py").read_text(),
+                             [p.read_text() for p in MODULES])
+    assert sorted(unused - documented) == []
+
+
+def test_detects_unused_export():
+    init = "from .a import f, g, h\nfrom .b import K\n"
+    sources = ["def f():\n    return f()\ndef g():\n    return 1\n",
+               "class K:\n    pass\ndef h():\n    return g() + m.K\n"]
+    assert _unused_exports(init, sources) == {"f", "h"}
+
+
 def test_readme_module_references_resolve():
     # `module.name` and `relayexp.module.name`, with or without a call's
     # arguments after the name, for every module of the package

@@ -8,9 +8,9 @@ import pytest
 from relayexp import (CfInput, CondDist, Dist, PdfInput, RelayChannelSpec,
                       cf_aux_channels, cutset_bound, pdf_virtual_channels,
                       sato_channel)
-from relayexp.prob_core import mi_axes
 from relayexp.relay_model import _envelope
 from conftest import random_relay_channel
+from reference import mi_axes
 
 
 def _cutset_at(w, joint):

@@ -9,9 +9,10 @@ import pytest
 
 from relayexp import (CondTypeN, TypeN, check_joint_typicality, check_lemma1,
                       enum_types, joint_typicality_batch, lemma1_batch,
-                      type_class_size, vshell_size)
+                      vshell_size)
 from relayexp.prob_core import CondDist
 from relayexp.types_toolkit import EnumBudgetError, enum_cond_types
+from reference import type_class_size
 
 BSC01 = CondDist(np.array([[0.9, 0.1], [0.1, 0.9]]))
 IDENTITY = CondDist(np.eye(2))
