@@ -3,7 +3,10 @@
 E_cs(R) = min over dummy relay channels V with cutset value at most R of
 max_P D(V||W|P).  By linearity of the conditional divergence in P, the
 inner max is attained at a single input pair, so the objective is the
-worst row divergence max_x D(V_x||W_x).  The feasible set is nonconvex.
+worst row divergence max_x D(V_x||W_x).  A finite objective needs V to
+keep W's zeros, so below the zero-error threshold R0 of
+`relay_model.zero_error_rate` no feasible V has one and E_cs is +inf by
+that certificate, with no search.  Above it the feasible set is nonconvex.
 Each seeded restart draws a zero-cutset target u inside W's support and
 searches one scalar, the divergence level t: the level channel V(t) moves
 every row from u toward W just until its divergence is at most t, and
@@ -18,11 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .prob_core import _row_divergences
-from .relay_model import RelayChannelSpec, cutset_bound
+from .relay_model import RelayChannelSpec, cutset_bound, zero_error_rate
 
 #: halvings of the row weights in V(t) and of the level
 _ROW_HALVINGS = 40
 _LEVEL_HALVINGS = 20
+#: rates this far below the zero-error threshold are +inf by its certificate
+_ZERO_ERROR_MARGIN = 1e-9
 
 
 @dataclass
@@ -40,12 +45,17 @@ def ecs_objective(v: RelayChannelSpec, w: RelayChannelSpec) -> float:
     return float(_row_divergences(v.w, w.w).max())
 
 
-def _useless_channel(w: RelayChannelSpec, rng):
+def _useless_channel(w: RelayChannelSpec, rng=None):
     """A channel with zero cutset value: (y2,y3) independent of x1 given x2
-    and y3 independent of everything."""
+    and y3 independent of everything.  Its Y2 and Y3 laws mix W's over x1
+    and over (x1, x2) with weights drawn from `rng`, uniform when None."""
     n_x1, n_x2, n_y2, n_y3 = w.sizes
-    mix1 = rng.dirichlet(np.ones(n_x1))
-    mix12 = rng.dirichlet(np.ones(n_x1 * n_x2)).reshape(n_x1, n_x2)
+    if rng is None:
+        mix1 = np.full(n_x1, 1.0 / n_x1)
+        mix12 = np.full((n_x1, n_x2), 1.0 / (n_x1 * n_x2))
+    else:
+        mix1 = rng.dirichlet(np.ones(n_x1))
+        mix12 = rng.dirichlet(np.ones(n_x1 * n_x2)).reshape(n_x1, n_x2)
     d_y2 = np.einsum("x,xay->ay", mix1, w.y2_marginal())       # (x2, y2)
     h_y3 = np.einsum("xa,xay->y", mix12, w.y3_marginal())      # (y3,)
     table = np.einsum("ay,z->ayz", d_y2, h_y3)                 # (x2, y2, y3)
@@ -106,12 +116,18 @@ def ecs_upper(r: float, w: RelayChannelSpec, restarts: int = 16,
     """Upper-bound value at rate r with a certified feasible dummy-channel
     witness.
 
-    Restart s draws its target from `np.random.default_rng(seed + 1000 * s
-    + 1)`; `restarts` must be at least 1.  `warm_starts` optionally
-    supplies candidate channel tables (used by rate sweeps to keep values
-    monotone: any witness feasible at a lower rate stays feasible here).
-    Every cutset bracket is a decision against r, warm-started from the
-    previous bracket's witness; `stats` is passed on to cutset_bound.
+    Below the zero-error threshold R0 of `zero_error_rate` (r < R0 - 1e-9)
+    the value is +inf by that certificate: every V with a finite objective
+    has cutset value at least R0, so no restart runs.  Otherwise restart s
+    draws its target from `np.random.default_rng(seed + 1000 * s + 1)`;
+    `restarts` must be at least 1 and is reported as used either way.
+    `warm_starts` optionally supplies candidate channel tables (used by
+    rate sweeps to keep values monotone: any witness feasible at a lower
+    rate stays feasible here).  A +inf value's witness is the zero-cutset
+    `_useless_channel` with uniform mixtures.  Every cutset bracket is a
+    decision against r, warm-started from the previous bracket's witness;
+    `stats` is passed on to cutset_bound and gains "zero_error": R0's rate,
+    x2, x1 set and exactness, and the rates it decided.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
@@ -128,6 +144,26 @@ def ecs_upper(r: float, w: RelayChannelSpec, restarts: int = 16,
 
     def feasible(table):
         return cutset_hi(table) <= r
+
+    def vacuous():
+        # +inf: below R0 no channel inside W's support has cutset value
+        # r or less, and above it the restarts found none.  A product
+        # channel with zero cutset value is still a feasible witness,
+        # certifying one-sided validity.
+        witness = _useless_channel(w)
+        gap = max(cutset_hi(witness.w) - r, 0.0)
+        return UpperBoundResult(np.inf, witness, gap, restarts)
+
+    cert = zero_error_rate(w)
+    decided = r < cert.rate - _ZERO_ERROR_MARGIN
+    if stats is not None:
+        record = stats.setdefault("zero_error", {
+            "rate": cert.rate, "x2": cert.x2, "x1": list(cert.x1s),
+            "exact": cert.exact, "decided": []})
+        if decided:
+            record["decided"].append(r)
+    if decided:
+        return vacuous()
 
     if feasible(w.w):
         return UpperBoundResult(0.0, w, 0.0, 0)
@@ -154,12 +190,7 @@ def ecs_upper(r: float, w: RelayChannelSpec, restarts: int = 16,
                 best_val, best_table = val, tbl
 
     if best_table is None:
-        # no channel inside W's support reaches cutset value r: the bound
-        # is vacuous (+inf).  A product channel with zero cutset value is
-        # still a feasible witness, certifying one-sided validity.
-        fallback = _useless_channel(w, np.random.default_rng(seed))
-        gap = max(cutset_hi(fallback.w) - r, 0.0)
-        return UpperBoundResult(np.inf, fallback, gap, restarts)
+        return vacuous()
 
     # every accepted table has a certified cutset value of at most r
     return UpperBoundResult(best_val, RelayChannelSpec(best_table), 0.0,

@@ -4,8 +4,9 @@ A relay channel is W(y2, y3 | x1, x2): the source sends x1, the relay sends
 x2, the relay observes y2 and the destination observes y3.  This module
 holds the channel data type, the virtual channels used by the
 partial-decode-forward exponents, the auxiliary channels used by the
-compress-forward exponents, the certified cutset bracket and the Sato
-channel preset.
+compress-forward exponents, the certified cutset bracket, the zero-error
+threshold that bounds the cutset value of every channel inside W's
+support from below, and the Sato channel preset.
 """
 
 from dataclasses import dataclass, field
@@ -309,6 +310,73 @@ def cutset_bound(v: RelayChannelSpec, *, candidate: Dist = None,
         stats["cutset_calls"] = stats.get("cutset_calls", 0) + 1
         stats["cutset_iterations"] = stats.get("cutset_iterations", 0) + it
     return max(lo, 0.0), hi, Dist(witness)
+
+
+#: branch-and-bound nodes zero_error_rate expands over all x2
+_PACKING_NODES = 10_000
+
+
+@dataclass(frozen=True)
+class ZeroErrorCertificate:
+    """Source symbols `x1s` whose destination supports W(.|x1, x2) at relay
+    symbol `x2` are pairwise disjoint, and rate = log2 len(x1s) bits.
+    `exact` is whether the search that found them finished within its
+    budget, so that no larger such set exists."""
+
+    rate: float
+    x2: int
+    x1s: tuple
+    exact: bool
+
+
+def zero_error_rate(w: RelayChannelSpec) -> ZeroErrorCertificate:
+    """The zero-error threshold R0: the max over x2 of log2 of the largest
+    set S of x1 whose Y3 supports under W are pairwise disjoint.
+
+    Every V whose rows are absolutely continuous with respect to W's (every
+    V with finite divergence from W) keeps those supports disjoint, so with
+    P uniform on S x {x2} both I(X1X2;Y3) and I(X1;Y2Y3|X2) are at least
+    log2 |S|, and C_cs(V) >= R0 (Shannon 1956's single-letter zero-error
+    argument).  Per x2, a depth-first branch and bound over the sets,
+    smallest supports first, expands at most _PACKING_NODES nodes in all;
+    past them the largest set found so far is returned with exact False.
+    It is still a valid certificate, of a possibly smaller rate.
+    """
+    n_x1, n_x2, _, n_y3 = w.sizes
+    supp = w.y3_marginal() > 0.0                 # (x1, x2, y3)
+    best, best_x2, nodes, exact = (0,), 0, 0, True
+    for x2 in range(n_x2):
+        on = supp[:, x2]
+        # bit i of a mask stands for x1 = order[i]; clash[i] holds the
+        # symbols whose support meets order[i]'s, order[i] included
+        order = np.argsort(on.sum(axis=1), kind="stable")
+        cols = [int.from_bytes(np.packbits(on[order, y], bitorder="little")
+                               .tobytes(), "little") for y in range(n_y3)]
+        clash = []
+        for x1 in order:
+            mask = 0
+            for y in np.flatnonzero(on[x1]):
+                mask |= cols[y]
+            clash.append(mask)
+        stack = [((), (1 << n_x1) - 1)]
+        while stack:
+            chosen, cand = stack.pop()
+            if len(chosen) > len(best):
+                best, best_x2 = tuple(sorted(int(order[i]) for i in chosen)), x2
+            if len(chosen) + cand.bit_count() <= len(best):
+                continue
+            if nodes == _PACKING_NODES:
+                exact = False
+                break
+            nodes += 1
+            low = cand & -cand
+            i = low.bit_length() - 1
+            stack.append((chosen, cand ^ low))
+            stack.append((chosen + (i,), cand & ~clash[i]))
+        if not exact:
+            break
+    return ZeroErrorCertificate(float(np.log2(len(best))), best_x2, best,
+                                exact)
 
 
 SATO_P = 0.35431

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from relayexp import cf_exponents, pdf_exponents, pdf_sweep, sato_channel
+from relayexp import (cf_exponents, cutset_bound, pdf_exponents, pdf_sweep,
+                      sato_channel)
 from relayexp.cli_sweeps import (CSV_HEADER, STATE_ENTRY_BUDGET, CliError,
                                  SweepSpec, _pdf_q, _rate_points, main,
                                  parse_channel, run, write_channel,
@@ -302,6 +303,38 @@ class TestRateMonotonicity:
                 assert len(values) in (6, 7)
                 assert all(hi >= lo for hi, lo in zip(values, values[1:])), (
                     command, form, b, values)
+
+
+class TestAchievableBelowUpper:
+    """Every achievable exponent is at most the reliability function, and
+    `upper` bounds that from above, so at each rate every dual `df` and
+    `pdf --u-size 2 --split auto` value is at most `upper`'s.  The rates
+    are fractions of C_cs; 0.99 is the one above Sato's R0 = 1 bit, where
+    its `upper` is finite."""
+
+    @pytest.mark.parametrize("seed, sizes", [
+        (None, None), (0, (3, 2, 2, 3)), (0, (2, 2, 2, 2)),
+        (1, (2, 2, 2, 2)), (2, (2, 2, 2, 2)), (3, (2, 2, 2, 2)),
+        (100, (2, 2, 2, 2))],
+        ids=["sato", "rand3223", "2222s0", "2222s1", "2222s2", "2222s3",
+             "2222s100"])
+    def test_df_and_pdf_at_most_upper(self, tmp_path, seed, sizes):
+        if seed is None:
+            where, chan = {"preset": "sato"}, sato_channel()[0]
+        else:
+            chan = random_relay_channel(np.random.default_rng(seed), sizes)
+            path = str(tmp_path / "chan.json")
+            write_channel(chan, path)
+            where = {"channel_path": path}
+        ccs = cutset_bound(chan)[0]
+        for rate in (0.05 * ccs, 0.35 * ccs, 0.65 * ccs, 0.99 * ccs):
+            upper = run(SweepSpec("upper", rate=rate, restarts=4,
+                                  **where)).rows[0][4]
+            for command, u_size in (("df", None), ("pdf", 2)):
+                res = run(SweepSpec(command, u_size=u_size, blocks=(2, 10, 50),
+                                    rate=rate, **where))
+                for row in res.rows:
+                    assert row[4] <= upper, (command, rate, row, upper)
 
 
 class TestDeterminism:

@@ -1,12 +1,20 @@
 """Dummy-channel upper bound: objective reduction, feasibility, sweeps."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import relayexp
 from relayexp import (RelayChannelSpec, cutset_bound, ecs_objective,
                       ecs_upper, ecs_upper_sweep, haroutunian_upper,
                       sato_channel)
 from relayexp.haroutunian_upper import _level_channel, _support_target
+from relayexp.relay_model import ZeroErrorCertificate
 from conftest import random_relay_channel
 from reference import kl_div_vec
 
@@ -121,9 +129,9 @@ class TestUpperBound:
             ecs_upper_sweep((0.14, 0.02), chan, restarts=4)
 
     def test_sato_small_rate_vacuous(self):
-        # the relay observation is noiseless, so every channel inside the
-        # support keeps the relay cut at full strength: no dummy channel
-        # reaches a small cutset value and the bound is vacuous (+inf)
+        # below Sato's zero-error threshold R0 = 1 every channel inside the
+        # support keeps a noiseless bit at x2 = 0, so its cutset value is at
+        # least 1: the +inf is certified, not a search that failed
         chan, _ = sato_channel()
         res = ecs_upper(0.2, chan, restarts=2, seed=0)
         assert res.value == np.inf
@@ -154,6 +162,53 @@ class TestUpperBound:
         assert all(a >= b - 1e-6 for a, b in zip(vals, vals[1:]))
         for res in results:
             assert res.feasibility_gap <= 1e-4
+
+
+class TestZeroErrorShortcut:
+    @pytest.mark.parametrize("rates,restarts", [
+        ((0.2, 0.4, 0.6, 0.8, 1.0, 1.2), 16),     # the CLI's default grid
+        ((0.2, 0.4, 0.6, 0.8, 1.0, 1.2), 4),      # criterion 6
+        ((1.165,), 4),
+    ])
+    def test_restarts_agree_with_the_certificate(self, monkeypatch, rates,
+                                                 restarts):
+        # with no certificate every Sato rate below 1 bit runs its restarts,
+        # which all fail, and reports what the certificate reports at once
+        chan = sato_channel()[0]
+        stats = {}
+        short, _ = ecs_upper_sweep(rates, chan, restarts, stats=stats)
+        assert stats["zero_error"]["decided"] == [r for r in rates if r < 1]
+        monkeypatch.setattr(haroutunian_upper, "zero_error_rate",
+                            lambda w: ZeroErrorCertificate(0.0, 0, (0,), True))
+        searched, _ = ecs_upper_sweep(rates, chan, restarts)
+        for a, b in zip(short, searched):
+            assert (a.value, a.feasibility_gap, a.restarts_used) == (
+                b.value, b.feasibility_gap, b.restarts_used)
+
+    def test_certified_rows_skip_restarts_and_numpy_random(self, tmp_path):
+        # the upper-sato benchmark command: three rows below R0 = 1, each
+        # settled by one cutset call on the witness, and no restart draws
+        # a number, so numpy.random is never imported
+        code = ("import sys\n"
+                "from relayexp.cli_sweeps import main\n"
+                "code = main(['upper', '--preset', 'sato', '--reff',\n"
+                "             '0.4:0.8:0.2', '--restarts', '4', '--out',\n"
+                "             sys.argv[1]])\n"
+                "print('numpy.random' in sys.modules, code)\n")
+        src = str(Path(relayexp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                             env=env, capture_output=True, text=True,
+                             timeout=60, check=True)
+        assert out.stdout.splitlines()[-1] == "False 0"
+        meta = json.loads((tmp_path / "upper.meta.json").read_text())
+        assert meta["grids"]["cutset_calls"] == 3
+        assert meta["grids"]["zero_error"] == {
+            "rate": 1.0, "x2": 0, "x1": [0, 1], "exact": True,
+            "decided": [0.4, 0.6, 0.8]}
+        rows = (tmp_path / "upper.csv").read_text().splitlines()[1:]
+        assert rows == [f"0,{r},{r},ecs_upper,inf,gap=0,restarts:4"
+                        for r in ("0.4", "0.6", "0.8")]
 
 
 def _support_target_loop(w, base):

@@ -8,8 +8,10 @@ import pytest
 from relayexp import (CfInput, CondDist, Dist, PdfInput, RelayChannelSpec,
                       cf_aux_channels, cutset_bound, pdf_virtual_channels,
                       sato_channel)
-from relayexp.relay_model import _envelope
+from relayexp import relay_model
+from relayexp.relay_model import _envelope, zero_error_rate
 from conftest import random_relay_channel
+from test_cf_exponents import _skewed_relay_channel
 from reference import mi_axes
 
 
@@ -201,6 +203,104 @@ class TestSatoAnchors:
         for x1 in range(3):
             for x2 in range(2):
                 assert y2m[x1, x2, x1] == pytest.approx(1.0, abs=1e-12)
+
+
+def _disjoint_at(w, x2, x1s):
+    """Whether the Y3 supports of the symbols x1s at relay symbol x2 are
+    pairwise disjoint."""
+    on = w.y3_marginal()[list(x1s), x2] > 0.0
+    return bool(np.all(on.sum(axis=0) <= 1))
+
+
+def _sparse_channel(rng, sizes, keep):
+    """A channel whose rows keep each (y2, y3) entry with probability
+    `keep` (at least one per row), with Dirichlet weights on those kept."""
+    n_x1, n_x2, n_y2, n_y3 = sizes
+    w = np.zeros(sizes)
+    for x1 in range(n_x1):
+        for x2 in range(n_x2):
+            on = rng.random(n_y2 * n_y3) < keep
+            on[rng.integers(n_y2 * n_y3)] = True
+            row = np.zeros(n_y2 * n_y3)
+            row[on] = rng.dirichlet(np.ones(on.sum()))
+            w[x1, x2] = row.reshape(n_y2, n_y3)
+    return RelayChannelSpec(w)
+
+
+class TestZeroErrorRate:
+    def test_sato_is_one_bit(self):
+        # [PAPER] with x2 = 0, x1 = 0 always gives y3 = 0 and x1 in {1, 2}
+        # never does: a noiseless bit, and no three symbols are disjoint
+        chan = sato_channel()[0]
+        cert = zero_error_rate(chan)
+        assert cert.rate == 1.0 and cert.exact
+        assert len(cert.x1s) == 2 and _disjoint_at(chan, cert.x2, cert.x1s)
+
+    def test_zero_on_full_support_channels(self):
+        # every Y3 support meets every other, so single symbols are all
+        chans = [random_relay_channel(np.random.default_rng(s), (2, 2, 2, 2))
+                 for s in range(4)]
+        chans += [random_relay_channel(np.random.default_rng(0),
+                                       (3, 2, 2, 3)),
+                  _skewed_relay_channel()]
+        for chan in chans:
+            cert = zero_error_rate(chan)
+            assert cert.rate == 0.0 and cert.exact and len(cert.x1s) == 1
+
+    def test_noiseless_destination_at_one_relay_symbol(self):
+        # at x2 = 1 the destination sees x1 in {0, 1, 2} noiselessly and
+        # x1 = 3 anywhere; at x2 = 0 every row has full support
+        w = np.full((4, 2, 2, 3), 1.0 / 6.0)
+        for x1 in range(3):
+            w[x1, 1] = 0.0
+            w[x1, 1, :, x1] = 0.5
+        cert = zero_error_rate(RelayChannelSpec(w))
+        assert cert.rate == np.log2(3) and cert.exact
+        assert cert.x2 == 1 and cert.x1s == (0, 1, 2)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_exhaustive_search(self, seed):
+        rng = np.random.default_rng(seed)
+        chan = _sparse_channel(rng, (6, 2, 2, 4), 0.15)
+        best = max(len(s) for x2 in range(2) for k in range(1, 7)
+                   for s in combinations(range(6), k)
+                   if _disjoint_at(chan, x2, s))
+        cert = zero_error_rate(chan)
+        assert cert.exact and len(cert.x1s) == best
+        assert cert.rate == np.log2(best)
+        assert _disjoint_at(chan, cert.x2, cert.x1s)
+
+    @pytest.mark.parametrize("budget", [0, 1, 3, 6])
+    def test_budget_keeps_a_valid_certificate(self, monkeypatch, budget):
+        # eight noiseless symbols need more than six nodes to reach R0 = 3
+        w = np.zeros((8, 1, 1, 8))
+        w[np.arange(8), 0, 0, np.arange(8)] = 1.0
+        chan = RelayChannelSpec(w)
+        assert zero_error_rate(chan).rate == 3.0
+        monkeypatch.setattr(relay_model, "_PACKING_NODES", budget)
+        cert = zero_error_rate(chan)
+        assert not cert.exact
+        assert 1 <= len(cert.x1s) <= budget + 1 < 8
+        assert cert.rate == np.log2(len(cert.x1s))
+        assert _disjoint_at(chan, cert.x2, cert.x1s)
+
+    def test_every_channel_in_the_support_has_cutset_at_least_r0(self):
+        # [DERIVED] V << W keeps the certificate's supports disjoint, so its
+        # cutset value is at least R0 = 1 on Sato: both bracket ends say so
+        chan = sato_channel()[0]
+        r0 = zero_error_rate(chan).rate
+        rng = np.random.default_rng(7)
+        on = chan.w.reshape(3, 2, -1) > 0.0
+        for _ in range(50):
+            v = np.zeros_like(on, dtype=float)
+            for x1 in range(3):
+                for x2 in range(2):
+                    v[x1, x2, on[x1, x2]] = rng.dirichlet(
+                        np.ones(on[x1, x2].sum()))
+            # lo is attained, so lo above the decision level certifies it
+            lo, hi, _ = cutset_bound(RelayChannelSpec(v.reshape(chan.sizes)),
+                                     decide_at=r0 - 1e-9)
+            assert lo >= r0 - 1e-9 and hi >= r0 - 1e-9
 
 
 class TestCutset:
