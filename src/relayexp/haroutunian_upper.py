@@ -26,6 +26,9 @@ from .relay_model import RelayChannelSpec, cutset_bound, zero_error_rate
 #: halvings of the row weights in V(t) and of the level
 _ROW_HALVINGS = 40
 _LEVEL_HALVINGS = 20
+#: the grid V(t)'s row weights end on, and Newton steps estimating them
+_GRID = 2.0 ** -_ROW_HALVINGS
+_NEWTON_STEPS = 6
 #: rates this far below the zero-error threshold are +inf by its certificate
 _ZERO_ERROR_MARGIN = 1e-9
 
@@ -77,32 +80,99 @@ def _support_target(w: RelayChannelSpec, rng):
     return np.where(mass, tgt / np.where(mass, tot, 1.0), w.w)
 
 
-def _level_channel(u, w, t):
+def _crossing(u, w, t):
+    """Per row, an estimate of the lam in (0, 1] where
+    D(lam) = D((1-lam) u_x + lam W_x || W_x), convex and decreasing in lam,
+    falls to t.
+
+    Newton steps on D - t, from the right of the crossing: since
+    D(lam) <= log2(1 + chi2(row || W_x)) = log2(1 + (1-lam)^2 c) with
+    c = chi2(u_x||W_x), the crossing lies at or left of
+    1 - sqrt((2^t - 1) / c).  By convexity the first step lands left of
+    the crossing and the later ones climb to it.  Near lam = 1, where D
+    is about quadratic in 1 - lam and plain steps from the left only
+    halve the distance, that start is within a few percent of the
+    crossing.  Entries outside W's support are left out, so a row with
+    mass there gets a wrong estimate, which costs _level_channel loop
+    steps but not exactness.
+    """
+    on = w > 0.0
+    w_on = np.where(on, w, 1.0)
+    step = w_on - np.where(on, u, 1.0)
+    log_w = np.log2(w_on)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        chi2 = (step * step / w_on).sum(axis=(2, 3))
+        lam = np.fmax(1.0 - np.sqrt(np.expm1(np.log(2.0) * t) / chi2), _GRID)
+        for _ in range(_NEWTON_STEPS):
+            v = w_on - (1.0 - lam)[:, :, None, None] * step
+            log_ratio = np.log2(v) - log_w
+            excess = (v * log_ratio).sum(axis=(2, 3)) - t
+            slope = (step * log_ratio).sum(axis=(2, 3))
+            # fmax and fmin drop a nan step (0 / 0 where lam = 1 and t = 0)
+            lam = np.fmin(np.fmax(lam - excess / slope, _GRID), 1.0)
+    return lam
+
+
+def _level_channel(u, w, t, stats=None):
     """V(t): row x is (1-lam_x) u_x + lam_x W_x with the smallest lam_x in
     [0, 1] such that D(row||W_x) <= t.
 
     The divergence is convex in lam and 0 at lam = 1, so the rows are
-    bisected together; rows with D(u_x||W_x) <= t keep u_x exactly.
+    bisected together, _ROW_HALVINGS times; rows with D(u_x||W_x) <= t
+    keep u_x exactly.  Each halving is a decision, and the decisions fix
+    the end point on the 2^-_ROW_HALVINGS grid.  So the end point is
+    predicted first, by rounding the estimate of `_crossing` up to the
+    grid; the midpoints the bisection visits on its way there are exact
+    dyadic numbers, and all of them are tested in one stacked call with
+    the loop's own arithmetic.  The loop then runs only from the first
+    halving whose measured decision differs from the predicted one, from
+    the state the matching halvings leave, which is known exactly.  The
+    result therefore equals the plain _ROW_HALVINGS-step bisection's, bit
+    for bit, whatever the estimate; a poor one only costs loop steps.
+    `stats`, when given, gains the call in "level_calls" and the loop
+    steps run in "level_resumed_steps".
     """
-    lo = np.zeros(u.shape[:2])
-    hi = np.where(_row_divergences(u, w) <= t, 0.0, 1.0)
-    for _ in range(_ROW_HALVINGS):
+    moving = ~(_row_divergences(u, w) <= t)
+    # grid index of the predicted end point, in [1, 2^_ROW_HALVINGS]
+    end = np.clip(np.ceil(_crossing(u, w, t) / _GRID), 1,
+                  1 << _ROW_HALVINGS).astype(np.int64)
+    below = end - 1
+    # halving k splits the interval of 2^s grid steps, s = _ROW_HALVINGS
+    # + 1 - k, that holds (end - 1, end]; the end is at or below its
+    # midpoint exactly when the bisection's decision is ok
+    shifts = np.arange(_ROW_HALVINGS, 0, -1)[:, None, None]
+    index = np.where(moving, ((below >> shifts) << shifts)
+                     + (1 << (shifts - 1)), 0)
+    lam = (index * _GRID)[..., None, None]
+    ok = _row_divergences((1.0 - lam) * u + lam * w, w) <= t
+    wrong = (ok != (~moving | (end <= index))).any(axis=(1, 2))
+    done = int(np.argmax(wrong)) if wrong.any() else _ROW_HALVINGS
+    # the state the first `done` halvings leave
+    shift = _ROW_HALVINGS - done
+    lo = np.where(moving, ((below >> shift) << shift) * _GRID, 0.0)
+    hi = np.where(moving, lo + (1 << shift) * _GRID, 0.0)
+    for _ in range(done, _ROW_HALVINGS):
         mid = 0.5 * (lo + hi)
         lam = mid[:, :, None, None]
         ok = _row_divergences((1.0 - lam) * u + lam * w, w) <= t
         hi = np.where(ok, mid, hi)
         lo = np.where(ok, lo, mid)
+    if stats is not None:
+        stats["level_calls"] = stats.get("level_calls", 0) + 1
+        stats["level_resumed_steps"] = (stats.get("level_resumed_steps", 0)
+                                        + _ROW_HALVINGS - done)
     lam = hi[:, :, None, None]
     return (1.0 - lam) * u + lam * w
 
 
-def _smallest_level(u, w, top, feasible):
+def _smallest_level(u, w, top, feasible, stats=None):
     """Bisect the level over (0, top]; returns the last V(t) that passed
-    `feasible`, or None when no probed level passed."""
+    `feasible`, or None when no probed level passed.  `stats` is passed on
+    to _level_channel."""
     lo, hi, passed = 0.0, top, None
     for _ in range(_LEVEL_HALVINGS):
         mid = 0.5 * (lo + hi)
-        table = _level_channel(u, w, mid)
+        table = _level_channel(u, w, mid, stats)
         if feasible(table):
             hi, passed = mid, table
         else:
@@ -175,7 +245,7 @@ def ecs_upper(r: float, w: RelayChannelSpec, restarts: int = 16,
         top = float(_row_divergences(u, w.w).max())   # V(top) is u
         if not feasible(u):
             continue
-        table = _smallest_level(u, w.w, top, feasible)
+        table = _smallest_level(u, w.w, top, feasible, stats)
         if table is None:
             table = u
         val = ecs_objective(RelayChannelSpec(table), w)

@@ -199,10 +199,11 @@ _DECIDE_ITERATIONS = 30
 _ENVELOPE_EVERY = 8
 
 
-def _cross_entropy(rows, law, on):
+def _cross_entropy(rows, law, on, buf):
     """-sum_y rows[..., y] log2 law[..., y] over the last axis where `on`
-    (rows > 0); +inf where a row puts mass on a zero of its law."""
-    return -np.where(on, rows * np.log2(law), 0.0).sum(axis=-1)
+    (rows > 0); +inf where a row puts mass on a zero of its law.  `buf`,
+    zeros of rows' shape, takes the terms and keeps +0.0 off `on`."""
+    return -np.multiply(rows, np.log2(law), out=buf, where=on).sum(axis=-1)
 
 
 def _envelope(a, b):
@@ -257,14 +258,16 @@ def cutset_bound(v: RelayChannelSpec, *, candidate: Dist = None,
     open) and stops when hi - lo <= 1e-9, after _ITERATIONS iterations,
     or, when `decide_at` is given, as soon as hi <= decide_at or
     lo > decide_at, and after _DECIDE_ITERATIONS iterations.  `stats`,
-    when given, gains the call in "cutset_calls" and its iterations in
-    "cutset_iterations".
+    when given, gains the call in "cutset_calls", its iterations in
+    "cutset_iterations" and, when it returns a decision still open
+    (lo <= decide_at < hi), one in "cutset_undecided".
     """
     n_x1, n_x2, n_y2, n_y3 = v.sizes
     w3 = v.y3_marginal().reshape(-1, n_y3)
     w23 = v.w.reshape(n_x1, n_x2, n_y2 * n_y3)
     h3, h23 = _neg_plogp(w3).sum(axis=1), _neg_plogp(w23).sum(axis=2)
     on3, on23 = w3 > 0.0, w23 > 0.0
+    buf3, buf23 = np.zeros_like(w3), np.zeros_like(w23)
     # the law of an empty block: any distribution keeps hi valid
     fill = w23.mean(axis=0)
     n = n_x1 * n_x2
@@ -273,13 +276,13 @@ def cutset_bound(v: RelayChannelSpec, *, candidate: Dist = None,
     cap = _ITERATIONS if decide_at is None else _DECIDE_ITERATIONS
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(1, cap + 1):
-            a = _cross_entropy(w3, p @ w3, on3) - h3
+            a = _cross_entropy(w3, p @ w3, on3, buf3) - h3
             mass = np.einsum("xa,xaz->az", p.reshape(n_x1, n_x2), w23)
             total = mass.sum(axis=1, keepdims=True)
             # normalised by its own total, m stays a distribution when a
             # block's mass underflows
             m = np.where(total > 0.0, mass / total, fill)
-            b = (_cross_entropy(w23, m, on23) - h23).reshape(n)
+            b = (_cross_entropy(w23, m, on23, buf23) - h23).reshape(n)
             live = p > 0.0
             i1 = float(p @ np.where(live, a, 0.0))
             i2 = float(p @ np.where(live, b, 0.0))
@@ -294,21 +297,28 @@ def cutset_bound(v: RelayChannelSpec, *, candidate: Dist = None,
                 lam = min(max(lam - (i1 - i2), 0.0), 1.0)
             g = lam * a + (1.0 - lam) * b
             # the bound at this lam; a nan or inf maximum leaves hi as is
-            hi = min(hi, float(g.max()))
+            top = float(g.max())
+            hi = min(hi, top)
             if hi - lo <= _GAP or (decide_at is not None
                                    and (hi <= decide_at or lo > decide_at)):
                 break
-            # g is nan (0 times inf) or inf only where P has no or underflowed
-            # mass; any P keeps the bracket valid, so such a coordinate just
-            # takes the largest finite step
-            ok = np.isfinite(g)
-            top = g[ok].max()
-            fall = _STEP * (top - np.where(ok, g, top))
+            if np.isfinite(top):
+                fall = _STEP * (top - g)
+            else:
+                # g is nan (0 times inf) or inf only where P has no or
+                # underflowed mass; any P keeps the bracket valid, so such
+                # a coordinate just takes the largest finite step
+                ok = np.isfinite(g)
+                top = g[ok].max()
+                fall = _STEP * (top - np.where(ok, g, top))
             p = p * np.exp2(-np.minimum(fall, _MAX_FALL))
             p = p / p.sum()
     if stats is not None:
         stats["cutset_calls"] = stats.get("cutset_calls", 0) + 1
         stats["cutset_iterations"] = stats.get("cutset_iterations", 0) + it
+        undecided = decide_at is not None and lo <= decide_at < hi
+        stats["cutset_undecided"] = (stats.get("cutset_undecided", 0)
+                                     + undecided)
     return max(lo, 0.0), hi, Dist(witness)
 
 

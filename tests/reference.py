@@ -1,18 +1,24 @@
 """Scalar information measures and compress-forward terms, one quantity at
-a time, as references for the package's batched code.
+a time, and the plain loops of the dummy-channel search, as references for
+the package's batched code.
 
 None of this is package API: the package computes these quantities in
 stacked form (`prob_core.cond_mi_from_joint`, `prob_core._row_divergences`,
 the `cf_exponents` pair scorer), and the tests check it against the
-direct formulas here.
+direct formulas here.  `level_channel` and `cutset_bound` are the
+package's loops before they were trimmed; the package must return their
+results bit for bit.
 """
 
 import math
 
 import numpy as np
 
+from relayexp import relay_model
 from relayexp.cf_exponents import rate_loss
-from relayexp.prob_core import CondDist, Dist, _neg_plogp, cond_mi_from_joint
+from relayexp.haroutunian_upper import _ROW_HALVINGS
+from relayexp.prob_core import (CondDist, Dist, _neg_plogp, _row_divergences,
+                                cond_mi_from_joint)
 
 
 # ---------------------------------------------------------------------------
@@ -157,3 +163,79 @@ def cf_psi2(aux, qtilde, v, rates, variant: str = "standard") -> float:
 def type_class_size(t):
     """Number of sequences with type t (exact multinomial coefficient)."""
     return math.factorial(t.n) // math.prod(map(math.factorial, t.counts))
+
+
+# ---------------------------------------------------------------------------
+# dummy-channel search
+# ---------------------------------------------------------------------------
+
+def level_channel(u, w, t):
+    """V(t) by the plain bisection: row x is (1-lam_x) u_x + lam_x W_x with
+    lam_x the upper end after _ROW_HALVINGS halvings of [0, 1] on
+    D(row||W_x) <= t; rows with D(u_x||W_x) <= t keep u_x exactly."""
+    lo = np.zeros(u.shape[:2])
+    hi = np.where(_row_divergences(u, w) <= t, 0.0, 1.0)
+    for _ in range(_ROW_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        lam = mid[:, :, None, None]
+        ok = _row_divergences((1.0 - lam) * u + lam * w, w) <= t
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid)
+    lam = hi[:, :, None, None]
+    return (1.0 - lam) * u + lam * w
+
+
+def _cross_entropy(rows, law, on):
+    return -np.where(on, rows * np.log2(law), 0.0).sum(axis=-1)
+
+
+def cutset_bound(v, *, candidate=None, decide_at=None, stats=None):
+    """`relay_model.cutset_bound` with every operation of each iterate
+    spelled out: the terms off the support through np.where, and the
+    step's top through the finite entries of g whether or not all are.
+    `stats` gains "cutset_calls" and "cutset_iterations" only."""
+    rm = relay_model
+    n_x1, n_x2, n_y2, n_y3 = v.sizes
+    w3 = v.y3_marginal().reshape(-1, n_y3)
+    w23 = v.w.reshape(n_x1, n_x2, n_y2 * n_y3)
+    h3, h23 = _neg_plogp(w3).sum(axis=1), _neg_plogp(w23).sum(axis=2)
+    on3, on23 = w3 > 0.0, w23 > 0.0
+    fill = w23.mean(axis=0)
+    n = n_x1 * n_x2
+    p = np.full(n, 1.0 / n) if candidate is None else candidate.probs.copy()
+    lo, hi, witness = -np.inf, np.inf, p
+    cap = rm._ITERATIONS if decide_at is None else rm._DECIDE_ITERATIONS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(1, cap + 1):
+            a = _cross_entropy(w3, p @ w3, on3) - h3
+            mass = np.einsum("xa,xaz->az", p.reshape(n_x1, n_x2), w23)
+            total = mass.sum(axis=1, keepdims=True)
+            m = np.where(total > 0.0, mass / total, fill)
+            b = (_cross_entropy(w23, m, on23) - h23).reshape(n)
+            live = p > 0.0
+            i1 = float(p @ np.where(live, a, 0.0))
+            i2 = float(p @ np.where(live, b, 0.0))
+            if min(i1, i2) > lo:
+                lo, witness = min(i1, i2), p
+            if it % rm._ENVELOPE_EVERY == 1:
+                bound, best_lam = rm._envelope(a, b)
+                hi = min(hi, bound)
+            if it == 1:
+                lam = best_lam
+            else:
+                lam = min(max(lam - (i1 - i2), 0.0), 1.0)
+            g = lam * a + (1.0 - lam) * b
+            hi = min(hi, float(g.max()))
+            if hi - lo <= rm._GAP or (decide_at is not None
+                                      and (hi <= decide_at
+                                           or lo > decide_at)):
+                break
+            ok = np.isfinite(g)
+            top = g[ok].max()
+            fall = rm._STEP * (top - np.where(ok, g, top))
+            p = p * np.exp2(-np.minimum(fall, rm._MAX_FALL))
+            p = p / p.sum()
+    if stats is not None:
+        stats["cutset_calls"] = stats.get("cutset_calls", 0) + 1
+        stats["cutset_iterations"] = stats.get("cutset_iterations", 0) + it
+    return max(lo, 0.0), hi, Dist(witness)

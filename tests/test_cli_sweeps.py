@@ -227,6 +227,27 @@ class TestCommands:
         assert grids["cutset_calls"] >= 1
         assert grids["cutset_iterations"] >= grids["cutset_calls"]
 
+    def test_rand3223_work_counts(self, tmp_path):
+        # the benchmark's rand3223 channel: its cutset command, then upper
+        # with one restart at half the printed value 0.155884825.  Of the 22
+        # cutset decisions 5 reach the iteration cap undecided, and each of
+        # the 20 level probes predicts its row bisection's path whole
+        path = tmp_path / "rand.json"
+        write_channel(random_relay_channel(np.random.default_rng(0),
+                                           (3, 2, 2, 3)), str(path))
+        res = run(SweepSpec("cutset", channel_path=str(path)))
+        assert res.metadata["grids"]["cutset_bracket"]["iterations"] == 259
+        assert res.rows[0][4] == pytest.approx(2 * 0.0779424125, abs=1e-9)
+        res = run(SweepSpec("upper", channel_path=str(path),
+                            rate=0.0779424125, restarts=1))
+        grids = res.metadata["grids"]
+        assert {key: grids[key] for key in (
+            "cutset_calls", "cutset_iterations", "cutset_undecided",
+            "level_calls", "level_resumed_steps")} == {
+            "cutset_calls": 22, "cutset_iterations": 229,
+            "cutset_undecided": 5, "level_calls": 20,
+            "level_resumed_steps": 0}
+
     def test_types_verify_all_pass(self):
         res = run(SweepSpec("types-verify"))
         assert res.rows

@@ -13,10 +13,11 @@ import relayexp
 from relayexp import (RelayChannelSpec, cutset_bound, ecs_objective,
                       ecs_upper, ecs_upper_sweep, haroutunian_upper,
                       sato_channel)
-from relayexp.haroutunian_upper import _level_channel, _support_target
+from relayexp.haroutunian_upper import (_GRID, _level_channel,
+                                        _support_target, _useless_channel)
 from relayexp.relay_model import ZeroErrorCertificate
 from conftest import random_relay_channel
-from reference import kl_div_vec
+from reference import kl_div_vec, level_channel
 
 
 class TestObjective:
@@ -274,3 +275,61 @@ class TestLevelChannel:
                         np.testing.assert_array_equal(v[x1, x2], u[x1, x2])
                     else:
                         assert d == pytest.approx(t, abs=1e-6)
+
+    @staticmethod
+    def _targets():
+        """(W, u) pairs: Sato and seeds 0-29 of four shapes, half of them
+        sparse, with u the first restart's support target."""
+        chans = [sato_channel()[0]] + [
+            random_relay_channel(np.random.default_rng(seed), sizes,
+                                 full_support=seed % 2 == 0)
+            for sizes in ((3, 2, 2, 3), (2, 2, 2, 2), (3, 2, 3, 3),
+                          (4, 4, 4, 4))
+            for seed in range(30)]
+        return [(chan.w, _support_target(chan, np.random.default_rng(i)))
+                for i, chan in enumerate(chans)]
+
+    def test_equals_the_plain_bisection(self):
+        # the predicted path is checked, so the table is the 40-step
+        # bisection's bit for bit, at every level down to the noise floor
+        levels = (1.0, 0.999, 0.5, 0.25, 0.1, 0.03, 1e-3, 1e-6)
+        stats = {}
+        for w, u in self._targets():
+            top = float(haroutunian_upper._row_divergences(u, w).max())
+            for t in top * np.array(levels):
+                np.testing.assert_array_equal(
+                    _level_channel(u, w, t, stats), level_channel(u, w, t))
+        assert stats["level_calls"] == 121 * len(levels)
+        # most paths are predicted whole: on average under one loop step
+        # per call is resumed
+        assert stats["level_resumed_steps"] < stats["level_calls"]
+
+    def test_equals_the_plain_bisection_off_the_support(self):
+        # rows of u with mass outside W's support stay at +inf divergence
+        # and end at lam = 1; at t = 0 only rows equal to W's keep u's
+        table = random_relay_channel(np.random.default_rng(0),
+                                     (3, 2, 2, 3)).w.copy()
+        table[:, :, 0, 0] = 0.0
+        chans = [sato_channel()[0], RelayChannelSpec(
+            table / table.sum(axis=(2, 3), keepdims=True))]
+        for chan in chans:
+            for u in (_useless_channel(chan).w,
+                      _support_target(chan, np.random.default_rng(0))):
+                for t in (0.0, 0.05, 0.5):
+                    np.testing.assert_array_equal(
+                        _level_channel(u, chan.w, t),
+                        level_channel(u, chan.w, t))
+
+    @pytest.mark.parametrize("shift", [3 * _GRID, -3 * _GRID, 0.25],
+                             ids=["3 steps up", "3 steps down", "0.25 up"])
+    def test_a_wrong_prediction_resumes_the_loop(self, monkeypatch, shift):
+        crossing = haroutunian_upper._crossing
+        monkeypatch.setattr(haroutunian_upper, "_crossing",
+                            lambda u, w, t: crossing(u, w, t) + shift)
+        for w, u in self._targets()[1:31]:
+            top = float(haroutunian_upper._row_divergences(u, w).max())
+            for t in (0.5 * top, 0.1 * top):
+                stats = {}
+                np.testing.assert_array_equal(
+                    _level_channel(u, w, t, stats), level_channel(u, w, t))
+                assert stats["level_resumed_steps"] > 0

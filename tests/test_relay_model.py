@@ -12,6 +12,7 @@ from relayexp import relay_model
 from relayexp.relay_model import _envelope, zero_error_rate
 from conftest import random_relay_channel
 from test_cf_exponents import _skewed_relay_channel
+import reference
 from reference import mi_axes
 
 
@@ -227,6 +228,23 @@ def _sparse_channel(rng, sizes, keep):
     return RelayChannelSpec(w)
 
 
+def _sato_children(count):
+    """`count` channels V << W_Sato with Dirichlet rows on W's support,
+    drawn from default_rng(7)."""
+    chan = sato_channel()[0]
+    rng = np.random.default_rng(7)
+    on = chan.w.reshape(3, 2, -1) > 0.0
+    children = []
+    for _ in range(count):
+        v = np.zeros_like(on, dtype=float)
+        for x1 in range(3):
+            for x2 in range(2):
+                v[x1, x2, on[x1, x2]] = rng.dirichlet(
+                    np.ones(on[x1, x2].sum()))
+        children.append(RelayChannelSpec(v.reshape(chan.sizes)))
+    return children
+
+
 class TestZeroErrorRate:
     def test_sato_is_one_bit(self):
         # [PAPER] with x2 = 0, x1 = 0 always gives y3 = 0 and x1 in {1, 2}
@@ -289,17 +307,9 @@ class TestZeroErrorRate:
         # cutset value is at least R0 = 1 on Sato: both bracket ends say so
         chan = sato_channel()[0]
         r0 = zero_error_rate(chan).rate
-        rng = np.random.default_rng(7)
-        on = chan.w.reshape(3, 2, -1) > 0.0
-        for _ in range(50):
-            v = np.zeros_like(on, dtype=float)
-            for x1 in range(3):
-                for x2 in range(2):
-                    v[x1, x2, on[x1, x2]] = rng.dirichlet(
-                        np.ones(on[x1, x2].sum()))
+        for v in _sato_children(50):
             # lo is attained, so lo above the decision level certifies it
-            lo, hi, _ = cutset_bound(RelayChannelSpec(v.reshape(chan.sizes)),
-                                     decide_at=r0 - 1e-9)
+            lo, hi, _ = cutset_bound(v, decide_at=r0 - 1e-9)
             assert lo >= r0 - 1e-9 and hi >= r0 - 1e-9
 
 
@@ -428,7 +438,8 @@ class TestBracket:
         lo, hi, _ = cutset_bound(chan, candidate=caid, decide_at=1.0,
                                  stats=stats)
         assert lo > 1.0
-        assert stats == {"cutset_calls": 2, "cutset_iterations": 2}
+        assert stats == {"cutset_calls": 2, "cutset_iterations": 2,
+                         "cutset_undecided": 0}
 
     def test_envelope_matches_lambda_grid(self):
         # min over lam of the max of lines lam a + (1 - lam) b, against a
@@ -451,6 +462,44 @@ class TestBracket:
         assert _envelope(b, a) == (0.5, 1.0)
         assert _envelope(np.array([np.inf, 0.1]),
                          np.array([0.1, np.inf]))[0] == np.inf
+
+
+def _same_as_reference(chan, **kwargs):
+    """cutset_bound's bracket, witness and iteration count equal the
+    reference loop's; returns the bracket."""
+    got_stats, want_stats = {}, {}
+    got = cutset_bound(chan, stats=got_stats, **kwargs)
+    want = reference.cutset_bound(chan, stats=want_stats, **kwargs)
+    assert got[:2] == want[:2]
+    np.testing.assert_array_equal(got[2].probs, want[2].probs)
+    assert got_stats["cutset_iterations"] == want_stats["cutset_iterations"]
+    return want
+
+
+class TestIterateMatchesReference:
+    # the iterate writes the cross-entropy terms into a zeroed buffer and
+    # takes its step's top from g's maximum when that is finite; the plain
+    # loop in tests/reference.py does neither, and both must agree exactly
+
+    def test_full_solves_and_decisions(self):
+        chans = [sato_channel()[0]] + [
+            random_relay_channel(np.random.default_rng(seed), sizes,
+                                 full_support=seed % 2 == 0)
+            for seed in range(6)
+            for sizes in ((2, 2, 2, 2), (3, 2, 2, 3), (3, 3, 3, 3))]
+        for chan in chans:
+            lo = _same_as_reference(chan)[0]
+            for scale in (0.5, 0.99, 1.01):
+                _same_as_reference(chan, decide_at=scale * lo)
+
+    def test_decisions_from_candidates_with_zeros(self):
+        # a zero coordinate of the candidate can leave g without a finite
+        # maximum, where the step filters the finite entries
+        start = Dist(np.array([0.5, 0.0, 0.0, 0.0, 0.0, 0.5]))
+        for v in _sato_children(30):
+            for rate in (1.0, 1.2, 1.5):
+                _same_as_reference(v, decide_at=rate)
+                _same_as_reference(v, decide_at=rate, candidate=start)
 
 
 class TestDerivedChannels:
