@@ -1,5 +1,7 @@
 """Command-line driver: channel ingestion, presets, sweeps and CSV output.
 
+Usage: relayexp COMMAND [--flag VALUE | --flag=VALUE]..., or relayexp --help
+
 Commands
 --------
 pdf           partial-decode-forward exponent over a (b, r_eff) grid
@@ -10,21 +12,25 @@ upper         dummy-channel upper bound over a rate grid
 types-verify  small-blocklength method-of-types verification sweep
 sato-figures  the Sato-channel exponent curves and best-block-count data
 
+The command comes first.  Flag names match exactly, a repeated flag's last
+value wins, and a token starting with -- is never a value.  --b takes
+comma-separated block counts, --reff start:stop:step or one rate in bits.
+
 Channel files are JSON documents with fields x1_size, x2_size, y2_size,
 y3_size and w, a 4-dimensional array indexed [x1][x2][y2][y3].
 
-Exit codes: 0 success, 2 parse failure, 3 validation failure, 4 budget
-exceeded.  Output CSVs are byte-identical across repeated runs with the
-same flags; wall time lives only in the metadata sidecar.
+Exit codes: 0 success, 2 parse failure (of the command line or a channel
+file), 3 validation failure, 4 budget exceeded.  Output CSVs are
+byte-identical across repeated runs with the same flags; wall time lives
+only in the metadata sidecar.
 """
 
-import argparse
 import gc
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,9 +65,6 @@ COMMAND_FLAGS = {
     "types-verify": "--out",
     "sato-figures": "--preset --out",
 }
-# the SweepSpec fields not named after their flag
-_FIELD_FLAGS = {"channel_path": "--channel", "rate_grid": "--reff",
-                "blocks": "--b", "out_dir": "--out"}
 
 
 class CliError(Exception):
@@ -466,61 +469,75 @@ def write_outputs(spec: SweepSpec, result: SweepResult):
         fh.write("\n")
 
 
-def _build_parser():
-    p = argparse.ArgumentParser(prog="relayexp",
-                                description="Relay-channel error exponent sweeps")
-    p.add_argument("command", choices=["pdf", "df", "cf", "cutset", "upper",
-                                       "types-verify", "sato-figures"])
-    p.add_argument("--preset")
-    p.add_argument("--channel")
-    p.add_argument("--b", help="comma-separated block counts")
-    p.add_argument("--reff", help="rate grid start:stop:step in bits")
-    p.add_argument("--rate", type=float)
-    p.add_argument("--r2", type=float, default=0.3)
-    p.add_argument("--form", choices=["primal", "dual"], default="dual")
-    p.add_argument("--split", default="auto")
-    p.add_argument("--u-size", type=int)
-    p.add_argument("--out", default=".")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int)
-    return p
+def _blocks(text):
+    return tuple(int(tok) for tok in text.split(","))
 
 
-def _spec_from_args(args) -> SweepSpec:
-    blocks = ()
-    if args.b:
+def _rate_grid(text):
+    parts = tuple(float(tok) for tok in text.split(":"))
+    if len(parts) not in (1, 3):
+        raise ValueError(text)
+    return parts if len(parts) == 3 else (parts[0], parts[0], 1.0)
+
+
+def _form(text):
+    if text not in ("primal", "dual"):
+        raise ValueError(text)
+    return text
+
+
+def _split(text):
+    return text if text == "auto" else float(text)
+
+
+#: each flag's SweepSpec field, in field order, and the parser of its value;
+#: a value the parser refuses with ValueError exits 2.  The defaults are
+#: SweepSpec's
+FLAGS = {"--preset": ("preset", str), "--channel": ("channel_path", str),
+         "--reff": ("rate_grid", _rate_grid), "--b": ("blocks", _blocks),
+         "--form": ("form", _form), "--split": ("split", _split),
+         "--u-size": ("u_size", int), "--rate": ("rate", float),
+         "--r2": ("r2", float), "--out": ("out_dir", str),
+         "--seed": ("seed", int), "--restarts": ("restarts", int)}
+
+
+def _parse_argv(argv):
+    """The SweepSpec of a command line, or None when it asks for --help.
+
+    Raises CliError(2) on a malformed command line, and CliError(3) where
+    SweepSpec refuses a value."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return None
+    if not argv or argv[0] not in COMMAND_FLAGS:
+        raise CliError(2, f"the first argument must be a command, one of "
+                          f"{', '.join(COMMAND_FLAGS)}")
+    values, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        flag, eq, text = token.partition("=")
+        if flag not in FLAGS:
+            raise CliError(2, f"unknown argument {token!r}")
+        if not eq:
+            text = next(tokens, "")
+            if text.startswith("--"):  # a flag, not a value
+                text = ""
+        if not text:
+            raise CliError(2, f"{flag} needs a value")
+        field, parse = FLAGS[flag]
         try:
-            blocks = tuple(int(tok) for tok in args.b.split(","))
+            values[field] = parse(text)
         except ValueError:
-            raise CliError(2, f"cannot parse --b {args.b!r}")
-    grid = None
-    if args.reff:
-        try:
-            parts = [float(tok) for tok in args.reff.split(":")]
-        except ValueError:
-            raise CliError(2, f"cannot parse --reff {args.reff!r}")
-        if len(parts) == 1:
-            grid = (parts[0], parts[0], 1.0)
-        elif len(parts) == 3:
-            grid = tuple(parts)
-        else:
-            raise CliError(2, "--reff must be start:stop:step or a single rate")
-    split = args.split
-    if split != "auto":
-        try:
-            split = float(split)
-        except ValueError:
-            raise CliError(2, f"cannot parse --split {args.split!r}")
-    spec = SweepSpec(command=args.command, preset=args.preset,
-                     channel_path=args.channel, rate_grid=grid, blocks=blocks,
-                     form=args.form, split=split, u_size=args.u_size,
-                     rate=args.rate, r2=args.r2, out_dir=args.out,
-                     seed=args.seed, restarts=args.restarts)
-    # a flag the command would ignore is refused, naming the flag
+            raise CliError(2, f"cannot parse {flag} {text!r}")
+    return SweepSpec(argv[0], **values)
+
+
+def _check_flags(spec):
+    """Refuse, with exit 3, a flag the command does not read given at a
+    value other than its default, and a pair of flags that conflict."""
     plain, reads = SweepSpec(spec.command), COMMAND_FLAGS[spec.command].split()
-    given = [_FIELD_FLAGS.get(f.name, "--" + f.name.replace("_", "-"))
-             for f in fields(spec)
-             if getattr(spec, f.name) != getattr(plain, f.name)]
+    given = [flag for flag, (field, _) in FLAGS.items()
+             if getattr(spec, field) != getattr(plain, field)]
     unread = [flag for flag in given if flag not in reads]
     if spec.command == "sato-figures":
         # the figures are Sato's, so the preset is required
@@ -535,13 +552,23 @@ def _spec_from_args(args) -> SweepSpec:
         if set(pair) <= set(given):
             raise CliError(3, f"{spec.command} takes {' or '.join(pair)}, "
                               f"not both")
-    return spec
+
+
+def _help():
+    rows = [f"{command:<13} {flags}"
+            for command, flags in COMMAND_FLAGS.items()]
+    # python -OO strips the docstring; the table still names the commands
+    return "\n".join([(__doc__ or "").strip(), "", "Flags each command reads",
+                      "-----------------------", *rows])
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     try:
-        spec = _spec_from_args(args)
+        spec = _parse_argv(sys.argv[1:] if argv is None else argv)
+        if spec is None:
+            print(_help())
+            return 0
+        _check_flags(spec)
         result = run(spec)
         try:
             write_outputs(spec, result)

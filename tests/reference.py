@@ -7,15 +7,18 @@ stacked form (`prob_core.cond_mi_from_joint`, `prob_core._row_divergences`,
 the `cf_exponents` pair scorer), and the tests check it against the
 direct formulas here.  `level_channel` and `cutset_bound` are the
 package's loops before they were trimmed; the package must return their
-results bit for bit.
+results bit for bit.  `parse_reference` is the CLI's argparse front end
+before the flag table replaced it; the two must build equal specs.
 """
 
+import argparse
 import math
 
 import numpy as np
 
 from relayexp import relay_model
 from relayexp.cf_exponents import rate_loss
+from relayexp.cli_sweeps import CliError, SweepSpec
 from relayexp.haroutunian_upper import _ROW_HALVINGS
 from relayexp.prob_core import (CondDist, Dist, _neg_plogp, _row_divergences,
                                 cond_mi_from_joint)
@@ -239,3 +242,65 @@ def cutset_bound(v, *, candidate=None, decide_at=None, stats=None):
         stats["cutset_calls"] = stats.get("cutset_calls", 0) + 1
         stats["cutset_iterations"] = stats.get("cutset_iterations", 0) + it
     return max(lo, 0.0), hi, Dist(witness)
+
+
+# ---------------------------------------------------------------------------
+# command line
+# ---------------------------------------------------------------------------
+
+def _build_parser():
+    p = argparse.ArgumentParser(prog="relayexp",
+                                description="Relay-channel error exponent sweeps")
+    p.add_argument("command", choices=["pdf", "df", "cf", "cutset", "upper",
+                                       "types-verify", "sato-figures"])
+    p.add_argument("--preset")
+    p.add_argument("--channel")
+    p.add_argument("--b", help="comma-separated block counts")
+    p.add_argument("--reff", help="rate grid start:stop:step in bits")
+    p.add_argument("--rate", type=float)
+    p.add_argument("--r2", type=float, default=0.3)
+    p.add_argument("--form", choices=["primal", "dual"], default="dual")
+    p.add_argument("--split", default="auto")
+    p.add_argument("--u-size", type=int)
+    p.add_argument("--out", default=".")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--restarts", type=int)
+    return p
+
+
+def parse_reference(argv) -> SweepSpec:
+    """The SweepSpec argparse and the old `--b`, `--reff` and `--split`
+    branches built from `argv`, before the check of the flags each command
+    reads; raises SystemExit(2) where argparse refuses the command line,
+    CliError(2) on a malformed value of those three flags and CliError(3)
+    where SweepSpec refuses a value."""
+    args = _build_parser().parse_args(argv)
+    blocks = ()
+    if args.b:
+        try:
+            blocks = tuple(int(tok) for tok in args.b.split(","))
+        except ValueError:
+            raise CliError(2, f"cannot parse --b {args.b!r}")
+    grid = None
+    if args.reff:
+        try:
+            parts = [float(tok) for tok in args.reff.split(":")]
+        except ValueError:
+            raise CliError(2, f"cannot parse --reff {args.reff!r}")
+        if len(parts) == 1:
+            grid = (parts[0], parts[0], 1.0)
+        elif len(parts) == 3:
+            grid = tuple(parts)
+        else:
+            raise CliError(2, "--reff must be start:stop:step or a single rate")
+    split = args.split
+    if split != "auto":
+        try:
+            split = float(split)
+        except ValueError:
+            raise CliError(2, f"cannot parse --split {args.split!r}")
+    return SweepSpec(command=args.command, preset=args.preset,
+                     channel_path=args.channel, rate_grid=grid, blocks=blocks,
+                     form=args.form, split=split, u_size=args.u_size,
+                     rate=args.rate, r2=args.r2, out_dir=args.out,
+                     seed=args.seed, restarts=args.restarts)

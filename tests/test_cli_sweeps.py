@@ -2,22 +2,29 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import relayexp
 from relayexp import (cf_exponents, cutset_bound, pdf_exponents, pdf_sweep,
                       sato_channel)
-from relayexp.cli_sweeps import (CSV_HEADER, STATE_ENTRY_BUDGET, CliError,
-                                 SweepSpec, _pdf_q, _rate_points, main,
+from relayexp.cli_sweeps import (COMMAND_FLAGS, CSV_HEADER, FLAGS,
+                                 STATE_ENTRY_BUDGET, CliError, SweepSpec,
+                                 _parse_argv, _pdf_q, _rate_points, main,
                                  parse_channel, run, write_channel,
                                  write_outputs)
 from relayexp.pdf_exponents import SPLIT_GRID, df_input
 from conftest import count_solver_calls, random_relay_channel
+from reference import parse_reference
 
 
 # a block count Python parses but no float holds
@@ -639,6 +646,59 @@ class TestMain:
                      "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        # empty values, which exited 0 at b = 10 when --b and --reff read
+        # them as absent
+        ["df", "--preset", "sato", "--b=", "--out", "@out"],
+        ["df", "--preset", "sato", "--reff=", "--out", "@out"],
+        ["df", "--preset", "sato", "--b", "", "--out", "@out"],
+        ["cutset", "--preset=", "--out", "@out"],
+        # flag names match exactly: no abbreviation of --restarts
+        ["upper", "--preset", "sato", "--res", "2", "--out", "@out"],
+        # a token starting with -- is a flag, never a value
+        ["cutset", "--preset", "sato", "--out", "--rate", "1"],
+        ["cutset", "--preset", "sato", "--out"],
+        ["--preset", "sato", "cutset", "--out", "@out"],
+        ["cutset", "--preset", "sato", "stray", "--out", "@out"],
+        [],
+        ["relay", "--out", "@out"],
+        ["df", "--preset", "sato", "--form", "exact", "--out", "@out"],
+        ["df", "--preset", "sato", "--reff", "0:1", "--out", "@out"],
+    ])
+    def test_malformed_command_line_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        code = main([str(out) if tok == "@out" else tok for tok in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"],
+                                      ["cutset", "--preset", "sato", "-h"]])
+    def test_help_exits_0(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert "Flags each command reads" in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
+
+    def test_help_names_every_command_and_flag(self):
+        out = _fresh_python(["-m", "relayexp.cli_sweeps", "--help"])
+        assert out.returncode == 0
+        assert set(COMMAND_FLAGS) | set(FLAGS) <= set(out.stdout.split())
+
+    def test_cli_imports_no_argparse(self, tmp_path):
+        # the command line is parsed from the flag table; argparse's first
+        # use in a process (import locale, a gettext catalog lookup per
+        # help string) took longer than the cf-skew benchmark command
+        code = ("import sys\n"
+                "from relayexp.cli_sweeps import main\n"
+                "code = main(['cutset', '--preset', 'sato', '--out',\n"
+                "             sys.argv[1]])\n"
+                "print(sorted({'argparse', 'gettext', 'locale'}\n"
+                "             & set(sys.modules)), code)\n")
+        out = _fresh_python(["-c", code, str(tmp_path)])
+        assert out.returncode == 0
+        assert out.stdout.splitlines()[-1] == "[] 0"
+
     @pytest.mark.parametrize("flags", [
         ["df", "--preset", "sato", "--u-size", "0"],
         ["pdf", "--preset", "sato", "--u-size", "0"],
@@ -849,6 +909,15 @@ class TestMain:
         assert "non-finite" in capsys.readouterr().err
 
 
+def _fresh_python(args):
+    """Run `python args` in a fresh interpreter that imports relayexp from
+    this checkout."""
+    src = str(Path(relayexp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 _SIZE_KEYS = ("x1_size", "x2_size", "y2_size", "y3_size")
 
 
@@ -975,9 +1044,52 @@ class TestArgumentFuzz:
                  "@garbage": str(tmp_path / "garbage.json"),
                  "@out": str(tmp_path / "out"),
                  "@blocked": str(tmp_path / "garbage.json" / "out")}
-        try:
-            code = main([paths.get(tok, tok) for tok in argv])
-        except SystemExit as exc:  # argparse rejects the command line
-            code = exc.code
+        code = main([paths.get(tok, tok) for tok in argv])
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in capsys.readouterr().err
+
+
+def _space_separated(argv):
+    """`argv` with each --flag=value token split into --flag value."""
+    return [part for tok in argv
+            for part in (tok.split("=", 1) if tok.startswith("--") else [tok])]
+
+
+def _known_divergence(argv):
+    """Whether `argv` holds an empty --b or --reff value, which the
+    argparse front end read as absent, or a prefix of a flag name, which it
+    expanded; the flag table refuses both with exit 2."""
+    names = [tok.partition("=")[0] for tok in argv if tok.startswith("--")]
+    return "--b=" in argv or "--reff=" in argv or any(
+        name not in FLAGS and any(flag.startswith(name) for flag in FLAGS)
+        for name in names)
+
+
+class TestReferenceParser:
+    @settings(max_examples=300, deadline=None)
+    @given(argv=_argv(), spaced=st.booleans())
+    @example(argv=["df", "--preset", "sato", "--b=", "--reff=", "--out",
+                   "@out"], spaced=False)
+    @example(argv=["upper", "--preset", "sato", "--res=2", "--out", "@out"],
+             spaced=True)
+    @example(argv=["df", "--preset", "sato", "--rate=-inf", "--out", "@out"],
+             spaced=True)
+    def test_builds_the_reference_spec(self, argv, spaced):
+        # where argparse built a spec the flag table builds an equal one,
+        # and where it refused the flag table refuses too
+        divergent = _known_divergence(argv)
+        if spaced:
+            argv = _space_separated(argv)
+        try:
+            expected = parse_reference(argv)
+        except (SystemExit, CliError):
+            expected = None
+        try:
+            spec = _parse_argv(argv)
+        except CliError as exc:
+            assert exc.code in ((2,) if divergent else (2, 3))
+            spec = None
+        if divergent:
+            assert spec is None
+        else:
+            assert spec == expected

@@ -1,7 +1,7 @@
 """Source hygiene: every name a package module imports is used in it, every
 module-level private name is read somewhere in the package, the README's
-code references resolve, and its CLI section names exactly the parser's
-flags and the flags each command reads."""
+code references resolve, and its CLI section names exactly the CLI's flag
+table and the flags each command reads."""
 
 import ast
 import importlib
@@ -156,13 +156,21 @@ _FLAG = r"(?<![\w-])--[a-z][\w-]*"
 
 
 def test_readme_cli_flags_match_parser():
-    # every --flag the README's CLI section names exists in the parser, and
-    # every parser flag but argparse's own --help is documented there
-    from relayexp.cli_sweeps import _build_parser
+    # every --flag the README's CLI section names is in the CLI's flag table
+    # or is --help, and every one of them is documented there
+    from relayexp.cli_sweeps import FLAGS
     documented = set(re.findall(_FLAG, _cli_section()))
-    parsed = {opt for action in _build_parser()._actions
-              for opt in action.option_strings if opt.startswith("--")}
-    assert documented == parsed - {"--help"}
+    assert documented == set(FLAGS) | {"--help"}
+
+
+def test_flag_table_covers_sweep_spec():
+    # one flag per SweepSpec field but the command, in field order, so the
+    # table and the dataclass whose defaults it uses cannot drift apart
+    from dataclasses import fields
+
+    from relayexp.cli_sweeps import FLAGS, SweepSpec
+    assert [field for field, _ in FLAGS.values()] == [
+        f.name for f in fields(SweepSpec) if f.name != "command"]
 
 
 def test_readme_command_flags_match_cli():
