@@ -17,11 +17,13 @@ finite value is a valid upper bound; the search affects tightness only.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .prob_core import _row_divergences
-from .relay_model import RelayChannelSpec, cutset_bound, zero_error_rate
+from .prob_core import EnumBudgetError, _row_divergences
+from .relay_model import (_DECIDE_ITERATIONS, RelayChannelSpec, cutset_bound,
+                          zero_error_rate)
 
 #: halvings of the row weights in V(t) and of the level
 _ROW_HALVINGS = 40
@@ -31,6 +33,10 @@ _GRID = 2.0 ** -_ROW_HALVINGS
 _NEWTON_STEPS = 6
 #: rates this far below the zero-error threshold are +inf by its certificate
 _ZERO_ERROR_MARGIN = 1e-9
+#: entry-iterations an upper computation may plan: the cutset decisions of
+#: the rates that can run restarts, times their 30-iteration cap, times the
+#: channel's |X1||X2||Y2||Y3| entries; more raises EnumBudgetError
+UPPER_WORK_BUDGET = 10**8
 
 
 @dataclass
@@ -180,6 +186,186 @@ def _smallest_level(u, w, top, feasible, stats=None):
     return passed
 
 
+class _Decisions:
+    """Cutset decisions on one channel table from the uniform joint,
+    memoised by rate.
+
+    Such a decision runs the same iterates at every rate and stops at the
+    first whose bracket settles the rate, so one whose hi came out at most
+    r' comes out feasible at every r >= r' as well.  So a rate at or above
+    the lowest one decided feasible needs no run, and every other rate
+    runs once.
+    """
+
+    def __init__(self, table, stats):
+        self.table, self.stats, self.spec = table, stats, None
+        self.feasible_from = np.inf
+        self.runs = {}                 # rate -> (hi, witness joint)
+
+    def __call__(self, r):
+        """(hi, witness) of the decision at r: its own run's, or, at or
+        above a rate whose run came out feasible, that run's, whose hi is
+        then at most r too."""
+        if r >= self.feasible_from:
+            r = self.feasible_from
+        elif r not in self.runs:
+            if self.spec is None:
+                self.spec = RelayChannelSpec(self.table)
+            _, hi, witness = cutset_bound(self.spec, decide_at=r,
+                                          stats=self.stats)
+            self.runs[r] = hi, witness
+            if hi <= r:
+                self.feasible_from = r
+        return self.runs[r]
+
+
+def _first_feasible(rates, feasible):
+    """Index of the first of the nondecreasing `rates` that the monotone
+    test `feasible` accepts; len(rates) when it accepts none.  The lowest
+    and then the highest rate are probed first, so a grid wholly on one
+    side of the threshold costs one or two probes; then it bisects."""
+    lo, hi = 0, len(rates)
+    ends = [0, len(rates) - 1]
+    while lo < hi:
+        mid = ends.pop(0) if ends else (lo + hi) // 2
+        if feasible(rates[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+class _SweepFacts:
+    """What the rates of one sweep over W share, built once: R0's
+    certificate, the +inf witness and its decisions, W's own decisions and
+    the first rate at which W is feasible, and the restart targets u_s
+    with their levels top_s, drawn on first use.  `at(r)` is the bound at
+    one of the `rates` the facts were built for, the same at every rate as
+    when built for that rate alone.
+
+    The rates that can run restarts are those from R0 - 1e-9 up to the
+    first at which W is feasible; each makes at most 2 + 21 x restarts
+    cutset decisions of at most 30 iterations over W's entries, and a
+    planned total over UPPER_WORK_BUDGET raises EnumBudgetError before
+    any restart.
+    """
+
+    def __init__(self, w, rates, restarts, seed, stats):
+        if restarts < 1:
+            raise ValueError("restarts must be >= 1")
+        # a witness stays feasible at higher rates only, and the search for
+        # the first rate at which W is feasible bisects the grid
+        if any(b < a for a, b in zip(rates, rates[1:])):
+            raise ValueError("rates must be nondecreasing")
+        if any(r < 0 for r in rates):
+            raise ValueError("r must be nonnegative")
+        self.w, self.restarts, self.seed, self.stats = w, restarts, seed, stats
+        cert = zero_error_rate(w)
+        self.r0 = cert.rate - _ZERO_ERROR_MARGIN
+        decided = [r for r in rates if r < self.r0]
+        if stats is not None:
+            stats.setdefault("zero_error", {
+                "rate": cert.rate, "x2": cert.x2, "x1": list(cert.x1s),
+                "exact": cert.exact, "decided": []})["decided"].extend(decided)
+        self.channel = _Decisions(w.w, stats)
+        searchable = [r for r in rates if not r < self.r0]
+        searched = _first_feasible(searchable,
+                                   lambda r: self.channel(r)[0] <= r)
+        decisions = searched * (2 + (1 + _LEVEL_HALVINGS) * restarts)
+        work = decisions * _DECIDE_ITERATIONS * w.w.size
+        if work > UPPER_WORK_BUDGET:
+            raise EnumBudgetError(
+                f"upper plans {decisions} cutset decisions ({searched} rates "
+                f"x (2 + {1 + _LEVEL_HALVINGS} x {restarts} restarts)) of "
+                f"{_DECIDE_ITERATIONS} iterations over {w.w.size} entries, "
+                f"{work:.3g} entry-iterations, over the budget of "
+                f"{UPPER_WORK_BUDGET:.0e}")
+        if stats is not None:
+            record = stats.setdefault("rates", {
+                "zero_error": 0, "channel_feasible": 0, "searched": 0,
+                "first_feasible": None})
+            record["zero_error"] += len(decided)
+            record["channel_feasible"] += len(searchable) - searched
+            record["searched"] += searched
+            known = [r for r in (record["first_feasible"],
+                                 *searchable[searched:searched + 1])
+                     if r is not None]
+            record["first_feasible"] = min(known, default=None)
+        self._targets = []
+
+    @cached_property
+    def useless(self):
+        """The +inf witness and its decisions."""
+        witness = _useless_channel(self.w)
+        return witness, _Decisions(witness.w, self.stats)
+
+    def _target(self, s):
+        """Restart s's target u and its level top, at which V(top) is u."""
+        if s == len(self._targets):
+            u = _support_target(
+                self.w, np.random.default_rng(self.seed + 1000 * s + 1))
+            self._targets.append((u, float(_row_divergences(u, self.w.w)
+                                           .max())))
+        return self._targets[s]
+
+    def at(self, r, warm_starts=None):
+        """ecs_upper's result at rate r, one of the facts' `rates`."""
+        w, stats = self.w, self.stats
+        if r < self.r0:
+            # +inf by R0's certificate: no channel inside W's support has
+            # cutset value r or less.  A product channel with zero cutset
+            # value is still a feasible witness, certifying one-sided
+            # validity
+            witness, decide = self.useless
+            return UpperBoundResult(np.inf, witness,
+                                    max(decide(r)[0] - r, 0.0),
+                                    self.restarts)
+        hi, start = self.channel(r)    # start: witness of the last bracket
+        if hi <= r:
+            return UpperBoundResult(0.0, w, 0.0, 0)
+
+        def cutset_hi(table):
+            nonlocal start
+            _, hi, start = cutset_bound(RelayChannelSpec(table),
+                                        candidate=start, decide_at=r,
+                                        stats=stats)
+            return hi
+
+        def feasible(table):
+            return cutset_hi(table) <= r
+
+        best_val, best_table = np.inf, None
+        for s in range(self.restarts):
+            u, top = self._target(s)
+            if not feasible(u):
+                continue
+            table = _smallest_level(u, w.w, top, feasible, stats)
+            if table is None:
+                table = u
+            val = ecs_objective(RelayChannelSpec(table), w)
+            if val < best_val:
+                best_val, best_table = val, table
+
+        for table in warm_starts or ():
+            tbl = np.asarray(table, dtype=np.float64)
+            if tbl.shape == w.w.shape and feasible(tbl):
+                val = ecs_objective(RelayChannelSpec(tbl), w)
+                if val < best_val:
+                    best_val, best_table = val, tbl
+
+        if best_table is None:
+            # the restarts found no feasible channel: +inf, with the same
+            # witness as below R0, decided from the last bracket's witness
+            witness = self.useless[0]
+            return UpperBoundResult(np.inf, witness,
+                                    max(cutset_hi(witness.w) - r, 0.0),
+                                    self.restarts)
+
+        # every accepted table has a certified cutset value of at most r
+        return UpperBoundResult(best_val, RelayChannelSpec(best_table), 0.0,
+                                self.restarts)
+
+
 def ecs_upper(r: float, w: RelayChannelSpec, restarts: int = 16,
               seed: int = 0, warm_starts=None,
               stats: dict = None) -> UpperBoundResult:
@@ -197,95 +383,32 @@ def ecs_upper(r: float, w: RelayChannelSpec, restarts: int = 16,
     `_useless_channel` with uniform mixtures.  Every cutset bracket is a
     decision against r, warm-started from the previous bracket's witness;
     `stats` is passed on to cutset_bound and gains "zero_error": R0's rate,
-    x2, x1 set and exactness, and the rates it decided.
+    x2, x1 set and exactness, and the rates it decided; and "rates": the
+    rates settled by R0 ("zero_error") and by W's own feasibility
+    ("channel_feasible"), those "searched", and the "first_feasible" one.
+    Planned work over UPPER_WORK_BUDGET raises EnumBudgetError.
     """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-
-    start = None   # witness joint of the last bracket
-
-    def cutset_hi(table):
-        nonlocal start
-        _, hi, start = cutset_bound(RelayChannelSpec(table), candidate=start,
-                                    decide_at=r, stats=stats)
-        return hi
-
-    def feasible(table):
-        return cutset_hi(table) <= r
-
-    def vacuous():
-        # +inf: below R0 no channel inside W's support has cutset value
-        # r or less, and above it the restarts found none.  A product
-        # channel with zero cutset value is still a feasible witness,
-        # certifying one-sided validity.
-        witness = _useless_channel(w)
-        gap = max(cutset_hi(witness.w) - r, 0.0)
-        return UpperBoundResult(np.inf, witness, gap, restarts)
-
-    cert = zero_error_rate(w)
-    decided = r < cert.rate - _ZERO_ERROR_MARGIN
-    if stats is not None:
-        record = stats.setdefault("zero_error", {
-            "rate": cert.rate, "x2": cert.x2, "x1": list(cert.x1s),
-            "exact": cert.exact, "decided": []})
-        if decided:
-            record["decided"].append(r)
-    if decided:
-        return vacuous()
-
-    if feasible(w.w):
-        return UpperBoundResult(0.0, w, 0.0, 0)
-
-    best_val, best_table = np.inf, None
-    for s in range(restarts):
-        rng = np.random.default_rng(seed + 1000 * s + 1)
-        u = _support_target(w, rng)
-        top = float(_row_divergences(u, w.w).max())   # V(top) is u
-        if not feasible(u):
-            continue
-        table = _smallest_level(u, w.w, top, feasible, stats)
-        if table is None:
-            table = u
-        val = ecs_objective(RelayChannelSpec(table), w)
-        if val < best_val:
-            best_val, best_table = val, table
-
-    for table in warm_starts or ():
-        tbl = np.asarray(table, dtype=np.float64)
-        if tbl.shape == w.w.shape and feasible(tbl):
-            val = ecs_objective(RelayChannelSpec(tbl), w)
-            if val < best_val:
-                best_val, best_table = val, tbl
-
-    if best_table is None:
-        return vacuous()
-
-    # every accepted table has a certified cutset value of at most r
-    return UpperBoundResult(best_val, RelayChannelSpec(best_table), 0.0,
-                            restarts)
+    return _SweepFacts(w, [r], restarts, seed, stats).at(r, warm_starts)
 
 
 def ecs_upper_sweep(rates, w: RelayChannelSpec, restarts: int = 16,
                     seed: int = 0, stats: dict = None):
     """Upper bounds over a nondecreasing rate grid, warm-started and
     running-minimum enforced; returns (results, violation_count).
-    `restarts` (>= 1), `seed` and `stats` are passed on to ecs_upper.
-    A witness stays feasible at higher rates only, so a falling grid
-    raises ValueError."""
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    `restarts` (>= 1), `seed` and `stats` mean what they mean for
+    ecs_upper, and each rate's result is ecs_upper's with the previous
+    rate's witness as its warm start.  The facts about W alone are built
+    once for the sweep, and the work of the whole grid is checked against
+    UPPER_WORK_BUDGET before any restart.  A witness stays feasible at
+    higher rates only, so a falling grid raises ValueError."""
     rates = list(rates)
-    if any(b < a for a, b in zip(rates, rates[1:])):
-        raise ValueError("rates must be nondecreasing")
+    facts = _SweepFacts(w, rates, restarts, seed, stats)
     results = []
     violations = 0
     prev_tables = []
     prev_val = np.inf
     for r in rates:
-        res = ecs_upper(r, w, restarts, seed, warm_starts=prev_tables,
-                        stats=stats)
+        res = facts.at(r, prev_tables)
         if res.value > prev_val + 1e-6:
             violations += 1
             res = UpperBoundResult(prev_val, results[-1].witness_v,

@@ -286,7 +286,9 @@ def cutset_bound(v: RelayChannelSpec, *, candidate: Dist = None,
             live = p > 0.0
             i1 = float(p @ np.where(live, a, 0.0))
             i2 = float(p @ np.where(live, b, 0.0))
-            if min(i1, i2) > lo:
+            # an infinite term means a live symbol's mass underflowed out of
+            # the output law, not a true value above log2 |X1||X2|
+            if min(i1, i2) > lo and max(i1, i2) < np.inf:
                 lo, witness = min(i1, i2), p
             if it % _ENVELOPE_EVERY == 1:
                 bound, best_lam = _envelope(a, b)

@@ -6,8 +6,9 @@ None of this is package API: the package computes these quantities in
 stacked form (`prob_core.cond_mi_from_joint`, `prob_core._row_divergences`,
 the `cf_exponents` pair scorer), and the tests check it against the
 direct formulas here.  `level_channel` and `cutset_bound` are the
-package's loops before they were trimmed; the package must return their
-results bit for bit.  `parse_reference` is the CLI's argparse front end
+package's loops before they were trimmed, and `ecs_upper_sweep` is the
+sweep before it computed W's facts once per sweep; the package must
+return their results bit for bit.  `parse_reference` is the CLI's argparse front end
 before the flag table replaced it; the two must build equal specs.
 """
 
@@ -19,7 +20,10 @@ import numpy as np
 from relayexp import relay_model
 from relayexp.cf_exponents import rate_loss
 from relayexp.cli_sweeps import CliError, SweepSpec
-from relayexp.haroutunian_upper import _ROW_HALVINGS
+from relayexp.haroutunian_upper import (_ROW_HALVINGS, _ZERO_ERROR_MARGIN,
+                                        UpperBoundResult, _smallest_level,
+                                        _support_target, _useless_channel,
+                                        ecs_objective)
 from relayexp.prob_core import (CondDist, Dist, _neg_plogp, _row_divergences,
                                 cond_mi_from_joint)
 
@@ -218,7 +222,7 @@ def cutset_bound(v, *, candidate=None, decide_at=None, stats=None):
             live = p > 0.0
             i1 = float(p @ np.where(live, a, 0.0))
             i2 = float(p @ np.where(live, b, 0.0))
-            if min(i1, i2) > lo:
+            if min(i1, i2) > lo and max(i1, i2) < np.inf:
                 lo, witness = min(i1, i2), p
             if it % rm._ENVELOPE_EVERY == 1:
                 bound, best_lam = rm._envelope(a, b)
@@ -242,6 +246,71 @@ def cutset_bound(v, *, candidate=None, decide_at=None, stats=None):
         stats["cutset_calls"] = stats.get("cutset_calls", 0) + 1
         stats["cutset_iterations"] = stats.get("cutset_iterations", 0) + it
     return max(lo, 0.0), hi, Dist(witness)
+
+
+def ecs_upper(r, w, restarts, seed=0, warm_starts=None, stats=None):
+    """`haroutunian_upper.ecs_upper` computing everything at its one rate:
+    R0's certificate, the +inf witness's decision, W's decision and the
+    restart targets.  `stats` gains the cutset counts only."""
+    start = None
+
+    def cutset_hi(table):
+        nonlocal start
+        _, hi, start = relay_model.cutset_bound(
+            relay_model.RelayChannelSpec(table), candidate=start,
+            decide_at=r, stats=stats)
+        return hi
+
+    def feasible(table):
+        return cutset_hi(table) <= r
+
+    def vacuous():
+        witness = _useless_channel(w)
+        gap = max(cutset_hi(witness.w) - r, 0.0)
+        return UpperBoundResult(np.inf, witness, gap, restarts)
+
+    if r < relay_model.zero_error_rate(w).rate - _ZERO_ERROR_MARGIN:
+        return vacuous()
+    if feasible(w.w):
+        return UpperBoundResult(0.0, w, 0.0, 0)
+    best_val, best_table = np.inf, None
+    for s in range(restarts):
+        u = _support_target(w, np.random.default_rng(seed + 1000 * s + 1))
+        top = float(_row_divergences(u, w.w).max())
+        if not feasible(u):
+            continue
+        table = _smallest_level(u, w.w, top, feasible, stats)
+        if table is None:
+            table = u
+        val = ecs_objective(relay_model.RelayChannelSpec(table), w)
+        if val < best_val:
+            best_val, best_table = val, table
+    for table in warm_starts or ():
+        tbl = np.asarray(table, dtype=np.float64)
+        if tbl.shape == w.w.shape and feasible(tbl):
+            val = ecs_objective(relay_model.RelayChannelSpec(tbl), w)
+            if val < best_val:
+                best_val, best_table = val, tbl
+    if best_table is None:
+        return vacuous()
+    return UpperBoundResult(best_val, relay_model.RelayChannelSpec(best_table),
+                            0.0, restarts)
+
+
+def ecs_upper_sweep(rates, w, restarts, seed=0, stats=None):
+    """`haroutunian_upper.ecs_upper_sweep` as a loop of the reference
+    `ecs_upper`, one rate at a time, with the running minimum."""
+    results, prev_tables, prev_val = [], [], np.inf
+    for r in rates:
+        res = ecs_upper(r, w, restarts, seed, prev_tables, stats)
+        if res.value > prev_val + 1e-6:
+            res = UpperBoundResult(prev_val, results[-1].witness_v,
+                                   results[-1].feasibility_gap,
+                                   res.restarts_used)
+        prev_tables = [res.witness_v.w]
+        prev_val = min(prev_val, res.value)
+        results.append(res)
+    return results
 
 
 # ---------------------------------------------------------------------------

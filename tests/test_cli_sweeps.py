@@ -15,8 +15,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import relayexp
-from relayexp import (cf_exponents, cutset_bound, pdf_exponents, pdf_sweep,
-                      sato_channel)
+from relayexp import (cf_exponents, cutset_bound, haroutunian_upper,
+                      pdf_exponents, pdf_sweep, sato_channel)
 from relayexp.cli_sweeps import (COMMAND_FLAGS, CSV_HEADER, FLAGS,
                                  STATE_ENTRY_BUDGET, CliError, SweepSpec,
                                  _parse_argv, _pdf_q, _rate_points, main,
@@ -813,6 +813,30 @@ class TestMain:
             assert err.startswith("error:") and "budget" in err
             assert "Traceback" not in err
             assert len(err) < 100
+
+    @pytest.mark.parametrize("flags,count", [
+        # 99,001 rates below the cutset value 0.1559, 16 restarts each
+        (["--reff", "0.001:0.1:0.000001"], "33462338 cutset decisions"),
+        # one rate, 100,000 restarts
+        (["--rate", "0.0779424125", "--restarts", "100000"],
+         "2100002 cutset decisions")])
+    def test_upper_work_over_budget_exits_4(self, tmp_path, capsys,
+                                            monkeypatch, flags, count):
+        # the rates that can run restarts are counted once R0 and W's own
+        # feasibility are known, and no restart draws its target
+        path = tmp_path / "rand.json"
+        write_channel(random_relay_channel(np.random.default_rng(0),
+                                           (3, 2, 2, 3)), str(path))
+        monkeypatch.setattr(haroutunian_upper, "_support_target", None)
+        start = time.perf_counter()
+        code = main(["upper", "--channel", str(path), *flags, "--out",
+                     str(tmp_path / "out")])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 4
+        assert elapsed < 1.0
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert count in err and "over the budget of 1e+08" in err
 
     @pytest.mark.parametrize("flags", [
         # 2 block counts x 50,001 rates; at 5,000,100 points x 41 splits the

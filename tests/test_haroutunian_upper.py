@@ -13,10 +13,14 @@ import relayexp
 from relayexp import (RelayChannelSpec, cutset_bound, ecs_objective,
                       ecs_upper, ecs_upper_sweep, haroutunian_upper,
                       sato_channel)
-from relayexp.haroutunian_upper import (_GRID, _level_channel,
-                                        _support_target, _useless_channel)
+from relayexp.cli_sweeps import _rate_points
+from relayexp.haroutunian_upper import (_GRID, _first_feasible,
+                                        _level_channel, _support_target,
+                                        _useless_channel)
+from relayexp.prob_core import EnumBudgetError
 from relayexp.relay_model import ZeroErrorCertificate
 from conftest import random_relay_channel
+import reference
 from reference import kl_div_vec, level_channel
 
 
@@ -187,9 +191,10 @@ class TestZeroErrorShortcut:
                 b.value, b.feasibility_gap, b.restarts_used)
 
     def test_certified_rows_skip_restarts_and_numpy_random(self, tmp_path):
-        # the upper-sato benchmark command: three rows below R0 = 1, each
-        # settled by one cutset call on the witness, and no restart draws
-        # a number, so numpy.random is never imported
+        # the upper-sato benchmark command: three rows below R0 = 1, all
+        # settled by one cutset call on the witness, whose hi is at most
+        # the lowest rate, and no restart draws a number, so numpy.random
+        # is never imported
         code = ("import sys\n"
                 "from relayexp.cli_sweeps import main\n"
                 "code = main(['upper', '--preset', 'sato', '--reff',\n"
@@ -203,13 +208,100 @@ class TestZeroErrorShortcut:
                              timeout=60, check=True)
         assert out.stdout.splitlines()[-1] == "False 0"
         meta = json.loads((tmp_path / "upper.meta.json").read_text())
-        assert meta["grids"]["cutset_calls"] == 3
+        assert meta["grids"]["cutset_calls"] == 1
+        assert meta["grids"]["rates"] == {
+            "zero_error": 3, "channel_feasible": 0, "searched": 0,
+            "first_feasible": None}
         assert meta["grids"]["zero_error"] == {
             "rate": 1.0, "x2": 0, "x1": [0, 1], "exact": True,
             "decided": [0.4, 0.6, 0.8]}
         rows = (tmp_path / "upper.csv").read_text().splitlines()[1:]
         assert rows == [f"0,{r},{r},ecs_upper,inf,gap=0,restarts:4"
                         for r in ("0.4", "0.6", "0.8")]
+
+
+_CHANNELS = {
+    "sato": lambda: sato_channel()[0],
+    "rand3223": lambda: random_relay_channel(np.random.default_rng(0),
+                                             (3, 2, 2, 3)),
+    "2222s0": lambda: random_relay_channel(np.random.default_rng(0),
+                                           (2, 2, 2, 2)),
+}
+
+
+class TestSweepFacts:
+    @pytest.mark.parametrize("name,grid,restarts,settled", [
+        # every rate below R0 = 1: one decision on the +inf witness
+        ("sato", (0.001, 0.999, 0.001), 4, (999, 0, 0, None)),
+        # R0, searched rates, and W feasible from 1.17 (C = 1.1619)
+        ("sato", (0.01, 1.2, 0.01), 4, (99, 4, 17, 1.17)),
+        # every rate above the cutset value 0.1559: one decision on W
+        ("rand3223", (0.16, 2.0, 0.01), 4, (0, 185, 0, 0.16)),
+        # R0 = 0 at the grid's start, and the cutset value inside it
+        ("2222s0", (0.0, 0.3, 0.02), 2, (0, 9, 7, 0.14)),
+    ])
+    def test_equals_the_per_rate_loop(self, name, grid, restarts, settled):
+        # decisions on the +inf witness and on W start from the uniform
+        # joint, so reusing them across rates moves no value, gap,
+        # restart count or witness; the per-rate loop is the reference
+        chan, rates = _CHANNELS[name](), _rate_points(grid)
+        stats, want_stats = {}, {}
+        got, _ = ecs_upper_sweep(rates, chan, restarts, stats=stats)
+        want = reference.ecs_upper_sweep(rates, chan, restarts,
+                                         stats=want_stats)
+        for r, a, b in zip(rates, got, want):
+            assert (a.value, a.feasibility_gap, a.restarts_used) == (
+                b.value, b.feasibility_gap, b.restarts_used), r
+            np.testing.assert_array_equal(a.witness_v.w, b.witness_v.w)
+        assert len(got) == len(want) == len(rates)
+        zero_error, feasible, searched, first = settled
+        assert stats["rates"] == {
+            "zero_error": zero_error, "channel_feasible": feasible,
+            "searched": searched, "first_feasible": first}
+        # the sweep runs a subset of the loop's decisions
+        assert stats["cutset_calls"] < want_stats["cutset_calls"]
+        assert stats["cutset_iterations"] < want_stats["cutset_iterations"]
+
+    def test_one_rate_runs_what_the_loop_runs(self):
+        # with a single rate nothing is shared: the same decisions run
+        chan = _CHANNELS["rand3223"]()
+        for r in (0.02, 0.0779424125, 0.16):
+            stats, want_stats = {}, {}
+            got = ecs_upper(r, chan, restarts=2, stats=stats)
+            want = reference.ecs_upper(r, chan, 2, stats=want_stats)
+            assert (got.value, got.feasibility_gap) == (
+                want.value, want.feasibility_gap)
+            assert {key: stats[key] for key in want_stats} == want_stats
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_first_feasible_bisects(self, n):
+        rates = list(range(6))
+        probed = []
+
+        def feasible(r):
+            probed.append(r)
+            return r >= n
+
+        assert _first_feasible(rates, feasible) == min(n, 6)
+        # the lowest rate first, then the highest, then at most a bisection
+        assert probed[:2] == [0, 5][:len(probed)]
+        assert len(probed) <= 5
+        assert _first_feasible([], feasible) == 0
+
+    def test_work_over_budget_raises_before_any_restart(self, monkeypatch):
+        # one rate below the cutset value with 100,000 restarts plans
+        # 2,100,002 decisions of 30 iterations over 36 entries
+        chan = _CHANNELS["rand3223"]()
+        monkeypatch.setattr(haroutunian_upper, "_support_target", None)
+        with pytest.raises(EnumBudgetError, match="2100002 cutset decisions"):
+            ecs_upper(0.0779424125, chan, restarts=100000)
+        with pytest.raises(EnumBudgetError, match="budget of 1e\\+08"):
+            ecs_upper_sweep(_rate_points((0.01, 0.15, 0.0001)), chan)
+        # rates settled by R0 or by W's feasibility plan no work
+        sato = sato_channel()[0]
+        ecs_upper_sweep(_rate_points((0.01, 0.99, 0.01)), sato,
+                        restarts=100000)
+        ecs_upper(0.16, chan, restarts=100000)
 
 
 def _support_target_loop(w, base):

@@ -228,6 +228,17 @@ def _sparse_channel(rng, sizes, keep):
     return RelayChannelSpec(w)
 
 
+def _sparse(seed, sizes):
+    """Dirichlet(1/2) rows, each entry but the first zeroed with
+    probability 1/2 and the rows renormalised."""
+    rng = np.random.default_rng(seed)
+    n_x1, n_x2, n_y2, n_y3 = sizes
+    w = rng.dirichlet(np.full(n_y2 * n_y3, 0.5), size=(n_x1, n_x2))
+    w[..., 1:] *= rng.random(w[..., 1:].shape) >= 0.5
+    return RelayChannelSpec((w / w.sum(axis=-1, keepdims=True))
+                            .reshape(sizes))
+
+
 def _sato_children(count):
     """`count` channels V << W_Sato with Dirichlet rows on W's support,
     drawn from default_rng(7)."""
@@ -380,6 +391,19 @@ class TestBracket:
         assert lo <= hi
         assert hi - lo <= 1e-6
         assert _cutset_at(chan, witness.probs) == pytest.approx(lo, abs=1e-12)
+
+    @pytest.mark.parametrize("seed,sizes", [
+        (34, (4, 4, 4, 4)), (11, (2, 2, 2, 2)), (21, (2, 3, 3, 2)),
+        (97, (2, 3, 3, 2)), (31, (4, 4, 4, 4)), (36, (4, 4, 4, 4))])
+    def test_lo_is_attained_where_a_mass_underflows(self, seed, sizes):
+        # here a live symbol's mass falls to a subnormal, its products with
+        # W underflow out of the block's output law, and I2 reads +inf; lo
+        # once took I1 at such iterates and ended above hi (seed 34:
+        # 0.681116719 against 0.677483623, where min{I1, I2} is 0.620945)
+        chan = _sparse(seed, sizes)
+        lo, hi, witness = cutset_bound(chan)
+        assert lo <= hi
+        assert lo <= _cutset_at(chan, witness.probs) + 1e-12
 
     def test_point_to_point_oracle(self):
         # [DERIVED] one relay input, a constant relay observation and a
